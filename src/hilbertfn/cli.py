@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 import time
@@ -25,18 +24,6 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-
-def _threads_limit() -> int:
-    """HILBERT_THREADS caps internal parallelism; 0 means serial.
-
-    The engines currently always run serially, which satisfies any cap.
-    """
-    raw = os.environ.get("HILBERT_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def _print_values(values: Sequence[int], fmt: str, meta: dict, out) -> None:
@@ -273,7 +260,7 @@ def cmd_sr(args, out) -> int:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_INPUT
     nonfaces = simplicial.minimal_nonfaces(complex_)
-    I = simplicial.stanley_reisner_ideal(complex_)
+    I = simplicial.nonface_ideal(complex_.vertices, nonfaces)
     values = engine.hf(I, args.max_degree, method="auto")
     if args.format == "json":
         doc = {
@@ -357,7 +344,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_arg_parser().parse_args(argv)
-    _threads_limit()
     try:
         return args.func(args, out)
     except ParseError as exc:

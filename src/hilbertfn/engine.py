@@ -29,11 +29,18 @@ from .monomial import (
     syzygy_quotient,
 )
 from .pascal import hf_principal, hf_two_generators, pascal_F
+from .series import (
+    LATTICE_CAP_DEFAULT,
+    alternating_numerator,
+    check_lattice_cap,
+    expand_series,
+    subset_lcm_layers,
+    subset_numerator,
+)
 
 MethodKind = Literal["oracle", "lcm", "syzygy", "table", "auto"]
 
 ENUM_CAP_DEFAULT = 10**8
-LATTICE_CAP_DEFAULT = 20
 
 
 def hf_oracle(
@@ -70,22 +77,11 @@ class LcmLattice:
 
 
 def build_lcm_lattice(I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT) -> LcmLattice:
-    n = len(I.generators)
-    if n < 1:
+    if not I.generators:
         raise ValueError("lcm lattice needs at least one generator")
-    if n > lattice_cap:
-        raise ResourceCapError(f"{n} generators exceed lattice cap {lattice_cap}")
-    # subset lcms by dynamic programming over bitmasks: each mask extends the
-    # mask with its lowest generator removed
-    by_mask: list[Monomial | None] = [None] * (1 << n)
-    layers: list[list[Monomial]] = [[] for _ in range(n)]
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        m = I.generators[low] if rest == 0 else lcm(by_mask[rest], I.generators[low])
-        by_mask[mask] = m
-        layers[mask.bit_count() - 1].append(m)
-    return LcmLattice(I.arity, tuple(tuple(layer) for layer in layers))
+    check_lattice_cap(I, lattice_cap)
+    layers = subset_lcm_layers(I)
+    return LcmLattice(I.arity, tuple(tuple(map(Monomial, layer)) for layer in layers[1:]))
 
 
 def adjacent_cancellations(
@@ -115,25 +111,21 @@ def hf_lcm_lattice(
     cancel: bool = False,
     lattice_cap: int = LATTICE_CAP_DEFAULT,
 ) -> list[int]:
-    """HF(R/I, b) for b = 0..b_max by inclusion-exclusion over the lattice."""
-    a = I.arity
-    if I.is_zero:
-        return [pascal_F(a, b) for b in range(b_max + 1)]
-    lattice = build_lcm_lattice(I, lattice_cap)
-    if cancel:
-        counts, _ = adjacent_cancellations(lattice)
+    """HF(R/I, b) for b = 0..b_max by inclusion-exclusion over the lattice.
+
+    The alternating subset sum is the Hilbert-series numerator K(t), taken
+    over the minimal generators and expanded once against F(a, b).  With
+    ``cancel`` it is taken over the lattice of the generators as given,
+    after :func:`adjacent_cancellations`.  ``lattice_cap`` bounds the
+    generator count as given.
+    """
+    check_lattice_cap(I, lattice_cap)
+    if cancel and not I.is_zero:
+        counts, _ = adjacent_cancellations(build_lcm_lattice(I, lattice_cap))
+        num = alternating_numerator(I.arity, [Counter({0: 1}), *counts])
     else:
-        counts = [Counter(m.degree for m in layer) for layer in lattice.layers]
-    values = []
-    for b in range(b_max + 1):
-        ideal_count = 0
-        for r, layer_counts in enumerate(counts, start=1):
-            sign = 1 if r % 2 == 1 else -1
-            ideal_count += sign * sum(
-                mult * pascal_F(a, b - d) for d, mult in layer_counts.items()
-            )
-        values.append(pascal_F(a, b) - ideal_count)
-    return values
+        num = subset_numerator(minimalize(I))
+    return expand_series(num, b_max)
 
 
 def hf_syzygy(
@@ -360,7 +352,7 @@ def hf(
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
-    if method in ("lcm", "lcm-lattice"):
+    if method == "lcm":
         return hf_lcm_lattice(I, b_max, lattice_cap=lattice_cap)
     if method == "syzygy":
         return hf_syzygy(I, b_max)

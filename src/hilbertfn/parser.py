@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .monomial import Monomial, MonomialIdeal
+from .monomial import MAX_EXPONENT, Monomial, MonomialIdeal
 from .series import SeriesNumerator, render_series
 from .simplicial import SimplicialComplex, validate_complex
 
@@ -133,6 +133,12 @@ def parse_ideal(text: str, ring: Sequence[str]) -> MonomialIdeal:
                 )
             var, exp = _parse_factor(factor, fstart, index)
             exps[var] += exp
+            if exps[var] > MAX_EXPONENT:
+                raise ParseError(
+                    "bad-exponent",
+                    SourceSpan(fstart, fstart + len(factor)),
+                    f"exponent {exps[var]} exceeds supported bound {MAX_EXPONENT}",
+                )
         gens.append(Monomial(tuple(exps)))
     return MonomialIdeal(arity, tuple(gens))
 

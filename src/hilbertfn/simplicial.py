@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from .errors import ResourceCapError
 from .monomial import Monomial, MonomialIdeal
@@ -87,15 +88,23 @@ def minimal_nonfaces(c: SimplicialComplex) -> list[tuple[str, ...]]:
     return result
 
 
-def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
+def nonface_ideal(
+    vertices: Sequence[str], nonfaces: Iterable[tuple[str, ...]]
+) -> MonomialIdeal:
     """Squarefree monomial ideal on the vertex variables, one generator per
-    minimal non-face, in the minimal_nonfaces order."""
-    index = {v: i for i, v in enumerate(c.vertices)}
-    arity = len(c.vertices)
+    non-face, in the given order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    arity = len(vertices)
     gens = []
-    for nonface in minimal_nonfaces(c):
+    for nonface in nonfaces:
         exps = [0] * arity
         for v in nonface:
             exps[index[v]] = 1
         gens.append(Monomial(tuple(exps)))
     return MonomialIdeal(arity, tuple(gens))
+
+
+def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
+    """Squarefree monomial ideal on the vertex variables, one generator per
+    minimal non-face, in the minimal_nonfaces order."""
+    return nonface_ideal(c.vertices, minimal_nonfaces(c))

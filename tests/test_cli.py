@@ -52,9 +52,15 @@ class TestEval:
             assert code == 0
             assert text.splitlines()[1] == "HF 1 3 5 6", method
 
-    def test_parse_error_exit_code(self):
-        code, _ = run("eval", "--ring", "x,y", "--ideal", "x^2, q")
-        assert code == cli.EXIT_INPUT
+    def test_parse_error_exit_code(self, capsys):
+        for ideal, span in (
+            ("x^2, q", "(at 5..6)"),
+            ("x^1000001", "(at 0..9)"),
+            ("x^600000*x^600000", "(at 9..17)"),
+        ):
+            code, _ = run("eval", "--ring", "x,y", "--ideal", ideal)
+            assert code == cli.EXIT_INPUT, ideal
+            assert span in capsys.readouterr().err, ideal
 
     def test_cap_exit_code(self):
         code, _ = run(
@@ -232,16 +238,6 @@ class TestSr:
         doc = json.loads(text)
         assert doc["minimal_nonfaces"] == [["a", "b", "c"]]
         assert [int(v["value"]) for v in doc["values"]] == [1, 3, 6, 9]
-
-
-class TestThreadsEnv:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("HILBERT_THREADS", "4")
-        assert cli._threads_limit() == 4
-        monkeypatch.setenv("HILBERT_THREADS", "junk")
-        assert cli._threads_limit() == 0
-        monkeypatch.delenv("HILBERT_THREADS")
-        assert cli._threads_limit() == 0
 
 
 def test_entry_point_main(monkeypatch, capsys):

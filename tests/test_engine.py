@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from conftest import compositions
+from conftest import compositions, random_ideal
 
 from hilbertfn.engine import (
     adjacent_cancellations,
@@ -93,6 +95,13 @@ class TestLcmLattice:
         _, pairs = adjacent_cancellations(lattice)
         assert sorted(pairs) == [(1, 3), (2, 4)]
         assert hf_lcm_lattice(I, 12, cancel=True) == hf_lcm_lattice(I, 12)
+        # seeded random ideals, redundant generators included: the cancelled
+        # lattice over the given generators matches the plain sum over the
+        # minimal ones
+        rng = random.Random(1992)
+        for _ in range(40):
+            J = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 8), max_exp=4)
+            assert hf_lcm_lattice(J, 12, cancel=True) == hf_lcm_lattice(J, 12), J
 
 
 class TestSyzygy:
@@ -235,6 +244,9 @@ class TestDispatcher:
             "x*z, y*z, x^2*y",
             "x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2",
             "x^2*y*z^3, x^3*z, y^2*z^2",
+            # redundant generators: multiples and duplicates of minimal ones
+            "x^2, x^3*y, y^3, x^2*y^3, y^3",
+            "x*z, y*z, x^2*y, x^2*y*z, x*y*z^2, x^3*y^2",
         ]
         for text in cases:
             I = parse_ideal(text, XYZ)

@@ -77,6 +77,15 @@ class TestIdeal:
         with pytest.raises(ParseError) as e:
             parse_ideal("x^2^3", XYZ)
         assert e.value.kind == "bad-exponent"
+        # past MAX_EXPONENT, alone or summed over repeated factors
+        with pytest.raises(ParseError) as e:
+            parse_ideal("y, x^1000001", XYZ)
+        assert e.value.kind == "bad-exponent"
+        assert (e.value.span.start, e.value.span.end) == (3, 12)
+        with pytest.raises(ParseError) as e:
+            parse_ideal("x^600000*x^600000", XYZ)
+        assert e.value.kind == "bad-exponent"
+        assert (e.value.span.start, e.value.span.end) == (9, 17)
 
     def test_empty_generator(self):
         with pytest.raises(ParseError) as e:

@@ -2,6 +2,7 @@ import pytest
 
 from hilbertfn.engine import hf
 from hilbertfn.errors import ResourceCapError
+from hilbertfn.monomial import minimalize
 from hilbertfn.parser import parse_ideal
 from hilbertfn.series import expand_series, render_series, series_numerator
 
@@ -34,11 +35,19 @@ def test_numerator_unit_ideal_is_zero():
 
 
 def test_expansion_matches_hilbert_function():
-    cases = ["x^5", "x*z, y*z, x^2*y", "x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2"]
+    cases = [
+        "x^5",
+        "x*z, y*z, x^2*y",
+        "x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2",
+        # redundant generators: multiples and duplicates of minimal ones
+        "x^2, x^3*y, y^3, x^2*y^3, y^3",
+        "x*z, y*z, x^2*y, x^2*y*z, x*y*z^2, x^3*y^2",
+    ]
     for text in cases:
         I = parse_ideal(text, XYZ)
         num = series_numerator(I)
         assert expand_series(num, 12) == hf(I, 12), text
+        assert render_series(num) == render_series(series_numerator(minimalize(I))), text
 
 
 def test_expansion_rejects_negative_coefficients():
