@@ -106,6 +106,8 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
+    if args.expand_to is not None and args.expand_to < 0:
+        raise ValueError("--expand-to must be >= 0")
     ring, I = _parse_ring_and_ideal(args)
     num = series.series_numerator(I, lattice_cap=args.lattice_cap)
     print(series.render_series(num), file=out)

@@ -2,11 +2,15 @@
 
 * oracle: brute-force enumeration of monomials (ground truth, capped);
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
-* syzygy: recursion on pairwise syzygy quotients, memoized;
+* syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
+  quotients, memoized on the sub-ideal;
 * table: row-by-row short-exact-sequence build with annihilator terms.
 
-All methods return identical values for identical inputs; the test suite
-cross-checks them against each other on randomized ideals.
+``auto`` takes closed forms for up to two generators and the syzygy
+recursion beyond, and the table's annihilator terms go through ``auto``, so
+the 2^n lcm lattice runs only when asked for.  All methods return identical
+values for identical inputs; the test suite cross-checks them against each
+other on randomized ideals.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .monomial import (
     MonomialIdeal,
     VariableOrder,
     lcm,
+    minimal_exponents,
     minimalize,
     reindex_for_table,
     restrict,
@@ -31,6 +36,7 @@ from .monomial import (
 from .pascal import hf_principal, hf_two_generators, pascal_F
 from .series import (
     LATTICE_CAP_DEFAULT,
+    SeriesNumerator,
     alternating_numerator,
     check_lattice_cap,
     expand_series,
@@ -128,54 +134,78 @@ def hf_lcm_lattice(
     return expand_series(num, b_max)
 
 
+def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
+    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
+
+    With the minimal generators sorted as g_1 < ... < g_n,
+
+        K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
+
+    where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
+    i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
+    1 and the unit ideal 0.  K depends on the ideal alone, so every
+    sub-ideal is computed once, memoized on its canonical (minimal, sorted)
+    exponent tuples.  An explicit stack of open nodes replaces Python
+    recursion.  ``stats``, when given, receives ``misses`` (sub-ideals
+    computed, the root included), ``hits`` (syzygy sub-ideals found in the
+    memo) and ``memo_size``.
+    """
+    memo: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    hits = 0
+
+    def open_node(gens: tuple) -> list:
+        """[canonical generators, next j, coefficients of K so far]"""
+        coeffs = Counter({0: 1})
+        if gens:
+            coeffs[sum(gens[0])] -= 1
+        return [gens, 1, coeffs]
+
+    def subtract_shifted(coeffs: Counter, sub: tuple, shift: int) -> None:
+        for d, c in sub:
+            coeffs[d + shift] -= c
+
+    root = tuple(sorted(minimal_exponents(g.exponents for g in I.generators)))
+    stack = [open_node(root)]
+    while stack:
+        frame = stack[-1]
+        gens, j, coeffs = frame
+        if j >= len(gens):
+            memo[gens] = tuple(sorted((d, c) for d, c in coeffs.items() if c))
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                subtract_shifted(parent[2], memo[gens], sum(parent[0][parent[1]]))
+                parent[1] += 1
+            continue
+        g = gens[j]
+        quotients = (tuple([x - y if x > y else 0 for x, y in zip(h, g)]) for h in gens[:j])
+        sub = tuple(sorted(minimal_exponents(quotients)))
+        known = memo.get(sub)
+        if known is None:
+            stack.append(open_node(sub))
+        else:
+            hits += 1
+            subtract_shifted(coeffs, known, sum(g))
+            frame[1] = j + 1
+    if stats is not None:
+        stats.update({"hits": hits, "misses": len(memo), "memo_size": len(memo)})
+    return SeriesNumerator(I.arity, memo[root])
+
+
 def hf_syzygy(
     I: MonomialIdeal,
     b_max: int,
     stats: Optional[dict] = None,
 ) -> list[int]:
-    """HF(R/I, b) for b = 0..b_max by the syzygy recursion.
+    """HF(R/I, b) for b = 0..b_max: :func:`syzygy_numerator`, expanded once.
 
-    Each recursion step peels off the generators one by one; the j-th
-    generator contributes the quotient by its syzygies against all earlier
-    generators, shifted by its degree.  Sub-problems repeat heavily, so
-    values are memoized on (canonical sub-ideal, degree).  ``stats``, when
-    given, receives hit/miss counts and the peak memo size.
+    The recursion does not depend on ``b_max``.  ``stats`` receives the
+    keys ``hits``, ``misses`` and ``memo_size``, which count sub-ideals, not
+    (sub-ideal, degree) pairs: ``misses`` is the number of recursion nodes
+    computed, ``hits`` the lookups answered by the memo, and ``memo_size``
+    the sub-ideals stored.
     """
-    a = I.arity
-    memo: dict[tuple, int] = {}
-    hits = misses = 0
-
-    def canon(J: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(g.exponents for g in minimalize(J).generators))
-
-    def value(gens: tuple[tuple[int, ...], ...], b: int) -> int:
-        nonlocal hits, misses
-        if b < 0:
-            return 0
-        if not gens:
-            return pascal_F(a, b)
-        key = (gens, b)
-        if key in memo:
-            hits += 1
-            return memo[key]
-        misses += 1
-        if sum(gens[0]) == 0:
-            # canonical form of the unit ideal is the single constant generator
-            result = 0
-        else:
-            result = pascal_F(a, b) - pascal_F(a, b - sum(gens[0]))
-            ms = [Monomial(g) for g in gens]
-            for j in range(1, len(ms)):
-                sub = MonomialIdeal(a, tuple(syzygy_quotient(ms[i], ms[j]) for i in range(j)))
-                result -= value(canon(sub), b - ms[j].degree)
-        memo[key] = result
-        return result
-
-    start = canon(I)
-    values = [value(start, b) for b in range(b_max + 1)]
-    if stats is not None:
-        stats.update({"hits": hits, "misses": misses, "memo_size": len(memo)})
-    return values
+    return expand_series(syzygy_numerator(I, stats), b_max)
 
 
 @dataclass(frozen=True)
@@ -212,6 +242,7 @@ def annihilator_decomposition(
     gens = I.generators
     free_arity = a - 1
     project_arity = max(free_arity, 1)
+    project = order.perm[:project_arity]
 
     delta = 0
     delta_shift = 0
@@ -224,18 +255,18 @@ def annihilator_decomposition(
             delta = 1
             delta_shift = shift
             continue
+        q = p_j.exponents
         sub_gens = []
-        for i in range(j - 1):
-            m = syzygy_quotient(gens[i], p_j)
-            if m.exponents[x_a] != 0:
+        for p_i in gens[: j - 1]:
+            h = p_i.exponents
+            if h[x_a] > q[x_a]:
                 raise ValueError(
                     "re-indexing precondition violated: syzygy "
-                    f"{m.exponents} involves the stage-{a} variable"
+                    f"{syzygy_quotient(p_i, p_j).exponents} involves the stage-{a} variable"
                 )
-            sub_gens.append(
-                Monomial(tuple(m.exponents[order.perm[i2]] for i2 in range(project_arity)))
-            )
-        sub = minimalize(MonomialIdeal(project_arity, tuple(sub_gens)))
+            # the syzygy quotient lcm(h, p_j) / p_j, projected onto the free variables
+            sub_gens.append(tuple([h[v] - q[v] if h[v] > q[v] else 0 for v in project]))
+        sub = MonomialIdeal(project_arity, tuple(map(Monomial, minimal_exponents(sub_gens))))
         terms.append((sub, shift))
     return AnnihilatorDecomposition(free_arity, delta, delta_shift, tuple(terms))
 
@@ -346,9 +377,9 @@ def hf(
 ) -> list[int]:
     """HF(R/I, b) for b = 0..b_max by the requested method.
 
-    ``auto`` picks closed forms for up to two generators, the lcm lattice
-    while the generator count is within the cap, and the syzygy recursion
-    beyond it.
+    ``auto`` picks closed forms for up to two minimal generators and the
+    syzygy recursion for three or more.  ``lattice_cap`` applies to
+    ``method="lcm"`` only; ``enum_cap`` to the oracle only.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
@@ -380,6 +411,4 @@ def hf(
             hf_two_generators(a, u.degree, v.degree, d_lcm, b)
             for b in range(b_max + 1)
         ]
-    if n <= lattice_cap:
-        return hf_lcm_lattice(J, b_max, lattice_cap=lattice_cap)
     return hf_syzygy(J, b_max)

@@ -7,6 +7,7 @@ order they were given, because the recursive engines depend on that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, le
 from typing import Iterable, Sequence
 
 
@@ -126,6 +127,38 @@ def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
     return any(divides(g, m) for g in I.generators)
 
 
+def minimal_exponents(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The exponent vectors that no other given vector divides.
+
+    Survivors keep the given order; exact duplicates collapse to the earliest
+    occurrence.  A vector can be divided only by one of smaller degree, or by
+    an equal one, so after dropping duplicates each vector is tested against
+    the survivors of strictly smaller degree alone: an equal-degree antichain
+    costs no divisibility test at all.
+    """
+    unique = list(dict.fromkeys(vectors))
+    if len(unique) < 2:
+        return unique
+    kept: list[tuple[int, ...]] = []  # survivors of degree below `level`
+    level: list[tuple[int, ...]] = []  # survivors of the current degree
+    level_degree = -1
+    for d, v in sorted(zip(map(sum, unique), unique), key=itemgetter(0)):
+        if d != level_degree:
+            kept += level
+            level = []
+            level_degree = d
+        for h in kept:
+            if all(map(le, h, v)):
+                break
+        else:
+            level.append(v)
+    if len(kept) + len(level) == len(unique):
+        return unique
+    survivors = set(kept)
+    survivors.update(level)
+    return [v for v in unique if v in survivors]
+
+
 def minimalize(I: MonomialIdeal) -> MonomialIdeal:
     """Drop generators divisible by another generator.
 
@@ -133,13 +166,9 @@ def minimalize(I: MonomialIdeal) -> MonomialIdeal:
     under divisibility.  Relative order of survivors is preserved; exact
     duplicates collapse to the earliest occurrence.
     """
-    kept: list[Monomial] = []
-    for g in I.generators:
-        if any(divides(h, g) for h in kept):
-            continue
-        kept = [h for h in kept if not divides(g, h)]
-        kept.append(g)
-    return MonomialIdeal(I.arity, tuple(kept))
+    first = {g.exponents: g for g in reversed(I.generators)}
+    kept = minimal_exponents(g.exponents for g in I.generators)
+    return MonomialIdeal(I.arity, tuple(first[v] for v in kept))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ ideal is generated by the squarefree monomials of the minimal non-faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceCapError
@@ -57,9 +56,12 @@ def validate_complex(c: SimplicialComplex) -> list[str]:
 def minimal_nonfaces(c: SimplicialComplex) -> list[tuple[str, ...]]:
     """Subsets that are not faces while all their proper subsets are faces.
 
-    Enumerated in ascending size, lexicographic in the vertex order.
-    Supersets of an already-found minimal non-face are faces of nothing and
-    get pruned by the one-element-removed test.
+    Listed in ascending size, then lexicographic in the vertex order.  A
+    vertex set is a non-face exactly when it meets the complement of every
+    facet, so the minimal non-faces are the minimal transversals of the facet
+    complements.  They are built one facet at a time (Berge's algorithm), so
+    the work follows the facets and the transversals, never the 2^|V| vertex
+    subsets.
     """
     if len(c.vertices) > VERTEX_CAP:
         raise ResourceCapError(
@@ -68,24 +70,24 @@ def minimal_nonfaces(c: SimplicialComplex) -> list[tuple[str, ...]]:
     violations = validate_complex(c)
     if violations:
         raise ValueError("invalid complex: " + "; ".join(violations))
-    index = {v: i for i, v in enumerate(c.vertices)}
-    facet_masks = [
-        sum(1 << index[v] for v in facet) for facet in c.facets
-    ]
-
-    def is_face(mask: int) -> bool:
-        return any(mask & fm == mask for fm in facet_masks) or mask == 0
-
-    result: list[tuple[str, ...]] = []
     n = len(c.vertices)
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            mask = sum(1 << i for i in combo)
-            if is_face(mask):
-                continue
-            if all(is_face(mask & ~(1 << i)) for i in combo):
-                result.append(tuple(c.vertices[i] for i in combo))
-    return result
+    index = {v: i for i, v in enumerate(c.vertices)}
+    everything = (1 << n) - 1
+    # minimal transversals of the complements seen so far, as vertex bitmasks
+    transversals = [0]
+    for facet in c.facets:
+        complement = everything & ~sum(1 << index[v] for v in facet)
+        bits = [1 << i for i in range(n) if complement >> i & 1]
+        hit = [t for t in transversals if t & complement]
+        # A missed transversal grows by one complement vertex.  Grown sets are
+        # distinct and pairwise incomparable, and none lies inside a set that
+        # already hits; only a grown set containing one of those is not minimal.
+        grown = [t | bit for t in transversals if not t & complement for bit in bits]
+        transversals = hit + [g for g in grown if not any(h & g == h for h in hit)]
+    vertex_lists = sorted(
+        (bin(t).count("1"), [i for i in range(n) if t >> i & 1]) for t in transversals if t
+    )
+    return [tuple(c.vertices[i] for i in vs) for _, vs in vertex_lists]
 
 
 def nonface_ideal(

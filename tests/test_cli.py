@@ -130,6 +130,13 @@ class TestSeries:
         assert code == 0
         assert text.splitlines()[1] == "1 3 4 4 4 4 4"
 
+    def test_negative_expansion_prints_nothing(self):
+        code, text = run(
+            "series", "--ring", "x,y", "--ideal", "x^2", "--expand-to", "-1"
+        )
+        assert code == cli.EXIT_INPUT
+        assert text == ""
+
     def test_cap(self):
         ideal = ", ".join(f"x^{i + 1}*y" for i in range(5))
         code, _ = run(

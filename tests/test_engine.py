@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import compositions, random_ideal
 
+from hilbertfn import engine
 from hilbertfn.engine import (
     adjacent_cancellations,
     annihilator_decomposition,
@@ -13,11 +14,20 @@ from hilbertfn.engine import (
     hf_oracle,
     hf_syzygy,
     hf_table,
+    syzygy_numerator,
 )
 from hilbertfn.errors import ResourceCapError
-from hilbertfn.monomial import MonomialIdeal, VariableOrder, ideal, reindex_for_table
+from hilbertfn.monomial import (
+    Monomial,
+    MonomialIdeal,
+    VariableOrder,
+    ideal,
+    minimalize,
+    reindex_for_table,
+)
 from hilbertfn.parser import parse_ideal
 from hilbertfn.pascal import pascal_F
+from hilbertfn.series import subset_numerator
 
 XYZ = ["x", "y", "z"]
 
@@ -127,6 +137,41 @@ class TestSyzygy:
     def test_duplicate_generators(self):
         I = parse_ideal("x^2, x^2, y^3", XYZ)
         assert hf_syzygy(I, 8) == hf_syzygy(parse_ideal("x^2, y^3", XYZ), 8)
+
+    def test_numerator_matches_subset_sum(self):
+        # the recursion and the subset-lcm sum are independent routes to K(t)
+        rng = random.Random(1992)
+        ideals = [MonomialIdeal(3), parse_ideal("1", XYZ), parse_ideal("x^2, 1, y", XYZ)]
+        for _ in range(200):
+            arity = rng.randint(1, 5)
+            I = random_ideal(rng, arity, rng.randint(1, 7), max_exp=rng.choice((2, 4, 6)))
+            gens = list(I.generators)
+            # redundant generators: a multiple and a duplicate of given ones
+            if rng.random() < 0.5:
+                g = rng.choice(gens).exponents
+                gens.append(Monomial(tuple(e + rng.randint(0, 2) for e in g)))
+            if rng.random() < 0.5:
+                gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+            ideals.append(MonomialIdeal(arity, tuple(gens)))
+        for I in ideals:
+            assert syzygy_numerator(I) == subset_numerator(minimalize(I)), I
+
+    def test_memo_does_not_depend_on_degree(self):
+        I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
+        low: dict = {}
+        high: dict = {}
+        hf_syzygy(I, 5, stats=low)
+        hf_syzygy(I, 40, stats=high)
+        assert low["misses"] == high["misses"] > 1
+        assert low == high
+
+    def test_power_of_maximal_ideal(self):
+        # m^20 in 3 variables: every monomial of degree >= 20 lies in it
+        m20 = ideal(3, *[(i, j, 20 - i - j) for i in range(21) for j in range(21 - i)])
+        assert len(m20.generators) == 231
+        values = [pascal_F(3, b) for b in range(20)] + [0] * 6
+        assert hf(m20, 25) == values
+        assert hf_syzygy(m20, 25) == values
 
 
 class TestAnnihilatorDecomposition:
@@ -258,6 +303,32 @@ class TestDispatcher:
         gens = [tuple(1 if i == j % 3 else j + 2 for i in range(3)) for j in range(6)]
         I = ideal(3, *gens)
         assert hf(I, 8, lattice_cap=4) == hf(I, 8, method="syzygy")
+
+    def test_auto_and_table_never_use_the_lattice(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lcm lattice was used")
+
+        monkeypatch.setattr(engine, "hf_lcm_lattice", refuse)
+        rng = random.Random(2018)
+        sizes = []
+        while len(sizes) < 40:
+            arity = rng.randint(2, 4)
+            if len(sizes) % 2:
+                I = random_ideal(rng, arity, rng.randint(3, 24), max_exp=5)
+            else:
+                # an equal-degree antichain: every generator is minimal
+                degree_d = list(compositions(rng.randint(3, 6), arity))
+                n = rng.randint(3, min(20, len(degree_d)))
+                I = ideal(arity, *rng.sample(degree_d, n))
+            n = len(minimalize(I).generators)
+            if not 3 <= n <= 20:
+                continue
+            b_max = 12 if arity < 4 else 8
+            expected = hf(I, b_max, method="oracle")
+            assert hf(I, b_max) == expected, I
+            assert list(hf_table(I, b_max=b_max).rows[-1]) == expected, I
+            sizes.append(n)
+        assert max(sizes) == 20
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

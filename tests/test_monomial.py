@@ -11,6 +11,7 @@ from hilbertfn.monomial import (
     divides,
     ideal,
     lcm,
+    minimal_exponents,
     minimalize,
     reindex_for_table,
     restrict,
@@ -101,6 +102,19 @@ def test_minimalize():
 def test_minimalize_preserves_membership(gens, m):
     I = MonomialIdeal(3, tuple(gens))
     assert contains_monomial(I, m) == contains_monomial(minimalize(I), m)
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=12))
+def test_minimal_exponents_is_the_first_copy_of_each_undivided_vector(vectors):
+    def divides_strictly(u, v):
+        return u != v and all(x <= y for x, y in zip(u, v))
+
+    expected = [
+        v
+        for k, v in enumerate(vectors)
+        if v not in vectors[:k] and not any(divides_strictly(u, v) for u in vectors)
+    ]
+    assert minimal_exponents(vectors) == expected
 
 
 def test_variable_order_validation():

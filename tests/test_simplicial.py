@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from hilbertfn.errors import ResourceCapError
@@ -84,3 +87,41 @@ def test_stanley_reisner_ideal_bowtie():
 def test_stanley_reisner_generators_are_squarefree():
     I = stanley_reisner_ideal(BOWTIE)
     assert all(max(g.exponents) <= 1 for g in I.generators)
+
+
+def brute_force_nonfaces(c):
+    """Scan every vertex subset in ascending size, lexicographic in vertex
+    index, and keep the non-faces whose one-smaller subsets are all faces."""
+    n = len(c.vertices)
+    facets = [frozenset(c.vertices.index(v) for v in f) for f in c.facets]
+
+    def is_face(s):
+        return any(s <= f for f in facets)
+
+    found = []
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            s = frozenset(combo)
+            if not is_face(s) and all(is_face(s - {i}) for i in combo):
+                found.append(tuple(c.vertices[i] for i in combo))
+    return found
+
+
+def random_complex(rng, n):
+    vertices = tuple(f"v{i}" for i in range(n))
+    facets = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 6))}
+    facets = [f for f in facets if not any(f < g for g in facets)]
+    covered = frozenset().union(*facets)
+    facets += [frozenset({i}) for i in range(n) if i not in covered]
+    rng.shuffle(facets)
+    return SimplicialComplex(
+        vertices, tuple(tuple(vertices[i] for i in sorted(f)) for f in facets)
+    )
+
+
+def test_minimal_nonfaces_match_brute_force_scan():
+    rng = random.Random(2402)
+    for _ in range(300):
+        c = random_complex(rng, rng.randint(1, 10))
+        assert validate_complex(c) == []
+        assert minimal_nonfaces(c) == brute_force_nonfaces(c), c
