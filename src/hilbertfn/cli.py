@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: eval, table, series, compare, bench, sr.  Exit codes:
-0 success / agreement, 1 method disagreement (compare), 2 input error,
+0 success / agreement, 1 method disagreement (compare), 2 input error
+(including a ``--max-degree`` or ``--expand-to`` above ``MAX_DEGREE``),
 3 resource cap exceeded.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import engine, kernels, parser, series, simplicial
 from .errors import ResourceCapError
-from .monomial import Monomial, MonomialIdeal, VariableOrder
+from .monomial import MAX_DEGREE, Monomial, MonomialIdeal, VariableOrder
 from .parser import ParseError
 
 EXIT_OK = 0
@@ -294,7 +296,10 @@ def _add_common(sub, *, ideal=True, degree=True) -> None:
     sub.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`run`."""
     p = argparse.ArgumentParser(
         prog="hilbertfn",
         description="Hilbert functions and series of monomial quotient rings",
@@ -343,10 +348,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_degree_bounds(args) -> None:
+    for flag in ("max_degree", "expand_to"):
+        value = getattr(args, flag, None)
+        if value is not None and value > MAX_DEGREE:
+            name = "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} {value} exceeds supported bound {MAX_DEGREE}")
+
+
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_arg_parser().parse_args(argv)
     try:
+        _check_degree_bounds(args)
         return args.func(args, out)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

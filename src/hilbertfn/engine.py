@@ -1,6 +1,8 @@
 """The four Hilbert-function computation methods and their dispatcher.
 
-* oracle: brute-force enumeration of monomials (ground truth, capped);
+* oracle: brute-force count of the monomials outside the ideal (ground
+  truth), one walk for every degree up to b_max, capped by its F(a, b_max)
+  exponent prefixes;
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
   quotients, memoized on the sub-ideal;
@@ -49,6 +51,14 @@ MethodKind = Literal["oracle", "lcm", "syzygy", "table", "auto"]
 ENUM_CAP_DEFAULT = 10**8
 
 
+def _check_enum_cap(arity: int, b: int, enum_cap: int) -> None:
+    """Refuse a walk over the F(arity, b) exponent prefixes (the monomials
+    of degree b) when they are more than ``enum_cap``."""
+    work = pascal_F(arity, b)
+    if work > enum_cap:
+        raise ResourceCapError(f"enumeration of {work} monomials exceeds cap {enum_cap}")
+
+
 def hf_oracle(
     I: MonomialIdeal,
     b: int,
@@ -62,10 +72,7 @@ def hf_oracle(
     """
     if b < 0:
         return 0
-    if pascal_F(I.arity, b) > enum_cap:
-        raise ResourceCapError(
-            f"enumeration of {pascal_F(I.arity, b)} monomials exceeds cap {enum_cap}"
-        )
+    _check_enum_cap(I.arity, b, enum_cap)
     gens = [g.exponents for g in I.generators]
     return kernels.count_outside(I.arity, b, gens, backend=backend)
 
@@ -379,7 +386,9 @@ def hf(
 
     ``auto`` picks closed forms for up to two minimal generators and the
     syzygy recursion for three or more.  ``lattice_cap`` applies to
-    ``method="lcm"`` only; ``enum_cap`` to the oracle only.
+    ``method="lcm"`` only; ``enum_cap`` to the oracle only, which refuses
+    when its one walk would visit more than ``enum_cap`` prefixes, i.e.
+    when F(arity, b_max) > ``enum_cap``.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
@@ -388,7 +397,9 @@ def hf(
     if method == "syzygy":
         return hf_syzygy(I, b_max)
     if method == "oracle":
-        return [hf_oracle(I, b, enum_cap=enum_cap) for b in range(b_max + 1)]
+        _check_enum_cap(I.arity, b_max, enum_cap)
+        gens = [g.exponents for g in I.generators]
+        return kernels.count_outside_upto(I.arity, b_max, gens)
     if method == "table":
         return list(hf_table(I, a_max=I.arity, b_max=b_max).rows[-1])
     if method != "auto":

@@ -16,6 +16,8 @@ class ArityMismatchError(ValueError):
 
 
 MAX_EXPONENT = 10**6
+# Largest degree bound (--max-degree, --expand-to) the command line accepts.
+MAX_DEGREE = 10**5
 
 
 @dataclass(frozen=True)

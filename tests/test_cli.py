@@ -2,8 +2,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertfn import cli, engine
+from hilbertfn.monomial import MAX_DEGREE
 
 
 def run(*argv):
@@ -61,6 +64,24 @@ class TestEval:
             code, _ = run("eval", "--ring", "x,y", "--ideal", ideal)
             assert code == cli.EXIT_INPUT, ideal
             assert span in capsys.readouterr().err, ideal
+
+    def test_degree_bound(self):
+        argv = ["eval", "--ring", "x", "--ideal", "x", "--method", "oracle"]
+        code, text = run(*argv, "--max-degree", "100000000")
+        assert (code, text) == (cli.EXIT_INPUT, "")
+        code, text = run(*argv, "--max-degree", str(MAX_DEGREE))
+        assert code == 0
+        assert text.splitlines()[1] == "HF 1" + " 0" * MAX_DEGREE
+        over = str(MAX_DEGREE + 1)
+        ideal = ["--ring", "x,y", "--ideal", "x^2"]
+        for rejected in (
+            ["table", *ideal, "--max-row", "2", "--max-degree", over],
+            ["compare", *ideal, "--max-degree", over],
+            ["series", *ideal, "--expand-to", over],
+            ["sr", "--ring", "x,y", "--facets", "x; y", "--max-degree", over],
+            ["bench", "--max-degree", over],
+        ):
+            assert run(*rejected) == (cli.EXIT_INPUT, ""), rejected
 
     def test_cap_exit_code(self):
         code, _ = run(
@@ -245,6 +266,81 @@ class TestSr:
         doc = json.loads(text)
         assert doc["minimal_nonfaces"] == [["a", "b", "c"]]
         assert [int(v["value"]) for v in doc["values"]] == [1, 3, 6, 9]
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_arg_parser() is cli.build_arg_parser()
+        # errors leave the shared parser as it was
+        good = ("eval", "--ring", "x,y,z", "--ideal", "x*z, y*z, x^2*y", "--format", "json")
+        first = run(*good)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as e:
+            run("eval", "--ring", "x", "--method", "nope")
+        assert e.value.code == 2
+        assert run("eval", "--ring", "x,y", "--ideal", "x^2, q")[0] == cli.EXIT_INPUT
+        assert run(*good) == first
+
+
+RING_TEXTS = st.one_of(
+    st.sampled_from(["x", "x,y,z", "z,y,x"]),
+    st.text(alphabet="xyz, ", max_size=7),
+)
+TERMS = st.lists(
+    st.tuples(st.sampled_from("xyz"), st.integers(1, 4)), min_size=1, max_size=3
+).map(lambda factors: "*".join(f"{v}^{e}" for v, e in factors))
+IDEAL_TEXTS = st.one_of(
+    st.lists(TERMS, min_size=1, max_size=5).map(", ".join),
+    st.sampled_from(["0", "1", "x*z, y*z, x^2*y"]),
+    st.text(alphabet="xyz^*,0123 ", max_size=14),
+)
+FACET_TEXTS = st.one_of(
+    st.sampled_from(["x; y", "x,y; y,z", "x,y,z", "x,y; y,z; x,z"]),
+    st.text(alphabet="xyz,; ", max_size=10),
+)
+# small valid values, negatives, and degrees past the command-line bound
+INTS = st.one_of(
+    st.integers(0, 8), st.integers(-3, 8), st.integers(MAX_DEGREE + 1, 10**12)
+).map(str)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["eval", "table", "series", "compare", "sr"]))
+    argv = [command, "--ring", draw(RING_TEXTS)]
+    if command == "sr":
+        argv += ["--facets", draw(FACET_TEXTS)]
+    else:
+        argv += ["--ideal", draw(IDEAL_TEXTS)]
+    flags = {
+        "--format": st.sampled_from(["plain", "csv", "json"]),
+        "--max-degree": INTS,
+    }
+    if command != "sr":
+        flags.update({"--enum-cap": INTS, "--lattice-cap": INTS})
+    if command == "series":
+        flags = {k: v for k, v in flags.items() if k != "--max-degree"}
+        flags["--expand-to"] = INTS
+    if command == "eval":
+        flags["--method"] = st.sampled_from(["oracle", "lcm", "syzygy", "table", "auto"])
+    if command == "table":
+        argv += ["--max-row", draw(st.integers(-1, 4).map(str))]
+        flags["--order"] = RING_TEXTS
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    try:
+        code = cli.run(argv, out=io.StringIO())
+    except SystemExit as exc:  # argparse rejected the argv
+        code = exc.code
+        assert code == 2, argv
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAP), argv
 
 
 def test_entry_point_main(monkeypatch, capsys):

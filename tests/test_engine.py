@@ -55,6 +55,17 @@ class TestOracle:
         I = parse_ideal("x^2", XYZ)
         with pytest.raises(ResourceCapError):
             hf_oracle(I, 8, enum_cap=10)
+        # one walk visits F(a, b_max) prefixes, and that is what the cap bounds
+        rng = random.Random(4)
+        for _ in range(20):
+            arity = rng.randint(1, 4)
+            I = random_ideal(rng, arity, rng.randint(1, 4), max_exp=4)
+            b_max = rng.randint(0, 8)
+            work = pascal_F(arity, b_max)
+            with pytest.raises(ResourceCapError):
+                hf(I, b_max, method="oracle", enum_cap=work - 1)
+            expected = hf(I, b_max, method="syzygy")
+            assert hf(I, b_max, method="oracle", enum_cap=work) == expected, I
 
 
 class TestLcmLattice:
