@@ -111,11 +111,29 @@ def cmd_series(args, out) -> int:
     if args.expand_to is not None and args.expand_to < 0:
         raise ValueError("--expand-to must be >= 0")
     ring, I = _parse_ring_and_ideal(args)
-    num = series.series_numerator(I, lattice_cap=args.lattice_cap)
-    print(series.render_series(num), file=out)
-    if args.expand_to is not None:
-        values = series.expand_series(num, args.expand_to)
-        print(" ".join(str(v) for v in values), file=out)
+    num = series.series_numerator(I)
+    values = None if args.expand_to is None else series.expand_series(num, args.expand_to)
+    if args.format == "json":
+        doc = {
+            "ring": ring,
+            "ideal": [parser.render_monomial(g, ring) for g in I.generators],
+            "series": series.render_series(num),
+            "numerator": [
+                {"degree": d, "coefficient": str(c)} for d, c in num.coefficients
+            ],
+        }
+        if values is not None:
+            doc["values"] = [{"degree": b, "value": str(v)} for b, v in enumerate(values)]
+        print(json.dumps(doc), file=out)
+    elif args.format == "csv":
+        w = csv.writer(out)
+        w.writerow(["part", "degree", "value"])
+        w.writerows(("numerator", d, c) for d, c in num.coefficients)
+        w.writerows(("hf", b, v) for b, v in enumerate(values or ()))
+    else:
+        print(series.render_series(num), file=out)
+        if values is not None:
+            print(" ".join(str(v) for v in values), file=out)
     return EXIT_OK
 
 
@@ -274,26 +292,29 @@ def cmd_sr(args, out) -> int:
             "values": [{"degree": b, "value": str(v)} for b, v in enumerate(values)],
         }
         print(json.dumps(doc), file=out)
-    else:
+        return EXIT_OK
+    if args.format == "plain":
         print(
             "minimal non-faces: "
             + "; ".join(",".join(nf) for nf in nonfaces),
             file=out,
         )
         print("ideal: " + parser.render_ideal(I, ring), file=out)
-        _print_values(values, args.format, {}, out)
+    _print_values(values, args.format, {}, out)
     return EXIT_OK
 
 
-def _add_common(sub, *, ideal=True, degree=True) -> None:
+def _add_common(sub, *, degree=True, caps=False) -> None:
+    """Ring, ideal and format flags; ``caps`` adds the two method caps, for
+    the subcommands whose methods read them."""
     sub.add_argument("--ring", required=True, help="comma-separated variables")
-    if ideal:
-        sub.add_argument("--ideal", required=True, help="comma-separated generators")
+    sub.add_argument("--ideal", required=True, help="comma-separated generators")
     if degree:
         sub.add_argument("--max-degree", type=int, default=10)
     sub.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    sub.add_argument("--enum-cap", type=int, default=engine.ENUM_CAP_DEFAULT)
-    sub.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
+    if caps:
+        sub.add_argument("--enum-cap", type=int, default=engine.ENUM_CAP_DEFAULT)
+        sub.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
 
 
 @functools.cache
@@ -307,7 +328,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("eval", help="HF sequence of a quotient ring")
-    _add_common(s)
+    _add_common(s, caps=True)
     s.add_argument(
         "--method",
         choices=("oracle", "lcm", "syzygy", "table", "auto"),
@@ -327,7 +348,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_series)
 
     s = subs.add_parser("compare", help="run all four methods and diff")
-    _add_common(s)
+    _add_common(s, caps=True)
     s.set_defaults(func=cmd_compare)
 
     s = subs.add_parser("bench", help="benchmark the methods on generated ideals")

@@ -5,14 +5,16 @@
   exponent prefixes;
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
-  quotients, memoized on the sub-ideal;
+  quotients, memoized on the sub-ideal (:func:`series.syzygy_numerator`);
 * table: row-by-row short-exact-sequence build with annihilator terms.
 
 ``auto`` takes closed forms for up to two generators and the syzygy
-recursion beyond, and the table's annihilator terms go through ``auto``, so
-the 2^n lcm lattice runs only when asked for.  All methods return identical
-values for identical inputs; the test suite cross-checks them against each
-other on randomized ideals.
+recursion beyond, the table's annihilator terms go through ``auto``, and
+:func:`series.series_numerator` takes the recursion too, so the 2^n lcm
+lattice runs only when asked for: ``method="lcm"``, ``cancel=True`` and
+:func:`build_lcm_lattice`.  All methods return identical values for
+identical inputs; the test suite cross-checks them against each other on
+randomized ideals.
 """
 
 from __future__ import annotations
@@ -37,18 +39,17 @@ from .monomial import (
 )
 from .pascal import hf_principal, hf_two_generators, pascal_F
 from .series import (
-    LATTICE_CAP_DEFAULT,
-    SeriesNumerator,
     alternating_numerator,
-    check_lattice_cap,
     expand_series,
     subset_lcm_layers,
     subset_numerator,
+    syzygy_numerator,
 )
 
 MethodKind = Literal["oracle", "lcm", "syzygy", "table", "auto"]
 
 ENUM_CAP_DEFAULT = 10**8
+LATTICE_CAP_DEFAULT = 20
 
 
 def _check_enum_cap(arity: int, b: int, enum_cap: int) -> None:
@@ -77,6 +78,13 @@ def hf_oracle(
     return kernels.count_outside(I.arity, b, gens, backend=backend)
 
 
+def _check_lattice_cap(I: MonomialIdeal, lattice_cap: int) -> None:
+    """Refuse a subset sum over more than ``lattice_cap`` generators as given."""
+    n = len(I.generators)
+    if n > lattice_cap:
+        raise ResourceCapError(f"{n} generators exceed lattice cap {lattice_cap}")
+
+
 @dataclass(frozen=True)
 class LcmLattice:
     """All nonempty-subset lcms of an ideal's generators, grouped by subset size.
@@ -92,7 +100,7 @@ class LcmLattice:
 def build_lcm_lattice(I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT) -> LcmLattice:
     if not I.generators:
         raise ValueError("lcm lattice needs at least one generator")
-    check_lattice_cap(I, lattice_cap)
+    _check_lattice_cap(I, lattice_cap)
     layers = subset_lcm_layers(I)
     return LcmLattice(I.arity, tuple(tuple(map(Monomial, layer)) for layer in layers[1:]))
 
@@ -132,71 +140,13 @@ def hf_lcm_lattice(
     after :func:`adjacent_cancellations`.  ``lattice_cap`` bounds the
     generator count as given.
     """
-    check_lattice_cap(I, lattice_cap)
+    _check_lattice_cap(I, lattice_cap)
     if cancel and not I.is_zero:
         counts, _ = adjacent_cancellations(build_lcm_lattice(I, lattice_cap))
         num = alternating_numerator(I.arity, [Counter({0: 1}), *counts])
     else:
         num = subset_numerator(minimalize(I))
     return expand_series(num, b_max)
-
-
-def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
-    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
-
-    With the minimal generators sorted as g_1 < ... < g_n,
-
-        K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
-
-    where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
-    i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
-    1 and the unit ideal 0.  K depends on the ideal alone, so every
-    sub-ideal is computed once, memoized on its canonical (minimal, sorted)
-    exponent tuples.  An explicit stack of open nodes replaces Python
-    recursion.  ``stats``, when given, receives ``misses`` (sub-ideals
-    computed, the root included), ``hits`` (syzygy sub-ideals found in the
-    memo) and ``memo_size``.
-    """
-    memo: dict[tuple, tuple[tuple[int, int], ...]] = {}
-    hits = 0
-
-    def open_node(gens: tuple) -> list:
-        """[canonical generators, next j, coefficients of K so far]"""
-        coeffs = Counter({0: 1})
-        if gens:
-            coeffs[sum(gens[0])] -= 1
-        return [gens, 1, coeffs]
-
-    def subtract_shifted(coeffs: Counter, sub: tuple, shift: int) -> None:
-        for d, c in sub:
-            coeffs[d + shift] -= c
-
-    root = tuple(sorted(minimal_exponents(g.exponents for g in I.generators)))
-    stack = [open_node(root)]
-    while stack:
-        frame = stack[-1]
-        gens, j, coeffs = frame
-        if j >= len(gens):
-            memo[gens] = tuple(sorted((d, c) for d, c in coeffs.items() if c))
-            stack.pop()
-            if stack:
-                parent = stack[-1]
-                subtract_shifted(parent[2], memo[gens], sum(parent[0][parent[1]]))
-                parent[1] += 1
-            continue
-        g = gens[j]
-        quotients = (tuple([x - y if x > y else 0 for x, y in zip(h, g)]) for h in gens[:j])
-        sub = tuple(sorted(minimal_exponents(quotients)))
-        known = memo.get(sub)
-        if known is None:
-            stack.append(open_node(sub))
-        else:
-            hits += 1
-            subtract_shifted(coeffs, known, sum(g))
-            frame[1] = j + 1
-    if stats is not None:
-        stats.update({"hits": hits, "misses": len(memo), "memo_size": len(memo)})
-    return SeriesNumerator(I.arity, memo[root])
 
 
 def hf_syzygy(

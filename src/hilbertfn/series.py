@@ -1,22 +1,26 @@
 """Hilbert series as a rational function: numerator over (1 - t)^arity.
 
-The numerator is the alternating subset sum K(t) = sum over subsets S of the
-generators of (-1)^|S| t^(deg lcm S); expanding K(t) / (1 - t)^a recovers the
-Hilbert function values.  The sum is the same inclusion-exclusion as the lcm
-lattice method, and both take it from :func:`subset_numerator`.
+Every method shares one exact representation, the numerator K(t) of
+HS(R/I, t) = K(t) / (1 - t)^a; expanding it against the free-ring counts
+F(a, b) recovers the Hilbert function values.  Two independent routes compute
+K(t):
+
+* :func:`syzygy_numerator`, the Bayer-Stillman recursion over syzygy
+  sub-ideals, memoized on the sub-ideal; :func:`series_numerator`, the
+  syzygy method and ``auto`` take it;
+* :func:`subset_numerator`, the alternating sum over all 2^n subsets of the
+  generators of (-1)^|S| t^(deg lcm S); only the lcm lattice method takes
+  it, so it stays the independent check on the recursion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .errors import ResourceCapError
-from .monomial import MonomialIdeal, minimalize
+from .monomial import MonomialIdeal, minimal_exponents
 from .pascal import pascal_F
-
-LATTICE_CAP_DEFAULT = 20
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,6 @@ class SeriesNumerator:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-
-def check_lattice_cap(I: MonomialIdeal, lattice_cap: int) -> None:
-    """Refuse a subset sum over more than ``lattice_cap`` generators as given."""
-    n = len(I.generators)
-    if n > lattice_cap:
-        raise ResourceCapError(f"{n} generators exceed lattice cap {lattice_cap}")
 
 
 def subset_lcm_layers(I: MonomialIdeal) -> list[list[tuple[int, ...]]]:
@@ -86,17 +83,72 @@ def subset_numerator(I: MonomialIdeal) -> SeriesNumerator:
     return alternating_numerator(I.arity, (Counter(map(sum, layer)) for layer in layers))
 
 
-def series_numerator(
-    I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT
-) -> SeriesNumerator:
-    """Numerator of HS(R/I, t) over (1 - t)^arity.
+def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
+    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
 
-    The empty subset contributes the leading 1; each nonempty subset of the
-    minimal generators contributes (-1)^|S| t^(deg lcm S).  ``lattice_cap``
-    bounds the generator count as given, before minimalization.
+    With the minimal generators sorted as g_1 < ... < g_n,
+
+        K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
+
+    where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
+    i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
+    1 and the unit ideal 0.  K depends on the ideal alone, so every
+    sub-ideal is computed once, memoized on its canonical (minimal, sorted)
+    exponent tuples.  An explicit stack of open nodes replaces Python
+    recursion.  ``stats``, when given, receives ``misses`` (sub-ideals
+    computed, the root included), ``hits`` (syzygy sub-ideals found in the
+    memo) and ``memo_size``.
     """
-    check_lattice_cap(I, lattice_cap)
-    return subset_numerator(minimalize(I))
+    memo: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    hits = 0
+
+    def open_node(gens: tuple) -> list:
+        """[canonical generators, next j, coefficients of K so far]"""
+        coeffs = Counter({0: 1})
+        if gens:
+            coeffs[sum(gens[0])] -= 1
+        return [gens, 1, coeffs]
+
+    def subtract_shifted(coeffs: Counter, sub: tuple, shift: int) -> None:
+        for d, c in sub:
+            coeffs[d + shift] -= c
+
+    root = tuple(sorted(minimal_exponents(g.exponents for g in I.generators)))
+    stack = [open_node(root)]
+    while stack:
+        frame = stack[-1]
+        gens, j, coeffs = frame
+        if j >= len(gens):
+            memo[gens] = tuple(sorted((d, c) for d, c in coeffs.items() if c))
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                subtract_shifted(parent[2], memo[gens], sum(parent[0][parent[1]]))
+                parent[1] += 1
+            continue
+        g = gens[j]
+        quotients = (tuple([x - y if x > y else 0 for x, y in zip(h, g)]) for h in gens[:j])
+        sub = tuple(sorted(minimal_exponents(quotients)))
+        known = memo.get(sub)
+        if known is None:
+            stack.append(open_node(sub))
+        else:
+            hits += 1
+            subtract_shifted(coeffs, known, sum(g))
+            frame[1] = j + 1
+    if stats is not None:
+        stats.update({"hits": hits, "misses": len(memo), "memo_size": len(memo)})
+    return SeriesNumerator(I.arity, memo[root])
+
+
+def series_numerator(I: MonomialIdeal) -> SeriesNumerator:
+    """Numerator of HS(R/I, t) over (1 - t)^arity, by :func:`syzygy_numerator`.
+
+    Any generating set of the ideal gives the same numerator; redundant
+    generators are dropped first.  No lattice is built, so no generator cap
+    applies.
+    """
+    return syzygy_numerator(I)
 
 
 def expand_series(num: SeriesNumerator, b_max: int) -> list[int]:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertfn import cli, engine
-from hilbertfn.monomial import MAX_DEGREE
+from hilbertfn import cli, engine, parser
+from hilbertfn.monomial import MAX_DEGREE, ideal
 
 
 def run(*argv):
@@ -158,12 +159,65 @@ class TestSeries:
         assert code == cli.EXIT_INPUT
         assert text == ""
 
-    def test_cap(self):
+    def test_no_lattice_cap(self):
+        # series builds no lattice, so no flag caps its generators
         ideal = ", ".join(f"x^{i + 1}*y" for i in range(5))
-        code, _ = run(
-            "series", "--ring", "x,y", "--ideal", ideal, "--lattice-cap", "4"
-        )
-        assert code == cli.EXIT_CAP
+        code, text = run("series", "--ring", "x,y", "--ideal", ideal)
+        assert (code, text) == (0, "(1 - t^2)/(1 - t)^2\n")
+        for argv in (
+            ["series", "--ring", "x,y", "--ideal", ideal],
+            ["table", "--ring", "x,y", "--ideal", ideal, "--max-row", "2"],
+        ):
+            for flag in ("--lattice-cap", "--enum-cap"):
+                with pytest.raises(SystemExit) as e:
+                    run(*argv, flag, "4")
+                assert e.value.code == 2, (argv, flag)
+
+    def test_more_generators_than_the_lattice_cap(self):
+        m6 = ideal(3, *[(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)])
+        assert len(m6.generators) > engine.LATTICE_CAP_DEFAULT
+        text = parser.render_ideal(m6, ["x", "y", "z"])
+        code, out = run("series", "--ring", "x,y,z", "--ideal", text, "--expand-to", "9")
+        assert code == 0
+        expected = engine.hf(m6, 9, method="oracle")
+        assert out.splitlines()[1] == " ".join(map(str, expected))
+
+    def test_json(self):
+        argv = ("series", "--ring", "x,y,z", "--ideal", "x^2, y^3", "--format", "json")
+        code, text = run(*argv, "--expand-to", "4")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["ring"] == ["x", "y", "z"]
+        assert doc["ideal"] == ["x^2", "y^3"]
+        assert doc["series"] == "(1 - t^2 - t^3 + t^5)/(1 - t)^3"
+        assert doc["numerator"] == [
+            {"degree": d, "coefficient": c}
+            for d, c in ((0, "1"), (2, "-1"), (3, "-1"), (5, "1"))
+        ]
+        assert doc["values"] == [
+            {"degree": b, "value": v} for b, v in enumerate(["1", "3", "5", "6", "6"])
+        ]
+        code, text = run(*argv)
+        assert code == 0
+        assert "values" not in json.loads(text)
+
+    def test_csv(self):
+        argv = ("series", "--ring", "x,y,z", "--ideal", "x*z, y*z, x^2*y", "--format", "csv")
+        code, text = run(*argv, "--expand-to", "3")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["part", "degree", "value"],
+            ["numerator", "0", "1"],
+            ["numerator", "2", "-2"],
+            ["numerator", "4", "1"],
+            ["hf", "0", "1"],
+            ["hf", "1", "3"],
+            ["hf", "2", "4"],
+            ["hf", "3", "4"],
+        ]
+        code, text = run(*argv)
+        assert code == 0
+        assert [row[0] for row in csv.reader(io.StringIO(text))] == ["part"] + ["numerator"] * 3
 
 
 class TestCompare:
@@ -267,6 +321,16 @@ class TestSr:
         assert doc["minimal_nonfaces"] == [["a", "b", "c"]]
         assert [int(v["value"]) for v in doc["values"]] == [1, 3, 6, 9]
 
+    def test_csv(self):
+        code, text = run(
+            "sr", "--ring", "a,b,c", "--facets", "a,b; b,c; a,c",
+            "--max-degree", "3", "--format", "csv",
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["degree", "value"], ["0", "1"], ["1", "3"], ["2", "6"], ["3", "9"]
+        ]
+
 
 class TestParser:
     def test_one_parser_per_process(self):
@@ -316,7 +380,7 @@ def argvs(draw):
         "--format": st.sampled_from(["plain", "csv", "json"]),
         "--max-degree": INTS,
     }
-    if command != "sr":
+    if command in ("eval", "compare"):
         flags.update({"--enum-cap": INTS, "--lattice-cap": INTS})
     if command == "series":
         flags = {k: v for k, v in flags.items() if k != "--max-degree"}

@@ -27,7 +27,7 @@ from hilbertfn.monomial import (
 )
 from hilbertfn.parser import parse_ideal
 from hilbertfn.pascal import pascal_F
-from hilbertfn.series import subset_numerator
+from hilbertfn.series import series_numerator, subset_numerator
 
 XYZ = ["x", "y", "z"]
 
@@ -164,8 +164,22 @@ class TestSyzygy:
             if rng.random() < 0.5:
                 gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
             ideals.append(MonomialIdeal(arity, tuple(gens)))
+        # shaped like the antichain-subsets benchmark workload: equal-degree
+        # antichains of 10-16 generators, some with redundant multiples
+        for n in (10, 11, 12, 13, 14, 15, 16, 10, 11, 12):
+            arity = rng.randint(3, 6)
+            d = {3: 6, 4: 5, 5: 4, 6: 4}[arity] + rng.randint(0, 1)
+            gens = rng.sample(list(compositions(d, arity)), n)
+            for _ in range(rng.randint(0, 2)):
+                g = list(rng.choice(gens))
+                g[rng.randrange(arity)] += rng.randint(1, 2)
+                gens.insert(rng.randrange(len(gens) + 1), tuple(g))
+            I = ideal(arity, *gens)
+            assert len(minimalize(I).generators) == n
+            ideals.append(I)
         for I in ideals:
             assert syzygy_numerator(I) == subset_numerator(minimalize(I)), I
+            assert series_numerator(I) == syzygy_numerator(I), I
 
     def test_memo_does_not_depend_on_degree(self):
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)

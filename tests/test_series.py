@@ -1,8 +1,10 @@
+import io
+
 import pytest
 
-from hilbertfn.engine import hf
-from hilbertfn.errors import ResourceCapError
-from hilbertfn.monomial import minimalize
+from hilbertfn import cli, series
+from hilbertfn.engine import LATTICE_CAP_DEFAULT, hf
+from hilbertfn.monomial import ideal, minimalize
 from hilbertfn.parser import parse_ideal
 from hilbertfn.series import expand_series, render_series, series_numerator
 
@@ -71,9 +73,31 @@ def test_render():
     assert render_series(lin) == "(1 - t)/(1 - t)^2"
 
 
-def test_generator_cap():
-    from hilbertfn.monomial import ideal
+def test_no_generator_cap():
+    # m^6 in three variables: 28 minimal generators, more than the lcm
+    # method's cap, which does not apply because no lattice is built
+    m6 = ideal(3, *[(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)])
+    assert len(m6.generators) > LATTICE_CAP_DEFAULT
+    assert expand_series(series_numerator(m6), 9) == hf(m6, 9, method="oracle")
 
-    I = ideal(2, *[(i + 1, 1) for i in range(4)])
-    with pytest.raises(ResourceCapError):
-        series_numerator(I, lattice_cap=3)
+
+def test_series_never_uses_the_subset_sum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subset sum was used")
+
+    monkeypatch.setattr(series, "subset_lcm_layers", refuse)
+    for text in (
+        "x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2",
+        "x^2, x^3*y, y^3, x^2*y^3, y^3",
+        "x*y, y*z, x*z, x^2*y*z",
+    ):
+        I = parse_ideal(text, XYZ)
+        expected = hf(I, 10, method="oracle")
+        assert expand_series(series_numerator(I), 10) == expected, text
+        out = io.StringIO()
+        argv = ["series", "--ring", "x,y,z", "--ideal", text, "--expand-to", "10"]
+        assert cli.run(argv, out=out) == 0, text
+        assert out.getvalue().splitlines()[1] == " ".join(map(str, expected)), text
+        # the lcm method still reaches the subset sum
+        with pytest.raises(AssertionError, match="subset sum"):
+            hf(I, 10, method="lcm")
