@@ -2,8 +2,8 @@
 
 Subcommands: eval, table, series, compare, bench, sr.  Exit codes:
 0 success / agreement, 1 method disagreement (compare), 2 input error
-(including a ``--max-degree`` or ``--expand-to`` above ``MAX_DEGREE``),
-3 resource cap exceeded.
+(including a ``--max-degree`` or ``--expand-to`` above ``MAX_DEGREE`` and a
+``--max-row`` above ``MAX_ROW``), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from . import engine, kernels, parser, series, simplicial
+from . import engine, parser, series, simplicial
 from .errors import ResourceCapError
-from .monomial import MAX_DEGREE, Monomial, MonomialIdeal, VariableOrder
+from .monomial import MAX_DEGREE, MAX_ROW, Monomial, MonomialIdeal, VariableOrder
 from .parser import ParseError
 
 EXIT_OK = 0
@@ -181,6 +181,8 @@ def _bench_cases(seed: int) -> list[tuple[int, MonomialIdeal]]:
 
 
 def cmd_bench(args, out) -> int:
+    if args.repetitions < 1:
+        raise ValueError("--repetitions must be >= 1")
     b_max = args.max_degree
     records = []
     for rep in range(args.repetitions):
@@ -216,7 +218,6 @@ def cmd_bench(args, out) -> int:
                 entry["methods"][method] = info
             records.append(entry)
     report = {"seed": args.seed, "max_degree": b_max, "cases": records}
-    report["kernels"] = _bench_kernels(b_max)
     if args.format == "json":
         print(json.dumps(report), file=out)
     elif args.format == "csv":
@@ -248,29 +249,7 @@ def cmd_bench(args, out) -> int:
                         else ""
                     )
                     print(f"{head} {method}: {info['seconds']:.4f}s{extra}", file=out)
-        for name, info in report["kernels"].items():
-            print(f"kernel {name}: {info['seconds']:.4f}s value={info['value']}", file=out)
     return EXIT_OK
-
-
-def _bench_kernels(b_max: int) -> dict:
-    """Time the oracle enumeration on both backends for one fixed case."""
-    I = MonomialIdeal(
-        4,
-        (
-            Monomial((2, 1, 0, 0)),
-            Monomial((0, 3, 1, 0)),
-            Monomial((1, 0, 2, 1)),
-        ),
-    )
-    degree = max(b_max, 12)
-    report = {}
-    backends = ["pure"] + (["compiled"] if kernels.HAVE_COMPILED else [])
-    for backend in backends:
-        t0 = time.perf_counter()
-        value = engine.hf_oracle(I, degree, backend=backend)
-        report[backend] = {"seconds": time.perf_counter() - t0, "value": str(value)}
-    return report
 
 
 def cmd_sr(args, out) -> int:
@@ -370,11 +349,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _check_degree_bounds(args) -> None:
-    for flag in ("max_degree", "expand_to"):
+    for flag, bound in (
+        ("max_degree", MAX_DEGREE),
+        ("expand_to", MAX_DEGREE),
+        ("max_row", MAX_ROW),
+    ):
         value = getattr(args, flag, None)
-        if value is not None and value > MAX_DEGREE:
+        if value is not None and value > bound:
             name = "--" + flag.replace("_", "-")
-            raise ValueError(f"{name} {value} exceeds supported bound {MAX_DEGREE}")
+            raise ValueError(f"{name} {value} exceeds supported bound {bound}")
 
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:

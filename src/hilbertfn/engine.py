@@ -1,8 +1,8 @@
 """The four Hilbert-function computation methods and their dispatcher.
 
 * oracle: brute-force count of the monomials outside the ideal (ground
-  truth), one walk for every degree up to b_max, capped by its F(a, b_max)
-  exponent prefixes;
+  truth), one pure-Python walk in :mod:`kernels` for every degree up to
+  b_max, capped by its F(a, b_max) exponent prefixes;
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
   quotients, memoized on the sub-ideal (:func:`series.syzygy_numerator`);
@@ -60,13 +60,9 @@ def _check_enum_cap(arity: int, b: int, enum_cap: int) -> None:
         raise ResourceCapError(f"enumeration of {work} monomials exceeds cap {enum_cap}")
 
 
-def hf_oracle(
-    I: MonomialIdeal,
-    b: int,
-    enum_cap: int = ENUM_CAP_DEFAULT,
-    backend: str = "auto",
-) -> int:
-    """Count degree-b monomials outside I by direct enumeration.
+def hf_oracle(I: MonomialIdeal, b: int, enum_cap: int = ENUM_CAP_DEFAULT) -> int:
+    """Count degree-b monomials outside I by direct enumeration
+    (:func:`kernels.count_outside`).
 
     Refuses (ResourceCapError) when the free ring has more than ``enum_cap``
     monomials of degree b.
@@ -75,7 +71,7 @@ def hf_oracle(
         return 0
     _check_enum_cap(I.arity, b, enum_cap)
     gens = [g.exponents for g in I.generators]
-    return kernels.count_outside(I.arity, b, gens, backend=backend)
+    return kernels.count_outside(I.arity, b, gens)
 
 
 def _check_lattice_cap(I: MonomialIdeal, lattice_cap: int) -> None:

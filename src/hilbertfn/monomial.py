@@ -18,6 +18,9 @@ class ArityMismatchError(ValueError):
 MAX_EXPONENT = 10**6
 # Largest degree bound (--max-degree, --expand-to) the command line accepts.
 MAX_DEGREE = 10**5
+# Largest table row count (--max-row) the command line accepts: each row past
+# the arity pads every generator, so the work grows with the square of the rows.
+MAX_ROW = 1000
 
 
 @dataclass(frozen=True)

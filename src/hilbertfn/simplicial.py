@@ -7,6 +7,7 @@ ideal is generated by the squarefree monomials of the minimal non-faces.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,8 +26,9 @@ class SimplicialComplex:
 def validate_complex(c: SimplicialComplex) -> list[str]:
     """Check the complex; returns a list of violation messages (empty = ok).
 
-    Violations: facet vertices not in the vertex set, one facet containing
-    another, duplicate vertices, and vertices covered by no facet.
+    Violations: facet vertices not in the vertex set, a facet listing a
+    vertex twice, one facet containing another, duplicate vertices, and
+    vertices covered by no facet.
     """
     violations: list[str] = []
     seen = set()
@@ -39,6 +41,9 @@ def validate_complex(c: SimplicialComplex) -> list[str]:
         unknown = [v for v in f if v not in seen]
         if unknown:
             violations.append(f"facet {f} uses unknown vertices {unknown}")
+        repeated = [v for v, n in Counter(f).items() if n > 1]
+        if repeated:
+            violations.append(f"facet {f} repeats vertices {repeated}")
     for i, fi in enumerate(facet_sets):
         for j, fj in enumerate(facet_sets):
             if i != j and fi < fj:

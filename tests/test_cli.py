@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertfn import cli, engine, parser
-from hilbertfn.monomial import MAX_DEGREE, ideal
+from hilbertfn.monomial import MAX_DEGREE, MAX_ROW, ideal
 
 
 def run(*argv):
@@ -136,6 +136,14 @@ class TestTable:
         assert code == 0
         doc = json.loads(text)
         assert doc["rows"][1] == {"a": 2, "values": ["1", "2", "2", "2"]}
+
+    def test_row_bound(self):
+        argv = ["table", "--ring", "x", "--ideal", "x^2", "--max-degree", "2"]
+        assert run(*argv, "--max-row", str(MAX_ROW + 1)) == (cli.EXIT_INPUT, "")
+        code, text = run(*argv, "--max-row", str(MAX_ROW))
+        assert code == 0
+        # k[x_1..x_1000]/(x_1^2): every linear form, every quadric but x_1^2
+        assert text.splitlines()[-1].split() == [str(MAX_ROW), "1", "1000", "500499"]
 
 
 class TestSeries:
@@ -272,7 +280,6 @@ class TestBench:
         )
         assert code == 0
         doc = json.loads(text)
-        assert "pure" in doc["kernels"]
         saw_memo_hit = False
         for entry in doc["cases"]:
             values = {
@@ -292,6 +299,11 @@ class TestBench:
         header = text.splitlines()[0].split(",")
         assert header == ["case", "repetition", "arity", "generators", "method", "seconds", "ok"]
 
+    def test_repetitions_must_be_positive(self, capsys):
+        for reps in ("0", "-1"):
+            assert run("bench", "--repetitions", reps) == (cli.EXIT_INPUT, ""), reps
+            assert "--repetitions" in capsys.readouterr().err
+
 
 class TestSr:
     def test_pipeline(self):
@@ -310,6 +322,11 @@ class TestSr:
         code, _ = run("sr", "--ring", "a,b", "--facets", "a")
         assert code == cli.EXIT_INPUT
         assert "not covered" in capsys.readouterr().err
+
+    def test_facet_repeating_a_vertex(self, capsys):
+        code, text = run("sr", "--ring", "x,y", "--facets", "x,x;y", "--max-degree", "3")
+        assert (code, text) == (cli.EXIT_INPUT, "")
+        assert "repeats vertices ['x']" in capsys.readouterr().err
 
     def test_json(self):
         code, text = run(

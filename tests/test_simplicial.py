@@ -28,6 +28,14 @@ def test_validate_duplicate_vertex():
     assert any("duplicate" in v for v in validate_complex(c))
 
 
+def test_validate_facet_repeating_a_vertex():
+    # {x}, {y}: the repeated x must not carry into y's bit of the facet mask
+    c = SimplicialComplex(("x", "y"), (("x", "x"), ("y",)))
+    assert validate_complex(c) == ["facet ('x', 'x') repeats vertices ['x']"]
+    with pytest.raises(ValueError):
+        minimal_nonfaces(c)
+
+
 def test_validate_unknown_vertex():
     c = SimplicialComplex(("a", "b"), (("a", "c"), ("b",)))
     assert any("unknown" in v for v in validate_complex(c))
