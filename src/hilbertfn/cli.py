@@ -255,12 +255,12 @@ def cmd_bench(args, out) -> int:
 def cmd_sr(args, out) -> int:
     ring = parser.parse_ring(args.ring)
     complex_ = parser.parse_complex(args.facets, ring)
-    violations = simplicial.validate_complex(complex_)
-    if violations:
-        for v in violations:
+    try:
+        nonfaces = simplicial.minimal_nonfaces(complex_)
+    except simplicial.InvalidComplexError as exc:
+        for v in exc.violations:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_INPUT
-    nonfaces = simplicial.minimal_nonfaces(complex_)
     I = simplicial.nonface_ideal(complex_.vertices, nonfaces)
     values = engine.hf(I, args.max_degree, method="auto")
     if args.format == "json":

@@ -8,13 +8,20 @@
   quotients, memoized on the sub-ideal (:func:`series.syzygy_numerator`);
 * table: row-by-row short-exact-sequence build with annihilator terms.
 
-``auto`` takes closed forms for up to two generators and the syzygy
-recursion beyond, the table's annihilator terms go through ``auto``, and
-:func:`series.series_numerator` takes the recursion too, so the 2^n lcm
-lattice runs only when asked for: ``method="lcm"``, ``cancel=True`` and
-:func:`build_lcm_lattice`.  All methods return identical values for
-identical inputs; the test suite cross-checks them against each other on
-randomized ideals.
+HF(R/I, b) depends only on the generators of degree <= b, which
+:func:`upto_degree` keeps.  ``auto`` drops the rest before it picks a route:
+closed forms for up to two surviving minimal generators and the syzygy
+recursion beyond.  The table builds its annihilator decompositions from the
+generators that can reach them (degree <= b_max + 1) and evaluates each
+stage's annihilator as one numerator, each term's K(S) read only up to the
+degree it can reach and computed over one memo per table.
+The ``syzygy``, ``oracle`` and ``lcm`` methods and
+:func:`series.series_numerator` read every generator, so cross-checks pit
+the degree-bounded routes against full ones.  The recursion is the default
+route to K(t); the 2^n lcm lattice runs only when asked for:
+``method="lcm"``, ``cancel=True`` and :func:`build_lcm_lattice`.  All
+methods return identical values for identical inputs; the test suite
+cross-checks them against each other on randomized ideals.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .monomial import (
 )
 from .pascal import hf_principal, hf_two_generators, pascal_F
 from .series import (
+    SeriesNumerator,
     alternating_numerator,
     expand_series,
     subset_lcm_layers,
@@ -52,6 +60,16 @@ ENUM_CAP_DEFAULT = 10**8
 LATTICE_CAP_DEFAULT = 20
 
 
+def upto_degree(I: MonomialIdeal, b: int) -> MonomialIdeal:
+    """The ideal of I's generators of degree <= b, in their given order.
+
+    It equals I in every degree up to b, since a monomial of degree <= b
+    lies in I only through a generator of degree <= b.  For the same reason
+    its minimal generators are exactly I's minimal generators of degree <= b.
+    """
+    return MonomialIdeal(I.arity, tuple(g for g in I.generators if g.degree <= b))
+
+
 def _check_enum_cap(arity: int, b: int, enum_cap: int) -> None:
     """Refuse a walk over the F(arity, b) exponent prefixes (the monomials
     of degree b) when they are more than ``enum_cap``."""
@@ -62,7 +80,7 @@ def _check_enum_cap(arity: int, b: int, enum_cap: int) -> None:
 
 def hf_oracle(I: MonomialIdeal, b: int, enum_cap: int = ENUM_CAP_DEFAULT) -> int:
     """Count degree-b monomials outside I by direct enumeration
-    (:func:`kernels.count_outside`).
+    (:func:`kernels.count_outside`), testing every generator as given.
 
     Refuses (ResourceCapError) when the free ring has more than ``enum_cap``
     monomials of degree b.
@@ -131,10 +149,10 @@ def hf_lcm_lattice(
     """HF(R/I, b) for b = 0..b_max by inclusion-exclusion over the lattice.
 
     The alternating subset sum is the Hilbert-series numerator K(t), taken
-    over the minimal generators and expanded once against F(a, b).  With
-    ``cancel`` it is taken over the lattice of the generators as given,
-    after :func:`adjacent_cancellations`.  ``lattice_cap`` bounds the
-    generator count as given.
+    over all minimal generators, also those above ``b_max``, and expanded
+    once against F(a, b).  With ``cancel`` it is taken over the lattice of
+    the generators as given, after :func:`adjacent_cancellations`.
+    ``lattice_cap`` bounds the generator count as given.
     """
     _check_lattice_cap(I, lattice_cap)
     if cancel and not I.is_zero:
@@ -152,8 +170,9 @@ def hf_syzygy(
 ) -> list[int]:
     """HF(R/I, b) for b = 0..b_max: :func:`syzygy_numerator`, expanded once.
 
-    The recursion does not depend on ``b_max``.  ``stats`` receives the
-    keys ``hits``, ``misses`` and ``memo_size``, which count sub-ideals, not
+    The recursion reads every generator, also those above ``b_max`` (``auto``
+    drops them first), and does not depend on ``b_max``.  ``stats`` receives
+    the keys ``hits``, ``misses`` and ``memo_size``, which count sub-ideals, not
     (sub-ideal, degree) pairs: ``misses`` is the number of recursion nodes
     computed, ``hits`` the lookups answered by the memo, and ``memo_size``
     the sub-ideals stored.
@@ -224,22 +243,30 @@ def annihilator_decomposition(
     return AnnihilatorDecomposition(free_arity, delta, delta_shift, tuple(terms))
 
 
-def annihilator_hf(dec: AnnihilatorDecomposition, b_max: int) -> list[int]:
-    """Evaluate a decomposition for b = 0..b_max via the auto dispatcher."""
-    values = [0] * (b_max + 1)
-    if dec.delta:
-        for b in range(b_max + 1):
-            if dec.free_arity >= 1:
-                values[b] += pascal_F(dec.free_arity, b - dec.delta_shift)
-            elif b == dec.delta_shift:
-                values[b] += 1  # HF of the base field, shifted
+def annihilator_hf(
+    dec: AnnihilatorDecomposition, b_max: int, memo: Optional[dict] = None
+) -> list[int]:
+    """Evaluate a decomposition for b = 0..b_max as one numerator.
+
+    The annihilator's Hilbert series is
+
+        (delta * t^delta_shift + sum over terms of t^shift * K(S)) / (1 - t)^(a - 1),
+
+    expanded once.  A term reaches degree b_max only through the generators
+    of S of degree <= b_max - shift, so each K(S) comes from
+    :func:`syzygy_numerator` on those alone.  ``memo`` is handed to every
+    one of those recursions; pass the same dict to share sub-ideals across
+    calls.  With no free variable the sum is the answer itself.
+    """
+    memo = {} if memo is None else memo
+    coeffs = Counter({dec.delta_shift: dec.delta})
     for sub, shift in dec.terms:
-        if shift > b_max:
-            continue
-        sub_values = hf(sub, b_max - shift, method="auto")
-        for b in range(shift, b_max + 1):
-            values[b] += sub_values[b - shift]
-    return values
+        for d, c in syzygy_numerator(upto_degree(sub, b_max - shift), memo=memo).coefficients:
+            coeffs[d + shift] += c
+    if dec.free_arity == 0:
+        return [coeffs[b] for b in range(b_max + 1)]  # the base field, shifted
+    num = SeriesNumerator(dec.free_arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
+    return expand_series(num, b_max)
 
 
 @dataclass(frozen=True)
@@ -272,6 +299,12 @@ def hf_table(
 
     Rows beyond the ring arity add free variables, so their annihilator
     vanishes and the recurrence reduces to the Pascal-table rule.
+
+    The annihilator in degree b depends only on the generators of degree
+    <= b + 1, so the decompositions are built from those of degree
+    <= b_max + 1 alone (the last entry of each ``annihilator_hfs`` sequence
+    needs the b_max + 1 ones), and all stages share one syzygy memo.
+    ``ideals`` keeps every generator.
     """
     if order is None:
         order = VariableOrder.identity(I.arity)
@@ -281,6 +314,8 @@ def hf_table(
         raise ValueError("need a_max >= 1 and b_max >= 0")
 
     J = reindex_for_table(I, order)
+    live = upto_degree(J, b_max + 1)
+    memo: dict = {}
     zeros = (0,) * (b_max + 1)
 
     rows: list[tuple[int, ...]] = []
@@ -305,8 +340,8 @@ def hf_table(
             ann_hfs.append(zeros)
             continue
         if a <= I.arity:
-            dec = annihilator_decomposition(J, order, a)
-            ann = annihilator_hf(dec, b_max)
+            dec = annihilator_decomposition(live, order, a)
+            ann = annihilator_hf(dec, b_max, memo=memo)
         else:
             ann = list(zeros)
         ann_hfs.append(tuple(ann))
@@ -330,11 +365,13 @@ def hf(
 ) -> list[int]:
     """HF(R/I, b) for b = 0..b_max by the requested method.
 
-    ``auto`` picks closed forms for up to two minimal generators and the
-    syzygy recursion for three or more.  ``lattice_cap`` applies to
-    ``method="lcm"`` only; ``enum_cap`` to the oracle only, which refuses
-    when its one walk would visit more than ``enum_cap`` prefixes, i.e.
-    when F(arity, b_max) > ``enum_cap``.
+    ``auto`` keeps the generators of degree <= b_max (:func:`upto_degree`),
+    then picks closed forms for up to two minimal generators among them and
+    the syzygy recursion for three or more; with none left the answer is the
+    free ring.  ``syzygy``, ``lcm`` and ``oracle`` read every generator.
+    ``lattice_cap`` applies to ``method="lcm"`` only; ``enum_cap`` to the
+    oracle only, which refuses when its one walk would visit more than
+    ``enum_cap`` prefixes, i.e. when F(arity, b_max) > ``enum_cap``.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
@@ -351,7 +388,7 @@ def hf(
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
 
-    J = minimalize(I)
+    J = minimalize(upto_degree(I, b_max))
     a = J.arity
     if J.is_unit:
         return [0] * (b_max + 1)

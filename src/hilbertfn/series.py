@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .monomial import MonomialIdeal, minimal_exponents
-from .pascal import pascal_F
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,9 @@ def subset_numerator(I: MonomialIdeal) -> SeriesNumerator:
     return alternating_numerator(I.arity, (Counter(map(sum, layer)) for layer in layers))
 
 
-def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
+def syzygy_numerator(
+    I: MonomialIdeal, stats: Optional[dict] = None, memo: Optional[dict] = None
+) -> SeriesNumerator:
     """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
 
     With the minimal generators sorted as g_1 < ... < g_n,
@@ -95,11 +97,18 @@ def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNu
     1 and the unit ideal 0.  K depends on the ideal alone, so every
     sub-ideal is computed once, memoized on its canonical (minimal, sorted)
     exponent tuples.  An explicit stack of open nodes replaces Python
-    recursion.  ``stats``, when given, receives ``misses`` (sub-ideals
-    computed, the root included), ``hits`` (syzygy sub-ideals found in the
-    memo) and ``memo_size``.
+    recursion.  The recursion reads every generator of I, whatever degree
+    the caller expands to.
+
+    ``memo``, when given, maps canonical generator tuples to coefficient
+    tuples and is read and filled in place, so calls that pass the same dict
+    share their sub-ideals; a root already in it opens no node.  ``stats``,
+    when given, receives ``misses`` (sub-ideals computed by this call, the
+    root included), ``hits`` (sub-ideals found in the memo) and
+    ``memo_size``.
     """
-    memo: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    memo = {} if memo is None else memo
+    known_before = len(memo)
     hits = 0
 
     def open_node(gens: tuple) -> list:
@@ -114,7 +123,11 @@ def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNu
             coeffs[d + shift] -= c
 
     root = tuple(sorted(minimal_exponents(g.exponents for g in I.generators)))
-    stack = [open_node(root)]
+    if root in memo:
+        hits += 1
+        stack = []
+    else:
+        stack = [open_node(root)]
     while stack:
         frame = stack[-1]
         gens, j, coeffs = frame
@@ -137,7 +150,7 @@ def syzygy_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNu
             subtract_shifted(coeffs, known, sum(g))
             frame[1] = j + 1
     if stats is not None:
-        stats.update({"hits": hits, "misses": len(memo), "memo_size": len(memo)})
+        stats.update({"hits": hits, "misses": len(memo) - known_before, "memo_size": len(memo)})
     return SeriesNumerator(I.arity, memo[root])
 
 
@@ -154,18 +167,22 @@ def series_numerator(I: MonomialIdeal) -> SeriesNumerator:
 def expand_series(num: SeriesNumerator, b_max: int) -> list[int]:
     """First b_max + 1 power-series coefficients of K(t) / (1 - t)^arity.
 
-    Since 1 / (1 - t)^a has coefficients F(a, b), the expansion is an exact
-    convolution.  Coefficients of a valid quotient ring are never negative;
-    a negative value signals a broken numerator.
+    Dividing by (1 - t) takes prefix sums, so the expansion is the numerator's
+    coefficients up to b_max, summed ``arity`` times: exact, and the same as
+    the convolution with F(a, b).  Coefficients of a valid quotient ring are
+    never negative; a negative value signals a broken numerator.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
-    values = []
-    for b in range(b_max + 1):
-        v = sum(c * pascal_F(num.arity, b - d) for d, c in num.coefficients)
+    values = [0] * (b_max + 1)
+    for d, c in num.coefficients:
+        if d <= b_max:
+            values[d] += c
+    for _ in range(num.arity):
+        values = list(accumulate(values))
+    for b, v in enumerate(values):
         if v < 0:
             raise ValueError(f"negative coefficient {v} at degree {b}: invalid numerator")
-        values.append(v)
     return values
 
 

@@ -17,6 +17,15 @@ from .monomial import Monomial, MonomialIdeal
 VERTEX_CAP = 24
 
 
+class InvalidComplexError(ValueError):
+    """A complex that :func:`validate_complex` rejects; ``violations`` holds
+    its messages."""
+
+    def __init__(self, violations: list[str]) -> None:
+        super().__init__("invalid complex: " + "; ".join(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     vertices: tuple[str, ...]
@@ -67,14 +76,18 @@ def minimal_nonfaces(c: SimplicialComplex) -> list[tuple[str, ...]]:
     complements.  They are built one facet at a time (Berge's algorithm), so
     the work follows the facets and the transversals, never the 2^|V| vertex
     subsets.
+
+    The complex is validated first, so an invalid complex raises
+    :class:`InvalidComplexError` whatever its size; a valid one with more
+    than ``VERTEX_CAP`` vertices raises ResourceCapError.
     """
+    violations = validate_complex(c)
+    if violations:
+        raise InvalidComplexError(violations)
     if len(c.vertices) > VERTEX_CAP:
         raise ResourceCapError(
             f"{len(c.vertices)} vertices exceed cap {VERTEX_CAP}"
         )
-    violations = validate_complex(c)
-    if violations:
-        raise ValueError("invalid complex: " + "; ".join(violations))
     n = len(c.vertices)
     index = {v: i for i, v in enumerate(c.vertices)}
     everything = (1 << n) - 1

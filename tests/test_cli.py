@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertfn import cli, engine, parser
+from hilbertfn import cli, engine, parser, simplicial
 from hilbertfn.monomial import MAX_DEGREE, MAX_ROW, ideal
 
 
@@ -327,6 +327,34 @@ class TestSr:
         code, text = run("sr", "--ring", "x,y", "--facets", "x,x;y", "--max-degree", "3")
         assert (code, text) == (cli.EXIT_INPUT, "")
         assert "repeats vertices ['x']" in capsys.readouterr().err
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        real = simplicial.validate_complex
+
+        def counted(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(simplicial, "validate_complex", counted)
+        code, _ = run("sr", "--ring", "x,xh,y,z,w", "--facets", "x,y,z; xh,y,z; y,z,w")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_invalid_complex_above_vertex_cap(self, capsys):
+        # validation comes before the vertex cap: exit 2, not 3
+        names = [f"v{i}" for i in range(simplicial.VERTEX_CAP + 1)]
+        ring = ",".join(names)
+        code, text = run("sr", "--ring", ring, "--facets", ",".join(names[:-1]))
+        assert (code, text) == (cli.EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            f"violation: vertex {names[-1]!r} is not covered by any facet\n"
+        )
+        code, text = run("sr", "--ring", ring, "--facets", ring)
+        assert (code, text) == (cli.EXIT_CAP, "")
+        assert capsys.readouterr().err == (
+            f"resource cap: {len(names)} vertices exceed cap {simplicial.VERTEX_CAP}\n"
+        )
 
     def test_json(self):
         code, text = run(

@@ -15,6 +15,7 @@ from hilbertfn.engine import (
     hf_syzygy,
     hf_table,
     syzygy_numerator,
+    upto_degree,
 )
 from hilbertfn.errors import ResourceCapError
 from hilbertfn.monomial import (
@@ -190,6 +191,25 @@ class TestSyzygy:
         assert low["misses"] == high["misses"] > 1
         assert low == high
 
+    def test_shared_memo(self):
+        I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
+        memo: dict = {}
+        first: dict = {}
+        again: dict = {}
+        assert syzygy_numerator(I, first, memo=memo) == syzygy_numerator(I)
+        size = len(memo)
+        assert first["misses"] == size > 1
+        # the root is in the memo: no node opens and nothing is added
+        assert syzygy_numerator(I, again, memo=memo) == syzygy_numerator(I)
+        assert again == {"hits": 1, "misses": 0, "memo_size": size}
+        # a sub-ideal already in the memo is not computed again
+        sub = parse_ideal("x*z^3, x^2*z^2, y^5", XYZ)
+        fresh: dict = {}
+        shared: dict = {}
+        syzygy_numerator(sub, fresh)
+        assert syzygy_numerator(sub, shared, memo=memo) == syzygy_numerator(sub)
+        assert shared["misses"] < fresh["misses"]
+
     def test_power_of_maximal_ideal(self):
         # m^20 in 3 variables: every monomial of degree >= 20 lies in it
         m20 = ideal(3, *[(i, j, 20 - i - j) for i in range(21) for j in range(21 - i)])
@@ -358,3 +378,236 @@ class TestDispatcher:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             hf(MonomialIdeal(2), 3, method="nope")
+
+
+def _of_degree(rng: random.Random, arity: int, d: int) -> tuple[int, ...]:
+    exps = [0] * arity
+    for _ in range(d):
+        exps[rng.randrange(arity)] += 1
+    return tuple(exps)
+
+
+def _random_order(rng: random.Random, arity: int) -> VariableOrder:
+    perm = list(range(arity))
+    while arity > 1 and perm == sorted(perm):
+        rng.shuffle(perm)
+    return VariableOrder(tuple(perm))
+
+
+def _boundary_ideals(seed: int):
+    """(ideal, b) pairs whose generators cluster at degrees b and b + 1,
+    with some below and some far above."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(40):
+        arity = rng.randint(2, 5)
+        b = rng.randint(3, 8)
+        degrees = [b] * rng.randint(1, 4) + [b + 1] * rng.randint(1, 4)
+        degrees += [rng.randint(1, b - 1) for _ in range(rng.randint(0, 2))]
+        degrees += [rng.randint(b + 2, 3 * b) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(degrees)
+        cases.append((ideal(arity, *(_of_degree(rng, arity, d) for d in degrees)), b))
+    return cases
+
+
+def _many_generator_ideals(seed: int):
+    """Shaped like the many-generators benchmark workload at b = 10."""
+    rng = random.Random(seed)
+    return [
+        (random_ideal(rng, rng.randint(6, 8), rng.randint(60, 150), max_exp=6), 10)
+        for _ in range(8)
+    ]
+
+
+class TestDegreeFilter:
+    def test_upto_degree(self):
+        I = ideal(2, (3, 1), (1, 1), (2, 3), (4, 0), (0, 5), (1, 1))
+        assert [g.exponents for g in upto_degree(I, 4).generators] == [
+            (3, 1), (1, 1), (4, 0), (1, 1)
+        ]
+        assert upto_degree(I, 5) == I
+        assert upto_degree(I, 1).is_zero
+        assert upto_degree(ideal(2, (0, 0), (1, 0)), 0) == ideal(2, (0, 0))
+        rng = random.Random(31)
+        for _ in range(100):
+            J = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 12), max_exp=4)
+            b = rng.randint(0, 12)
+            assert minimalize(upto_degree(J, b)) == upto_degree(minimalize(J), b)
+
+    def test_filtered_routes_match_full_routes(self):
+        cases = _boundary_ideals(7) + _many_generator_ideals(8)
+        for I, b in cases:
+            full = hf(I, b, method="syzygy")
+            assert hf(I, b) == full, (I, b)
+            assert list(hf_table(I, b_max=b).rows[-1]) == full, (I, b)
+            if pascal_F(I.arity, b) <= 10_000:
+                assert hf(I, b, method="oracle") == full, (I, b)
+        # the boundary degrees decide some answers: a degree-b generator
+        # lowers HF at b, and one of degree b + 1 is minimal there
+        assert any(hf(I, b)[b] < hf(upto_degree(I, b - 1), b)[b] for I, b in cases)
+        assert any(
+            any(g.degree == b + 1 for g in minimalize(I).generators) for I, b in cases
+        )
+
+    def test_table_order_does_not_matter(self):
+        rng = random.Random(9)
+        for I, b in _boundary_ideals(10)[:20]:
+            order = _random_order(rng, I.arity)
+            rows = hf_table(I, order=order, b_max=b).rows
+            assert list(rows[-1]) == hf(I, b, method="syzygy"), (I, order, b)
+
+    def test_auto_reads_only_generators_that_reach_b(self, monkeypatch):
+        real = engine.hf_syzygy
+        seen = []
+
+        def spy(I, b_max, stats=None):
+            seen.append((max(g.degree for g in I.generators), b_max))
+            return real(I, b_max, stats)
+
+        monkeypatch.setattr(engine, "hf_syzygy", spy)
+        for I, b in _boundary_ideals(11) + _many_generator_ideals(12):
+            hf(I, b)
+        assert seen and all(d <= b for d, b in seen)
+        assert any(d == b for d, b in seen)
+        # two generators reach b: the closed form answers, no recursion runs
+        seen.clear()
+        I = parse_ideal("x^2, x*y^5*z^4, y^3, z^9, x^4*y^4*z^4", XYZ)
+        assert hf(I, 6) == hf(parse_ideal("x^2, y^3", XYZ), 6)
+        # nothing reaches b: the free ring
+        assert hf(parse_ideal("x^5*y, y^7", XYZ), 5) == [pascal_F(3, b) for b in range(6)]
+        assert seen == []
+        assert hf(I, 6) == hf(I, 6, method="syzygy")
+
+    def test_table_decomposes_only_generators_that_reach_b(self, monkeypatch):
+        real = engine.annihilator_decomposition
+        seen = []
+
+        def spy(I, order, a):
+            dec = real(I, order, a)
+            seen.append((max((g.degree for g in I.generators), default=0), dec))
+            return dec
+
+        monkeypatch.setattr(engine, "annihilator_decomposition", spy)
+        for I, b in _boundary_ideals(13) + _many_generator_ideals(14):
+            seen.clear()
+            hf_table(I, b_max=b)
+            assert all(d <= b + 1 for d, _ in seen), (I, b)
+            assert all(shift <= b for _, dec in seen for _, shift in dec.terms), (I, b)
+
+
+def _per_term_sum(dec, b_max: int) -> list[int]:
+    """The annihilator's HF as one full-ideal evaluation per term."""
+    values = []
+    for b in range(b_max + 1):
+        v = 0
+        if dec.delta:
+            if dec.free_arity:
+                v += pascal_F(dec.free_arity, b - dec.delta_shift)
+            else:
+                v += int(b == dec.delta_shift)
+        for sub, shift in dec.terms:
+            if shift <= b:
+                v += hf(sub, b - shift, method="syzygy")[-1]
+        values.append(v)
+    return values
+
+
+class TestAnnihilatorNumerator:
+    def test_matches_per_term_sum(self):
+        rng = random.Random(2024)
+        stages = termless = 0
+        for _ in range(60):
+            arity = rng.randint(2, 6)
+            I = random_ideal(rng, arity, rng.randint(1, 10), max_exp=rng.choice((2, 3, 5)))
+            order = _random_order(rng, arity)
+            J = reindex_for_table(I, order)
+            memo: dict = {}
+            for a in range(1, arity + 1):
+                dec = annihilator_decomposition(J, order, a)
+                b = rng.randint(0, 12)
+                expected = _per_term_sum(dec, b)
+                assert annihilator_hf(dec, b) == expected, (I, order, a, b)
+                assert annihilator_hf(dec, b, memo=memo) == expected, (I, order, a, b)
+                stages += 1
+                termless += not dec.delta and not dec.terms
+        assert stages > 150 and termless > 10
+
+    def test_terms_read_reachable_generators_over_one_memo(self, monkeypatch):
+        real_numerator = engine.syzygy_numerator
+        real_ann = engine.annihilator_hf
+        roots = []
+        memos = []
+
+        def numerator_spy(I, stats=None, memo=None):
+            roots.append(I)
+            return real_numerator(I, stats, memo=memo)
+
+        def ann_spy(dec, b_max, memo=None):
+            memos.append(memo)
+            del roots[:]
+            values = real_ann(dec, b_max, memo=memo)
+            assert len(roots) == len(dec.terms)
+            for sub, (full, shift) in zip(roots, dec.terms):
+                assert sub == upto_degree(full, b_max - shift)
+            return values
+
+        monkeypatch.setattr(engine, "syzygy_numerator", numerator_spy)
+        monkeypatch.setattr(engine, "annihilator_hf", ann_spy)
+        for I, b in _boundary_ideals(15) + _many_generator_ideals(16):
+            del memos[:]
+            hf_table(I, b_max=b)
+            assert len(memos) == I.arity - 1
+            assert all(m is memos[0] and isinstance(m, dict) for m in memos)
+
+    def test_table_matches_pinned_values(self):
+        # rows, ideals and annihilator HFs of the table method as computed by
+        # per-term evaluation over every generator, for a_max below, at and
+        # above the arity; each ideal has generators of degree b_max + 1
+        three = parse_ideal("y^6, x^3*y^5, x^2*y^2*z^2, x^3*z, x^2*y*z^3", ["y", "x", "z"])
+        rows3 = (
+            (1, 1, 1, 1, 1, 1, 1, 1),
+            (1, 2, 3, 4, 5, 6, 6, 6),
+            (1, 3, 6, 10, 14, 18, 19, 20),
+            (1, 4, 10, 20, 34, 52, 71, 91),
+            (1, 5, 15, 35, 69, 121, 192, 283),
+        )
+        ideals3 = (
+            (),
+            ((3, 5), (0, 6)),
+            ((3, 5, 0), (0, 6, 0), (3, 0, 1), (2, 2, 2), (2, 1, 3)),
+        )
+        ann3 = ((0,) * 8, (0, 0, 0, 0, 0, 1, 1, 2), (0, 0, 0, 1, 2, 5, 5, 6))
+        four = ideal(
+            4, (2, 2, 1, 1), (1, 0, 2, 3), (0, 3, 1, 1), (3, 1, 2, 2), (0, 0, 2, 3), (2, 3, 0, 2)
+        )
+        rows4 = (
+            (1, 1, 1, 1, 1, 1, 1),
+            (1, 2, 3, 4, 5, 6, 7),
+            (1, 3, 6, 10, 15, 21, 28),
+            (1, 4, 10, 20, 35, 54, 75),
+            (1, 5, 15, 35, 70, 124, 199),
+            (1, 6, 21, 56, 126, 250, 449),
+        )
+        ideals4 = (
+            (),
+            (),
+            ((2, 3, 2),),
+            ((2, 3, 2, 0), (1, 2, 2, 1), (1, 3, 0, 1), (3, 0, 1, 2), (2, 1, 3, 2), (3, 0, 0, 2)),
+        )
+        ann4 = ((0,) * 7, (0,) * 7, (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 2, 7, 14))
+        for I, order, b, rows, ideals, ann in (
+            (three, (1, 0, 2), 7, rows3, ideals3, ann3),
+            (four, (3, 1, 0, 2), 6, rows4, ideals4, ann4),
+        ):
+            for a_max in (I.arity - 1, I.arity, I.arity + 2):
+                table = hf_table(I, order=VariableOrder(order), a_max=a_max, b_max=b)
+                assert table.rows == rows[:a_max]
+                assert tuple(
+                    tuple(g.exponents for g in I_a.generators) for I_a in table.ideals
+                ) == tuple(
+                    ideals[a - 1] if a <= I.arity
+                    else tuple(g + (0,) * (a - I.arity) for g in ideals[-1])
+                    for a in range(1, a_max + 1)
+                )
+                # rows past the arity have a zero annihilator
+                assert table.annihilator_hfs == (ann + ((0,) * (b + 1),) * 2)[:a_max]

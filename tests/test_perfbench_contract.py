@@ -15,19 +15,40 @@ from hilbertfn import cli, kernels
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_wraps_a_compare_query(monkeypatch):
+def _traced(monkeypatch, argv):
+    """Run one query under ``spans.Tracer``; returns its exit code and the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = cli.run(
-            ["compare", "--ring", "x,y,z", "--ideal", "x*z, y*z, x^2*y", "--max-degree", "6"],
-            out=io.StringIO(),
-        )
+        code = cli.run(argv, out=io.StringIO())
     finally:
         tracer.uninstall()
+    return code, tracer
+
+
+def test_tracer_wraps_a_compare_query(monkeypatch):
+    code, tracer = _traced(
+        monkeypatch,
+        ["compare", "--ring", "x,y,z", "--ideal", "x*z, y*z, x^2*y", "--max-degree", "6"],
+    )
     assert code == cli.EXIT_OK
     assert tracer.counts["engine.syzygy_nodes"] > 0
     assert not hasattr(kernels.count_outside, "__wrapped__")
     assert kernels.HAVE_COMPILED is False
+
+
+def test_tracer_sees_the_table_annihilators(monkeypatch):
+    # hf_table must call both through their module-level names
+    code, tracer = _traced(
+        monkeypatch,
+        [
+            "table", "--ring", "y,x,z", "--ideal", "y^6, x^3*y^5, x^2*y^2*z^2, x^3*z, x^2*y*z^3",
+            "--max-row", "3", "--max-degree", "9",
+        ],
+    )
+    assert code == cli.EXIT_OK
+    assert tracer.counts["engine.annihilator_terms"] > 0
+    layers = {tracer.layer_names[i] for i in tracer.layer}
+    assert {"engine.annihilator_decomp", "engine.annihilator_hf"} <= layers

@@ -1,11 +1,14 @@
 import io
+import random
 
 import pytest
+from conftest import random_ideal
 
 from hilbertfn import cli, series
 from hilbertfn.engine import LATTICE_CAP_DEFAULT, hf
 from hilbertfn.monomial import ideal, minimalize
 from hilbertfn.parser import parse_ideal
+from hilbertfn.pascal import pascal_F
 from hilbertfn.series import expand_series, render_series, series_numerator
 
 XYZ = ["x", "y", "z"]
@@ -52,11 +55,25 @@ def test_expansion_matches_hilbert_function():
         assert render_series(num) == render_series(series_numerator(minimalize(I))), text
 
 
+def test_expansion_is_the_convolution_with_F():
+    # reference: coefficient b of K(t) / (1 - t)^a is sum over d of c_d F(a, b - d)
+    rng = random.Random(404)
+    for _ in range(150):
+        arity = rng.randint(1, 8)
+        I = random_ideal(rng, arity, rng.randint(0, 9), max_exp=rng.choice((1, 3, 6)))
+        num = series_numerator(I)
+        b_max = rng.randint(0, 30)
+        assert expand_series(num, b_max) == [
+            sum(c * pascal_F(arity, b - d) for d, c in num.coefficients)
+            for b in range(b_max + 1)
+        ], (I, b_max)
+
+
 def test_expansion_rejects_negative_coefficients():
     from hilbertfn.series import SeriesNumerator
 
     bad = SeriesNumerator(2, ((0, 1), (1, -3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative coefficient -1 at degree 1"):
         expand_series(bad, 5)
 
 

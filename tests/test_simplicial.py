@@ -71,8 +71,14 @@ def test_minimal_nonfaces_full_simplex_has_none():
 
 def test_minimal_nonfaces_rejects_invalid():
     c = SimplicialComplex(("a", "b"), (("a",),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         minimal_nonfaces(c)
+    assert e.value.violations == validate_complex(c)
+    # an invalid complex is reported as such above the vertex cap too
+    names = tuple(f"v{i}" for i in range(25))
+    with pytest.raises(ValueError) as e:
+        minimal_nonfaces(SimplicialComplex(names, (names[:-1],)))
+    assert e.value.violations == ["vertex 'v24' is not covered by any facet"]
 
 
 def test_vertex_cap():
