@@ -37,8 +37,6 @@ from .monomial import (
 )
 from .parser import ParseError, parse_complex, parse_ideal, parse_ring, render
 from .pascal import (
-    ShiftedFreeTerm,
-    eval_shifted_terms,
     hf_principal,
     hf_two_generators,
     pascal_F,

@@ -9,12 +9,12 @@
 * table: row-by-row short-exact-sequence build with annihilator terms.
 
 HF(R/I, b) depends only on the generators of degree <= b, which
-:func:`upto_degree` keeps.  ``auto`` drops the rest before it picks a route:
-closed forms for up to two surviving minimal generators and the syzygy
-recursion beyond.  The table builds its annihilator decompositions from the
-generators that can reach them (degree <= b_max + 1) and evaluates each
-stage's annihilator as one numerator, each term's K(S) read only up to the
-degree it can reach and computed over one memo per table.
+:func:`upto_degree` keeps.  ``auto`` drops the rest and takes the syzygy
+recursion on the survivors, whatever their number.  The table computes row 1
+the same way, builds its annihilator decompositions from the generators that
+can reach them (degree <= b_max + 1) and evaluates each stage's annihilator
+as one numerator, each term's K(S) read only up to the degree it can reach
+and computed over one memo per table.
 The ``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
@@ -36,7 +36,6 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
-    lcm,
     minimal_exponents,
     minimalize,
     reindex_for_table,
@@ -44,7 +43,7 @@ from .monomial import (
     stage,
     syzygy_quotient,
 )
-from .pascal import hf_principal, hf_two_generators, pascal_F
+from .pascal import pascal_F
 from .series import (
     SeriesNumerator,
     alternating_numerator,
@@ -273,14 +272,14 @@ def annihilator_hf(
 class HilbertTable:
     """Rows a = 1..a_max of HF values for the chain of stage quotients.
 
-    ``rows[a - 1][b]`` is HF(k[first a variables]/I_a, b).  ``ideals`` holds
-    each row's stage ideal and ``annihilator_hfs`` the annihilator HF
-    sequence consumed while producing the row (zeros for row 1 and for
-    stages that introduce no generator).
+    ``rows[a - 1][b]`` is HF(k[first a variables]/I_a, b), where I_a is
+    generated by the generators supported on those variables.
+    ``annihilator_hfs`` holds the annihilator HF sequence consumed while
+    producing each row (zeros for row 1, for stages that introduce no
+    generator and for rows past the arity).
     """
 
     rows: tuple[tuple[int, ...], ...]
-    ideals: tuple[MonomialIdeal, ...]
     annihilator_hfs: tuple[tuple[int, ...], ...]
 
 
@@ -292,8 +291,9 @@ def hf_table(
 ) -> HilbertTable:
     """Build the Hilbert function table row by row.
 
-    Row 1 is computed directly; each later row a uses the short exact
-    sequence for multiplication by the stage variable:
+    Row 1 is :func:`hf` on the generators in the first variable; each later
+    row a uses the short exact sequence for multiplication by the stage
+    variable:
 
         HF(M_a, b) = HF(M_{a-1}, b) + HF(M_a, b-1) - HF((0 : x_a), b-1).
 
@@ -304,7 +304,6 @@ def hf_table(
     <= b + 1, so the decompositions are built from those of degree
     <= b_max + 1 alone (the last entry of each ``annihilator_hfs`` sequence
     needs the b_max + 1 ones), and all stages share one syzygy memo.
-    ``ideals`` keeps every generator.
     """
     if order is None:
         order = VariableOrder.identity(I.arity)
@@ -318,42 +317,21 @@ def hf_table(
     memo: dict = {}
     zeros = (0,) * (b_max + 1)
 
-    rows: list[tuple[int, ...]] = []
-    ideals: list[MonomialIdeal] = []
-    ann_hfs: list[tuple[int, ...]] = []
-    for a in range(1, a_max + 1):
-        if a <= I.arity:
-            I_a = restrict(J, order, a)
-        else:
-            # extra free variable: same generators, padded arity
-            base = restrict(J, order, I.arity)
-            I_a = MonomialIdeal(
-                a,
-                tuple(
-                    Monomial(g.exponents + (0,) * (a - I.arity))
-                    for g in base.generators
-                ),
-            )
-        ideals.append(I_a)
-        if a == 1:
-            rows.append(tuple(hf(I_a, b_max, method="auto")))
-            ann_hfs.append(zeros)
-            continue
+    rows = [tuple(hf(restrict(J, order, 1), b_max))]
+    ann_hfs = [zeros]
+    for a in range(2, a_max + 1):
         if a <= I.arity:
             dec = annihilator_decomposition(live, order, a)
-            ann = annihilator_hf(dec, b_max, memo=memo)
+            ann = tuple(annihilator_hf(dec, b_max, memo=memo))
         else:
-            ann = list(zeros)
-        ann_hfs.append(tuple(ann))
-        if I_a.is_unit:
-            rows.append(zeros)
-            continue
+            ann = zeros
+        ann_hfs.append(ann)
         prev = rows[-1]
         row = [prev[0]]
         for b in range(1, b_max + 1):
             row.append(prev[b] + row[b - 1] - ann[b - 1])
         rows.append(tuple(row))
-    return HilbertTable(tuple(rows), tuple(ideals), tuple(ann_hfs))
+    return HilbertTable(tuple(rows), tuple(ann_hfs))
 
 
 def hf(
@@ -365,10 +343,10 @@ def hf(
 ) -> list[int]:
     """HF(R/I, b) for b = 0..b_max by the requested method.
 
-    ``auto`` keeps the generators of degree <= b_max (:func:`upto_degree`),
-    then picks closed forms for up to two minimal generators among them and
-    the syzygy recursion for three or more; with none left the answer is the
-    free ring.  ``syzygy``, ``lcm`` and ``oracle`` read every generator.
+    ``auto`` keeps the generators of degree <= b_max (:func:`upto_degree`)
+    and takes the syzygy recursion on them, which minimalizes them itself:
+    the unit ideal gives zeros and, with none left, the free ring.
+    ``syzygy``, ``lcm`` and ``oracle`` read every generator.
     ``lattice_cap`` applies to ``method="lcm"`` only; ``enum_cap`` to the
     oracle only, which refuses when its one walk would visit more than
     ``enum_cap`` prefixes, i.e. when F(arity, b_max) > ``enum_cap``.
@@ -387,22 +365,4 @@ def hf(
         return list(hf_table(I, a_max=I.arity, b_max=b_max).rows[-1])
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-
-    J = minimalize(upto_degree(I, b_max))
-    a = J.arity
-    if J.is_unit:
-        return [0] * (b_max + 1)
-    n = len(J.generators)
-    if n == 0:
-        return [pascal_F(a, b) for b in range(b_max + 1)]
-    if n == 1:
-        d = J.generators[0].degree
-        return [hf_principal(a, d, b) for b in range(b_max + 1)]
-    if n == 2:
-        u, v = J.generators
-        d_lcm = lcm(u, v).degree
-        return [
-            hf_two_generators(a, u.degree, v.degree, d_lcm, b)
-            for b in range(b_max + 1)
-        ]
-    return hf_syzygy(J, b_max)
+    return hf_syzygy(upto_degree(I, b_max), b_max)

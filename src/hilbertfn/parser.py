@@ -92,9 +92,16 @@ def _parse_factor(text: str, offset: int, index: dict[str, int]) -> tuple[int, i
         raise ParseError("syntax", span, f"unexpected text {rest!r} after {name!r}")
     exp_text = rest[1:].strip()
     exp_span = SourceSpan(offset + m.end(), offset + len(text))
-    if not exp_text.isdigit():
+    if not (exp_text.isascii() and exp_text.isdigit()):
         raise ParseError("bad-exponent", exp_span, f"exponent must be a positive integer, got {exp_text!r}")
-    exp = int(exp_text)
+    digits = exp_text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)):
+        raise ParseError(
+            "bad-exponent",
+            span,
+            f"exponent of {len(digits)} digits exceeds supported bound {MAX_EXPONENT}",
+        )
+    exp = int(digits)
     if exp < 1:
         raise ParseError("bad-exponent", exp_span, "exponent must be >= 1")
     return index[name], exp

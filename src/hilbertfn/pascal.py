@@ -2,14 +2,16 @@
 
 ``F(a, b)`` counts the monomials of degree b in a variables, i.e. the entry
 of row a, column b of the Pascal table, with the convention F(a, b) = 0 for
-b < 0 so callers never branch on degree ranges.
+b < 0 so callers never branch on degree ranges.  The closed forms for one
+and two generators are reference formulas: :func:`hilbertfn.engine.hf`
+takes the syzygy recursion for every ideal, and the tests check it against
+them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 AscendingForm = Literal["by-b", "by-a"]
 
@@ -92,25 +94,3 @@ def hf_two_generators(a: int, d_u: int, d_v: int, d_lcm: int, b: int) -> int:
         - pascal_F(a, b - d_v)
         + pascal_F(a, b - d_lcm)
     )
-
-
-@dataclass(frozen=True)
-class ShiftedFreeTerm:
-    """A signed copy of a free ring's HF shifted down in degree: sign * F(arity, b - shift)."""
-
-    arity: int
-    shift: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("arity must be >= 1")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
-
-
-def eval_shifted_terms(terms: Sequence[ShiftedFreeTerm], b: int) -> int:
-    """Sum of sign * F(arity, b - shift) over the terms."""
-    return sum(t.sign * pascal_F(t.arity, b - t.shift) for t in terms)

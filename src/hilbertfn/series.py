@@ -34,12 +34,6 @@ class SeriesNumerator:
     arity: int
     coefficients: tuple[tuple[int, int], ...]  # (degree, coefficient), ascending
 
-    def coefficient(self, degree: int) -> int:
-        for d, c in self.coefficients:
-            if d == degree:
-                return c
-        return 0
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients

@@ -61,6 +61,9 @@ class TestEval:
             ("x^2, q", "(at 5..6)"),
             ("x^1000001", "(at 0..9)"),
             ("x^600000*x^600000", "(at 9..17)"),
+            ("x^\u00b2", "(at 1..3)"),
+            ("x^\u0663", "(at 1..3)"),
+            ("x^" + "9" * 5000, "(at 0..5002)"),
         ):
             code, _ = run("eval", "--ring", "x,y", "--ideal", ideal)
             assert code == cli.EXIT_INPUT, ideal

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from conftest import compositions, random_ideal
@@ -19,15 +20,17 @@ from hilbertfn.engine import (
 )
 from hilbertfn.errors import ResourceCapError
 from hilbertfn.monomial import (
+    MAX_ROW,
     Monomial,
     MonomialIdeal,
     VariableOrder,
     ideal,
+    lcm,
     minimalize,
     reindex_for_table,
 )
 from hilbertfn.parser import parse_ideal
-from hilbertfn.pascal import pascal_F
+from hilbertfn.pascal import hf_principal, hf_two_generators, pascal_F
 from hilbertfn.series import series_numerator, subset_numerator
 
 XYZ = ["x", "y", "z"]
@@ -308,8 +311,9 @@ class TestTable:
 
     def test_unit_ideal_rows_are_zero(self):
         I = parse_ideal("1", XYZ)
-        table = hf_table(I, b_max=4, a_max=3)
-        assert all(all(v == 0 for v in row) for row in table.rows)
+        for a_max in (3, 6):
+            table = hf_table(I, b_max=4, a_max=a_max)
+            assert table.rows == ((0,) * 5,) * a_max
 
     def test_rows_beyond_arity_satisfy_pascal_recurrence(self):
         I = parse_ideal("x^2*y, x*z^2", XYZ)
@@ -318,6 +322,14 @@ class TestTable:
             row, prev = table.rows[a - 1], table.rows[a - 2]
             for b in range(1, 9):
                 assert row[b] == prev[b] + row[b - 1]
+        # up to the command line's row bound: prefix sums, zero annihilators
+        I = parse_ideal("x^2*y, y*z^3, x*z", XYZ)
+        table = hf_table(I, a_max=MAX_ROW, b_max=10)
+        assert len(table.rows) == len(table.annihilator_hfs) == MAX_ROW
+        assert table.rows[2] == tuple(hf(I, 10, method="oracle"))
+        for a in range(4, MAX_ROW + 1):
+            assert table.rows[a - 1] == tuple(accumulate(table.rows[a - 2])), a
+            assert table.annihilator_hfs[a - 1] == (0,) * 11, a
 
 
 class TestDispatcher:
@@ -343,6 +355,48 @@ class TestDispatcher:
             expected = hf(I, 12, method="oracle")
             for method in ("lcm", "syzygy", "table", "auto"):
                 assert hf(I, 12, method=method) == expected, (text, method)
+
+    def test_auto_matches_closed_forms(self):
+        # ideals whose minimal generators of degree <= b number 0, 1 or 2,
+        # padded with duplicates, redundant multiples and generators above b
+        rng = random.Random(1992)
+        found = {0: 0, 1: 0, 2: 0}
+        padded = {"duplicate": 0, "multiple": 0, "above b": 0}
+        while min(found.values()) < 25:
+            arity = rng.randint(1, 6)
+            b = rng.randint(0, 9)
+            gens = [_of_degree(rng, arity, rng.randint(1, b + 1)) for _ in range(rng.randint(0, 2))]
+            if gens and rng.random() < 0.5:
+                gens.append(rng.choice(gens))
+                padded["duplicate"] += 1
+            if gens and rng.random() < 0.5:
+                g = rng.choice(gens)
+                gens.append(tuple(e + rng.randint(0, 2) for e in g))
+                padded["multiple"] += 1
+            for _ in range(rng.randint(0, 3)):
+                gens.append(_of_degree(rng, arity, rng.randint(b + 1, b + 6)))
+                padded["above b"] += 1
+            rng.shuffle(gens)
+            I = ideal(arity, *gens)
+            survivors = [g for g in minimalize(I).generators if g.degree <= b]
+            if len(survivors) > 2:
+                continue
+            found[len(survivors)] += 1
+            if not survivors:
+                expected = [pascal_F(arity, c) for c in range(b + 1)]
+            elif len(survivors) == 1:
+                expected = [hf_principal(arity, survivors[0].degree, c) for c in range(b + 1)]
+            else:
+                u, v = survivors
+                d_lcm = lcm(u, v).degree
+                expected = [
+                    hf_two_generators(arity, u.degree, v.degree, d_lcm, c) for c in range(b + 1)
+                ]
+            assert hf(I, b) == expected, (I, b)
+        assert min(padded.values()) > 10
+        for arity in range(1, 7):
+            unit = ideal(arity, (0,) * arity, (1,) + (0,) * (arity - 1))
+            assert hf(unit, 6) == [0] * 7
 
     def test_auto_beyond_lattice_cap_falls_back(self):
         gens = [tuple(1 if i == j % 3 else j + 2 for i in range(3)) for j in range(6)]
@@ -461,21 +515,24 @@ class TestDegreeFilter:
         seen = []
 
         def spy(I, b_max, stats=None):
-            seen.append((max(g.degree for g in I.generators), b_max))
+            seen.append((I, b_max))
             return real(I, b_max, stats)
 
         monkeypatch.setattr(engine, "hf_syzygy", spy)
         for I, b in _boundary_ideals(11) + _many_generator_ideals(12):
             hf(I, b)
-        assert seen and all(d <= b for d, b in seen)
-        assert any(d == b for d, b in seen)
-        # two generators reach b: the closed form answers, no recursion runs
+        degrees = [(max((g.degree for g in I.generators), default=0), b) for I, b in seen]
+        assert len(degrees) == 48 and all(d <= b for d, b in degrees)
+        assert any(d == b for d, b in degrees)
+        # two generators reach b: the recursion sees exactly those
         seen.clear()
         I = parse_ideal("x^2, x*y^5*z^4, y^3, z^9, x^4*y^4*z^4", XYZ)
-        assert hf(I, 6) == hf(parse_ideal("x^2, y^3", XYZ), 6)
-        # nothing reaches b: the free ring
+        assert hf(I, 6) == [1, 3, 5, 6, 6, 6, 6]
+        assert seen == [(parse_ideal("x^2, y^3", XYZ), 6)]
+        # nothing reaches b: the recursion sees the zero ideal, the free ring
+        seen.clear()
         assert hf(parse_ideal("x^5*y, y^7", XYZ), 5) == [pascal_F(3, b) for b in range(6)]
-        assert seen == []
+        assert seen == [(MonomialIdeal(3), 5)]
         assert hf(I, 6) == hf(I, 6, method="syzygy")
 
     def test_table_decomposes_only_generators_that_reach_b(self, monkeypatch):
@@ -560,7 +617,7 @@ class TestAnnihilatorNumerator:
             assert all(m is memos[0] and isinstance(m, dict) for m in memos)
 
     def test_table_matches_pinned_values(self):
-        # rows, ideals and annihilator HFs of the table method as computed by
+        # rows and annihilator HFs of the table method as computed by
         # per-term evaluation over every generator, for a_max below, at and
         # above the arity; each ideal has generators of degree b_max + 1
         three = parse_ideal("y^6, x^3*y^5, x^2*y^2*z^2, x^3*z, x^2*y*z^3", ["y", "x", "z"])
@@ -570,11 +627,6 @@ class TestAnnihilatorNumerator:
             (1, 3, 6, 10, 14, 18, 19, 20),
             (1, 4, 10, 20, 34, 52, 71, 91),
             (1, 5, 15, 35, 69, 121, 192, 283),
-        )
-        ideals3 = (
-            (),
-            ((3, 5), (0, 6)),
-            ((3, 5, 0), (0, 6, 0), (3, 0, 1), (2, 2, 2), (2, 1, 3)),
         )
         ann3 = ((0,) * 8, (0, 0, 0, 0, 0, 1, 1, 2), (0, 0, 0, 1, 2, 5, 5, 6))
         four = ideal(
@@ -588,26 +640,13 @@ class TestAnnihilatorNumerator:
             (1, 5, 15, 35, 70, 124, 199),
             (1, 6, 21, 56, 126, 250, 449),
         )
-        ideals4 = (
-            (),
-            (),
-            ((2, 3, 2),),
-            ((2, 3, 2, 0), (1, 2, 2, 1), (1, 3, 0, 1), (3, 0, 1, 2), (2, 1, 3, 2), (3, 0, 0, 2)),
-        )
         ann4 = ((0,) * 7, (0,) * 7, (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 2, 7, 14))
-        for I, order, b, rows, ideals, ann in (
-            (three, (1, 0, 2), 7, rows3, ideals3, ann3),
-            (four, (3, 1, 0, 2), 6, rows4, ideals4, ann4),
+        for I, order, b, rows, ann in (
+            (three, (1, 0, 2), 7, rows3, ann3),
+            (four, (3, 1, 0, 2), 6, rows4, ann4),
         ):
             for a_max in (I.arity - 1, I.arity, I.arity + 2):
                 table = hf_table(I, order=VariableOrder(order), a_max=a_max, b_max=b)
                 assert table.rows == rows[:a_max]
-                assert tuple(
-                    tuple(g.exponents for g in I_a.generators) for I_a in table.ideals
-                ) == tuple(
-                    ideals[a - 1] if a <= I.arity
-                    else tuple(g + (0,) * (a - I.arity) for g in ideals[-1])
-                    for a in range(1, a_max + 1)
-                )
                 # rows past the arity have a zero annihilator
                 assert table.annihilator_hfs == (ann + ((0,) * (b + 1),) * 2)[:a_max]

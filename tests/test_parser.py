@@ -86,6 +86,18 @@ class TestIdeal:
             parse_ideal("x^600000*x^600000", XYZ)
         assert e.value.kind == "bad-exponent"
         assert (e.value.span.start, e.value.span.end) == (9, 17)
+        # ASCII digits only, and no int() of a string past the bound's length
+        for text, span in (
+            ("x^\u00b2", (1, 3)),  # superscript two
+            ("y*x^\u0663", (3, 5)),  # Arabic-Indic three
+            ("x^" + "9" * 5000, (0, 5002)),
+        ):
+            with pytest.raises(ParseError) as e:
+                parse_ideal(text, XYZ)
+            assert e.value.kind == "bad-exponent", text[:10]
+            assert (e.value.span.start, e.value.span.end) == span, text[:10]
+        # leading zeros do not count towards the bound
+        assert parse_ideal("x^" + "0" * 5000 + "7", XYZ) == parse_ideal("x^7", XYZ)
 
     def test_empty_generator(self):
         with pytest.raises(ParseError) as e:

@@ -3,8 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbertfn.pascal import (
-    ShiftedFreeTerm,
-    eval_shifted_terms,
     hf_principal,
     hf_two_generators,
     pascal_F,
@@ -74,15 +72,3 @@ def test_hf_two_generators_rejects_bad_degrees():
         hf_two_generators(3, 2, 3, 2, 5)  # d_lcm < max
     with pytest.raises(ValueError):
         hf_two_generators(3, 2, 3, 6, 5)  # d_lcm > d_u + d_v
-
-
-def test_eval_shifted_terms():
-    terms = [
-        ShiftedFreeTerm(3, 0, 1),
-        ShiftedFreeTerm(3, 2, -1),
-        ShiftedFreeTerm(3, 3, -1),
-        ShiftedFreeTerm(3, 5, 1),
-    ]
-    assert eval_shifted_terms(terms, 7) == 6
-    assert eval_shifted_terms([], 12) == 0
-    assert eval_shifted_terms([ShiftedFreeTerm(3, 0, 1)], 4) == 15

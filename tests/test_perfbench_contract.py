@@ -52,3 +52,14 @@ def test_tracer_sees_the_table_annihilators(monkeypatch):
     assert tracer.counts["engine.annihilator_terms"] > 0
     layers = {tracer.layer_names[i] for i in tracer.layer}
     assert {"engine.annihilator_decomp", "engine.annihilator_hf"} <= layers
+
+
+def test_tracer_sees_auto_take_the_recursion(monkeypatch):
+    # two minimal generators: auto has no other route than hf_syzygy
+    code, tracer = _traced(
+        monkeypatch, ["eval", "--ring", "x,y,z", "--ideal", "x^2, y^3", "--max-degree", "6"]
+    )
+    assert code == cli.EXIT_OK
+    assert tracer.counts["engine.syzygy_calls"] > 0
+    layers = {tracer.layer_names[i] for i in tracer.layer}
+    assert "engine.syzygy" in layers
