@@ -60,11 +60,13 @@ def cmd_eval(args, out) -> int:
         enum_cap=args.enum_cap,
         lattice_cap=args.lattice_cap,
     )
-    meta = {
-        "ring": ring,
-        "ideal": [parser.render_monomial(g, ring) for g in I.generators],
-        "method": args.method,
-    }
+    meta = {}
+    if args.format == "json":
+        meta = {
+            "ring": ring,
+            "ideal": [parser.render_monomial(g, ring) for g in I.generators],
+            "method": args.method,
+        }
     _print_values(values, args.format, meta, out)
     return EXIT_OK
 
@@ -79,7 +81,8 @@ def _variable_order(args, ring: list[str]) -> VariableOrder:
             parser.SourceSpan(0, len(args.order)),
             "--order must be a permutation of the ring variables",
         )
-    return VariableOrder(tuple(ring.index(n) for n in names))
+    position = {name: i for i, name in enumerate(ring)}
+    return VariableOrder(tuple(position[n] for n in names))
 
 
 def cmd_table(args, out) -> int:

@@ -3,14 +3,15 @@
 Rings are comma-separated identifiers whose listing order is the variable
 order.  Ideal generators are ``*``-separated factors ``var`` or ``var^k``;
 ``0`` is the zero ideal and ``1`` the unit ideal.  Facet lists are
-semicolon-separated, comma-separated vertex names.  Errors carry the byte
-span of the offending token.
+semicolon-separated, comma-separated vertex names.  Errors carry the span
+of the offending token as character offsets into the text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .monomial import MAX_EXPONENT, Monomial, MonomialIdeal
@@ -18,6 +19,12 @@ from .series import SeriesNumerator, render_series
 from .simplicial import SimplicialComplex, validate_complex
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
+# One valid factor as it stands between separators, surrounding whitespace
+# included: ``var`` or ``var^k`` with ASCII digits k.  ``\s`` matches exactly
+# the characters ``str.strip`` removes.
+FACTOR_RE = re.compile(rf"\s*({IDENT_RE.pattern})(?:\s*\^\s*([0-9]+))?\s*")
+# Significant digits of MAX_EXPONENT: a longer exponent is out of bounds.
+EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 ErrorKind = str  # unknown-variable | bad-exponent | empty-generator | syntax | duplicate-variable
 
@@ -57,15 +64,22 @@ def _stripped(piece: str, offset: int) -> tuple[str, int]:
 def parse_ring(text: str) -> list[str]:
     """Comma-separated variable names; listing order is the variable order."""
     names: list[str] = []
+    seen: set[str] = set()
     for piece, offset in _split(text, ","):
         name, start = _stripped(piece, offset)
-        span = SourceSpan(start, start + len(name))
         if not name:
             raise ParseError("syntax", SourceSpan(offset, offset + len(piece)), "empty variable name")
         if not IDENT_RE.fullmatch(name):
-            raise ParseError("syntax", span, f"invalid variable name {name!r}")
-        if name in names:
-            raise ParseError("duplicate-variable", span, f"duplicate variable {name!r}")
+            raise ParseError(
+                "syntax", SourceSpan(start, start + len(name)), f"invalid variable name {name!r}"
+            )
+        if name in seen:
+            raise ParseError(
+                "duplicate-variable",
+                SourceSpan(start, start + len(name)),
+                f"duplicate variable {name!r}",
+            )
+        seen.add(name)
         names.append(name)
     return names
 
@@ -95,7 +109,7 @@ def _parse_factor(text: str, offset: int, index: dict[str, int]) -> tuple[int, i
     if not (exp_text.isascii() and exp_text.isdigit()):
         raise ParseError("bad-exponent", exp_span, f"exponent must be a positive integer, got {exp_text!r}")
     digits = exp_text.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_EXPONENT)):
+    if len(digits) > EXPONENT_DIGITS:
         raise ParseError(
             "bad-exponent",
             span,
@@ -105,6 +119,68 @@ def _parse_factor(text: str, offset: int, index: dict[str, int]) -> tuple[int, i
     if exp < 1:
         raise ParseError("bad-exponent", exp_span, "exponent must be >= 1")
     return index[name], exp
+
+
+def _match_generator(piece: str, index: dict[str, int], arity: int) -> Monomial | None:
+    """The generator ``piece`` if each of its factors is a valid ``var`` or
+    ``var^k``, else None.
+
+    Builds no span: whatever it rejects, ``_parse_generator`` parses again
+    and explains.  It rejects all the text that function rejects, and also
+    the unit ``1`` and exponents padded with leading zeros past
+    ``EXPONENT_DIGITS`` digits, which that function accepts.
+    """
+    exps = [0] * arity
+    for factor in piece.split("*"):
+        m = FACTOR_RE.fullmatch(factor)
+        if m is None:
+            return None
+        name, digits = m.groups()
+        if digits is None:
+            exp = 1
+        elif len(digits) <= EXPONENT_DIGITS:
+            exp = int(digits)
+        else:
+            return None
+        var = index.get(name)
+        if var is None or exp < 1:
+            return None
+        exps[var] += exp
+        if exps[var] > MAX_EXPONENT:
+            return None
+    return Monomial(tuple(exps))
+
+
+def _parse_generator(piece: str, offset: int, index: dict[str, int], arity: int) -> Monomial:
+    """One generator whose text starts at ``offset``; an invalid one raises a
+    ParseError spanning its first offending token."""
+    gen_text, start = _stripped(piece, offset)
+    if not gen_text:
+        raise ParseError(
+            "empty-generator",
+            SourceSpan(offset, offset + len(piece)),
+            "empty generator",
+        )
+    if gen_text == "1":
+        return Monomial((0,) * arity)
+    exps = [0] * arity
+    for factor_piece, factor_offset in _split(gen_text, "*"):
+        factor, fstart = _stripped(factor_piece, start + factor_offset)
+        if not factor:
+            raise ParseError(
+                "syntax",
+                SourceSpan(start + factor_offset, start + factor_offset + len(factor_piece)),
+                "empty factor",
+            )
+        var, exp = _parse_factor(factor, fstart, index)
+        exps[var] += exp
+        if exps[var] > MAX_EXPONENT:
+            raise ParseError(
+                "bad-exponent",
+                SourceSpan(fstart, fstart + len(factor)),
+                f"exponent {exps[var]} exceeds supported bound {MAX_EXPONENT}",
+            )
+    return Monomial(tuple(exps))
 
 
 def parse_ideal(text: str, ring: Sequence[str]) -> MonomialIdeal:
@@ -117,36 +193,17 @@ def parse_ideal(text: str, ring: Sequence[str]) -> MonomialIdeal:
     arity = len(ring)
     if text.strip() == "0":
         return MonomialIdeal(arity, ())
+    pieces = text.split(",")
+    starts: list[int] | None = None
     gens: list[Monomial] = []
-    for piece, offset in _split(text, ","):
-        gen_text, start = _stripped(piece, offset)
-        if not gen_text:
-            raise ParseError(
-                "empty-generator",
-                SourceSpan(offset, offset + len(piece)),
-                "empty generator",
-            )
-        if gen_text == "1":
-            gens.append(Monomial((0,) * arity))
-            continue
-        exps = [0] * arity
-        for factor_piece, factor_offset in _split(gen_text, "*"):
-            factor, fstart = _stripped(factor_piece, start + factor_offset)
-            if not factor:
-                raise ParseError(
-                    "syntax",
-                    SourceSpan(start + factor_offset, start + factor_offset + len(factor_piece)),
-                    "empty factor",
-                )
-            var, exp = _parse_factor(factor, fstart, index)
-            exps[var] += exp
-            if exps[var] > MAX_EXPONENT:
-                raise ParseError(
-                    "bad-exponent",
-                    SourceSpan(fstart, fstart + len(factor)),
-                    f"exponent {exps[var]} exceeds supported bound {MAX_EXPONENT}",
-                )
-        gens.append(Monomial(tuple(exps)))
+    for i, piece in enumerate(pieces):
+        gen = _match_generator(piece, index, arity)
+        if gen is None:
+            if starts is None:
+                # split on one character: a piece starts one past the last one's end
+                starts = [0, *accumulate(len(p) + 1 for p in pieces)]
+            gen = _parse_generator(piece, starts[i], index, arity)
+        gens.append(gen)
     return MonomialIdeal(arity, tuple(gens))
 
 

@@ -1,13 +1,15 @@
+import argparse
 import csv
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertfn import cli, engine, parser, simplicial
-from hilbertfn.monomial import MAX_DEGREE, MAX_ROW, ideal
+from hilbertfn.monomial import MAX_DEGREE, MAX_ROW, VariableOrder, ideal
 
 
 def run(*argv):
@@ -34,6 +36,10 @@ class TestEval:
         )
         assert code == 0
         doc = json.loads(text)
+        assert list(doc) == ["ring", "ideal", "method", "values"]
+        assert doc["ring"] == ["x", "y", "z"]
+        assert doc["ideal"] == ["x*z", "y*z", "x^2*y"]
+        assert doc["method"] == "auto"
         assert [int(v["value"]) for v in doc["values"]] == [1, 3, 4, 4, 4]
         assert all(isinstance(v["value"], str) for v in doc["values"])
 
@@ -123,6 +129,14 @@ class TestTable:
         assert code == 0
         rows = [line.split(",") for line in text.strip().splitlines()]
         assert rows[1][1:] == ["1", "2", "3", "4", "4", "4"]
+
+    def test_reversed_order_over_many_names(self):
+        ring = [f"v{i}" for i in range(50_000)]
+        args = argparse.Namespace(order=",".join(reversed(ring)))
+        t0 = time.perf_counter()
+        order = cli._variable_order(args, ring)
+        assert time.perf_counter() - t0 < 2.0
+        assert order == VariableOrder(tuple(range(len(ring) - 1, -1, -1)))
 
     def test_order_must_be_permutation(self):
         code, _ = run(

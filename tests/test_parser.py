@@ -1,10 +1,16 @@
+import sys
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertfn.monomial import Monomial, MonomialIdeal, ideal
+from hilbertfn.monomial import MAX_EXPONENT, Monomial, MonomialIdeal, ideal
 from hilbertfn.parser import (
+    FACTOR_RE,
+    IDENT_RE,
     ParseError,
+    SourceSpan,
     parse_complex,
     parse_ideal,
     parse_ring,
@@ -14,6 +20,147 @@ from hilbertfn.parser import (
 )
 
 XYZ = ["x", "y", "z"]
+
+
+# Reference: the ideal parser that strips, slices and spans every piece, kept
+# to check that the match-first parser accepts the same text and explains
+# every rejection the same way.
+def _ref_split(text, sep):
+    pieces = []
+    start = 0
+    while True:
+        idx = text.find(sep, start)
+        if idx == -1:
+            pieces.append((text[start:], start))
+            return pieces
+        pieces.append((text[start:idx], start))
+        start = idx + 1
+
+
+def _ref_stripped(piece, offset):
+    lead = len(piece) - len(piece.lstrip())
+    return piece.strip(), offset + lead
+
+
+def _ref_parse_factor(text, offset, index):
+    span = SourceSpan(offset, offset + len(text))
+    if not text:
+        raise ParseError("syntax", span, "empty factor")
+    m = IDENT_RE.match(text)
+    if not m or m.start() != 0:
+        raise ParseError("syntax", span, f"expected a variable, got {text!r}")
+    name = m.group()
+    if name not in index:
+        raise ParseError(
+            "unknown-variable",
+            SourceSpan(offset, offset + len(name)),
+            f"unknown variable {name!r}",
+        )
+    rest = text[m.end() :].strip()
+    if not rest:
+        return index[name], 1
+    if not rest.startswith("^"):
+        raise ParseError("syntax", span, f"unexpected text {rest!r} after {name!r}")
+    exp_text = rest[1:].strip()
+    exp_span = SourceSpan(offset + m.end(), offset + len(text))
+    if not (exp_text.isascii() and exp_text.isdigit()):
+        raise ParseError("bad-exponent", exp_span, f"exponent must be a positive integer, got {exp_text!r}")
+    digits = exp_text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)):
+        raise ParseError(
+            "bad-exponent",
+            span,
+            f"exponent of {len(digits)} digits exceeds supported bound {MAX_EXPONENT}",
+        )
+    exp = int(digits)
+    if exp < 1:
+        raise ParseError("bad-exponent", exp_span, "exponent must be >= 1")
+    return index[name], exp
+
+
+def _ref_parse_ideal(text, ring):
+    index = {name: i for i, name in enumerate(ring)}
+    arity = len(ring)
+    if text.strip() == "0":
+        return MonomialIdeal(arity, ())
+    gens = []
+    for piece, offset in _ref_split(text, ","):
+        gen_text, start = _ref_stripped(piece, offset)
+        if not gen_text:
+            raise ParseError(
+                "empty-generator",
+                SourceSpan(offset, offset + len(piece)),
+                "empty generator",
+            )
+        if gen_text == "1":
+            gens.append(Monomial((0,) * arity))
+            continue
+        exps = [0] * arity
+        for factor_piece, factor_offset in _ref_split(gen_text, "*"):
+            factor, fstart = _ref_stripped(factor_piece, start + factor_offset)
+            if not factor:
+                raise ParseError(
+                    "syntax",
+                    SourceSpan(start + factor_offset, start + factor_offset + len(factor_piece)),
+                    "empty factor",
+                )
+            var, exp = _ref_parse_factor(factor, fstart, index)
+            exps[var] += exp
+            if exps[var] > MAX_EXPONENT:
+                raise ParseError(
+                    "bad-exponent",
+                    SourceSpan(fstart, fstart + len(factor)),
+                    f"exponent {exps[var]} exceeds supported bound {MAX_EXPONENT}",
+                )
+        gens.append(Monomial(tuple(exps)))
+    return MonomialIdeal(arity, tuple(gens))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, XYZ)
+    except ParseError as e:
+        return (e.kind, e.span.start, e.span.end, str(e))
+
+
+# The ring names, an unknown name, the separators, ASCII and non-ASCII
+# whitespace, exponents on both sides of the bounds, and non-ASCII digits and
+# signs.
+NAMES = (*XYZ, "w")
+SPACES = (" ", "\t", "\u00a0")
+EXPONENTS = ("0", "00", "1", "2", "9", "600000", "1000001", "0" * 12 + "7", "9" * 12)
+ODD = ("\u00b2", "\u0663", "-", "+")
+IDEAL_TOKENS = (*NAMES, "^", "*", ",", *SPACES, *EXPONENTS, *ODD)
+
+
+def _ideal_text(rng):
+    """A text over IDEAL_TOKENS.  Token soup is nearly always an error, so
+    most texts follow the grammar, some with one stray token spliced in."""
+    mode = rng.random()
+    if mode < 0.2:
+        return "".join(rng.choice(IDEAL_TOKENS) for _ in range(rng.randrange(13)))
+
+    def space():
+        return rng.choice(("", "", *SPACES))
+
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.1:
+            gens.append(rng.choice(("1", " 1\t", "0", "")))
+            continue
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            factor = space() + (rng.choice(XYZ) if rng.random() < 0.95 else "w")
+            if rng.random() < 0.5:
+                exponent = rng.choice(EXPONENTS if rng.random() < 0.9 else ODD)
+                factor += space() + "^" + space() + exponent
+            factors.append(factor + space())
+        gens.append("*".join(factors))
+    text = ",".join(gens)
+    if mode < 0.4:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(IDEAL_TOKENS) + text[at:]
+    return text
 
 
 class TestRing:
@@ -26,6 +173,17 @@ class TestRing:
             parse_ring("x, y, x")
         assert e.value.kind == "duplicate-variable"
         assert (e.value.span.start, e.value.span.end) == (6, 7)
+
+    def test_duplicate_among_many_names_is_linear(self):
+        names = [f"v{i}" for i in range(50_000)]
+        text = ",".join(names) + ",v7"
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            parse_ring(text)
+        assert time.perf_counter() - t0 < 2.0
+        assert e.value.kind == "duplicate-variable"
+        assert (e.value.span.start, e.value.span.end) == (len(text) - 2, len(text))
+        assert str(e.value) == f"duplicate variable 'v7' (at {len(text) - 2}..{len(text)})"
 
     def test_bad_name(self):
         with pytest.raises(ParseError) as e:
@@ -109,6 +267,25 @@ class TestIdeal:
             with pytest.raises(ParseError) as e:
                 parse_ideal(text, XYZ)
             assert e.value.kind == "syntax", text
+
+    def test_units_and_long_exponents_stay_linear(self):
+        # both take the spanned path, whose offsets are summed once per parse
+        n = 20_000
+        t0 = time.perf_counter()
+        assert len(parse_ideal(",".join(["1"] * n), XYZ).generators) == n
+        assert len(parse_ideal(",".join(["y^000000003"] * n), XYZ).generators) == n
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_factor_whitespace_is_what_strip_removes(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        matched = [c for c in chars if FACTOR_RE.fullmatch(f"{c}x{c}^{c}2{c}")]
+        assert matched == [c for c in chars if c.isspace()]
+
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_reference_parser(self, rng):
+        text = _ideal_text(rng)
+        assert _outcome(parse_ideal, text) == _outcome(_ref_parse_ideal, text), repr(text)
 
 
 class TestComplex:

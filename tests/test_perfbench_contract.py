@@ -63,3 +63,14 @@ def test_tracer_sees_auto_take_the_recursion(monkeypatch):
     assert tracer.counts["engine.syzygy_calls"] > 0
     layers = {tracer.layer_names[i] for i in tracer.layer}
     assert "engine.syzygy" in layers
+
+
+def test_tracer_sees_the_parser_on_eval_and_table(monkeypatch):
+    # cli must reach parse_ring and parse_ideal through the parser module
+    ideal = ["--ring", "x,y,z", "--ideal", "x^2*y, y*z^3, x*z, z^4", "--max-degree", "8"]
+    for argv in (["eval", *ideal], ["table", *ideal, "--max-row", "3"]):
+        code, tracer = _traced(monkeypatch, argv)
+        assert code == cli.EXIT_OK, argv[0]
+        layers = {tracer.layer_names[i] for i in tracer.layer}
+        assert "parser.parse" in layers, argv[0]
+        assert tracer.self_times()["parser.parse"] > 0, argv[0]
