@@ -26,7 +26,6 @@ from .monomial import (
     MonomialIdeal,
     VariableOrder,
     contains_monomial,
-    degree,
     divides,
     ideal,
     lcm,
@@ -35,7 +34,7 @@ from .monomial import (
     restrict,
     syzygy_quotient,
 )
-from .parser import ParseError, parse_complex, parse_ideal, parse_ring, render
+from .parser import ParseError, parse_complex, parse_ideal, parse_ring
 from .pascal import (
     hf_principal,
     hf_two_generators,

@@ -255,15 +255,13 @@ def annihilator_hf(
     of S of degree <= b_max - shift, so each K(S) comes from
     :func:`syzygy_numerator` on those alone.  ``memo`` is handed to every
     one of those recursions; pass the same dict to share sub-ideals across
-    calls.  With no free variable the sum is the answer itself.
+    calls.
     """
     memo = {} if memo is None else memo
     coeffs = Counter({dec.delta_shift: dec.delta})
     for sub, shift in dec.terms:
         for d, c in syzygy_numerator(upto_degree(sub, b_max - shift), memo=memo).coefficients:
             coeffs[d + shift] += c
-    if dec.free_arity == 0:
-        return [coeffs[b] for b in range(b_max + 1)]  # the base field, shifted
     num = SeriesNumerator(dec.free_arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
     return expand_series(num, b_max)
 

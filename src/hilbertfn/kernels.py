@@ -38,9 +38,13 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
     bounded = [0] * (top + 1)
     free = [[0] * (top + 1) for _ in range(arity)]
 
-    def walk(pos: int, s: int, active: list[tuple[int, ...]]) -> None:
-        """Extend a prefix of total ``s`` that ``active`` divide by the
-        exponent of variable ``pos``."""
+    # Each frame extends a prefix of total ``s`` that ``active`` divide by the
+    # exponent of variable ``pos``.  Frames only add into the difference
+    # arrays, so the order they are taken in does not matter, and a stack
+    # keeps a ring of any arity within Python's recursion limit.
+    stack = [(0, 0, gen_list)]
+    while stack:
+        pos, s, active = stack.pop()
         active.sort(key=itemgetter(pos))
         first = active[0][pos] if active else top
         # exponents below ``first`` leave no generator dividing the prefix
@@ -65,9 +69,8 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
                     bounded[d] += 1
                     bounded[end] -= 1
             else:
-                walk(pos + 1, d, active[:n])
+                stack.append((pos + 1, d, active[:n]))
 
-    walk(0, 0, gen_list)
     acc = free[last]
     for k in range(last - 1, 0, -1):
         acc = list(map(add, accumulate(acc), free[k]))

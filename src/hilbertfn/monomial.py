@@ -57,10 +57,6 @@ class Monomial:
         return f"Monomial({self.exponents})"
 
 
-def degree(m: Monomial) -> int:
-    return m.degree
-
-
 def _check_arity(u: Monomial, v: Monomial) -> None:
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {v.arity}")

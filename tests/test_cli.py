@@ -62,6 +62,20 @@ class TestEval:
             assert code == 0
             assert text.splitlines()[1] == "HF 1 3 5 6", method
 
+    def test_oracle_on_a_ring_wider_than_the_recursion_limit(self):
+        ring = ",".join(f"x{i}" for i in range(1200))
+        outputs = []
+        for method in ("oracle", "syzygy"):
+            code, text = run(
+                "eval", "--ring", ring, "--ideal", "x1*x1199, x5",
+                "--max-degree", "1", "--method", method, "--format", "json",
+            )
+            assert code == 0, method
+            outputs.append(json.loads(text)["values"])
+        assert outputs[0] == outputs[1]
+        code, text = run("compare", "--ring", ring, "--ideal", "x1*x1199, x5", "--max-degree", "1")
+        assert (code, text.strip()) == (0, "AGREE")
+
     def test_parse_error_exit_code(self, capsys):
         for ideal, span in (
             ("x^2, q", "(at 5..6)"),

@@ -14,17 +14,17 @@ from hilbertfn.parser import (
     parse_complex,
     parse_ideal,
     parse_ring,
-    render,
     render_ideal,
     render_monomial,
 )
+from hilbertfn.simplicial import SimplicialComplex
 
 XYZ = ["x", "y", "z"]
 
 
-# Reference: the ideal parser that strips, slices and spans every piece, kept
-# to check that the match-first parser accepts the same text and explains
-# every rejection the same way.
+# Reference: parsers that strip, slice and span every piece, kept to check
+# that the parser, which spans only the piece it rejects, accepts the same
+# text and explains every rejection the same way.
 def _ref_split(text, sep):
     pieces = []
     start = 0
@@ -116,9 +116,53 @@ def _ref_parse_ideal(text, ring):
     return MonomialIdeal(arity, tuple(gens))
 
 
-def _outcome(parse, text):
+def _ref_parse_ring(text):
+    names = []
+    seen = set()
+    for piece, offset in _ref_split(text, ","):
+        name, start = _ref_stripped(piece, offset)
+        if not name:
+            raise ParseError("syntax", SourceSpan(offset, offset + len(piece)), "empty variable name")
+        if not IDENT_RE.fullmatch(name):
+            raise ParseError(
+                "syntax", SourceSpan(start, start + len(name)), f"invalid variable name {name!r}"
+            )
+        if name in seen:
+            raise ParseError(
+                "duplicate-variable",
+                SourceSpan(start, start + len(name)),
+                f"duplicate variable {name!r}",
+            )
+        seen.add(name)
+        names.append(name)
+    return names
+
+
+def _ref_parse_complex(text, ring):
+    known = set(ring)
+    facets = []
+    for piece, offset in _ref_split(text, ";"):
+        facet_text, start = _ref_stripped(piece, offset)
+        if not facet_text:
+            raise ParseError(
+                "syntax", SourceSpan(offset, offset + len(piece)), "empty facet"
+            )
+        facet = []
+        for vpiece, voffset in _ref_split(facet_text, ","):
+            name, vstart = _ref_stripped(vpiece, start + voffset)
+            span = SourceSpan(vstart, vstart + len(name))
+            if not name or not IDENT_RE.fullmatch(name):
+                raise ParseError("syntax", span, f"invalid vertex name {name!r}")
+            if name not in known:
+                raise ParseError("unknown-variable", span, f"unknown vertex {name!r}")
+            facet.append(name)
+        facets.append(tuple(facet))
+    return SimplicialComplex(tuple(ring), tuple(facets))
+
+
+def _outcome(parse, *args):
     try:
-        return parse(text, XYZ)
+        return parse(*args)
     except ParseError as e:
         return (e.kind, e.span.start, e.span.end, str(e))
 
@@ -163,6 +207,34 @@ def _ideal_text(rng):
     return text
 
 
+# The names of a ring, an unknown name, names IDENT_RE rejects (the empty one
+# included), both separators and ASCII and non-ASCII whitespace.
+LIST_RING = (*XYZ, "x_1", "x'")
+LIST_NAMES = (*LIST_RING, "w")
+BAD_NAMES = ("", "2y", "_a", "x-y", "\u00e9", "x^2")
+LIST_SPACES = (*SPACES, "\u2003")
+LIST_TOKENS = (*LIST_NAMES, *BAD_NAMES, ",", ";", *LIST_SPACES)
+
+
+def _list_text(rng, seps):
+    """A list separated by ``seps[0]`` of lists separated by the rest of
+    ``seps`` of names, mostly valid, with whitespace around them; or, one
+    time in five, token soup."""
+    if rng.random() < 0.2:
+        return "".join(rng.choice(LIST_TOKENS) for _ in range(rng.randrange(13)))
+
+    def space():
+        return rng.choice(("", "", *LIST_SPACES))
+
+    def items(depth):
+        if depth == len(seps):
+            name = rng.choice(LIST_NAMES if rng.random() < 0.9 else BAD_NAMES)
+            return space() + name + space()
+        return seps[depth].join(items(depth + 1) for _ in range(rng.randint(1, 4)))
+
+    return items(0)
+
+
 class TestRing:
     def test_basic(self):
         assert parse_ring("x, y, z") == ["x", "y", "z"]
@@ -194,6 +266,12 @@ class TestRing:
         with pytest.raises(ParseError) as e:
             parse_ring("x,, y")
         assert e.value.kind == "syntax"
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_reference_parser(self, rng):
+        text = _list_text(rng, ",")
+        assert _outcome(parse_ring, text) == _outcome(_ref_parse_ring, text), repr(text)
 
 
 class TestIdeal:
@@ -269,7 +347,7 @@ class TestIdeal:
             assert e.value.kind == "syntax", text
 
     def test_units_and_long_exponents_stay_linear(self):
-        # both take the spanned path, whose offsets are summed once per parse
+        # a unit skips the factor walk; a zero-padded exponent goes to _parse_factor
         n = 20_000
         t0 = time.perf_counter()
         assert len(parse_ideal(",".join(["1"] * n), XYZ).generators) == n
@@ -285,7 +363,19 @@ class TestIdeal:
     @given(st.randoms(use_true_random=False))
     def test_matches_the_reference_parser(self, rng):
         text = _ideal_text(rng)
-        assert _outcome(parse_ideal, text) == _outcome(_ref_parse_ideal, text), repr(text)
+        assert _outcome(parse_ideal, text, XYZ) == _outcome(_ref_parse_ideal, text, XYZ), repr(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # factor offsets run over the stripped generator, not the piece
+            " x ^ 1*x * x ^ 0000000000007, x ^600000, *x^0,1",
+            # a blank first factor after leading whitespace
+            " \u00a0*x, y",
+        ],
+    )
+    def test_pinned_texts_match_the_reference_parser(self, text):
+        assert _outcome(parse_ideal, text, XYZ) == _outcome(_ref_parse_ideal, text, XYZ)
 
 
 class TestComplex:
@@ -303,6 +393,13 @@ class TestComplex:
         with pytest.raises(ParseError):
             parse_complex("x, y;; z", XYZ)
 
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_reference_parser(self, rng):
+        text = _list_text(rng, ";,")
+        expected = _outcome(_ref_parse_complex, text, LIST_RING)
+        assert _outcome(parse_complex, text, LIST_RING) == expected, repr(text)
+
 
 class TestRender:
     def test_monomial(self):
@@ -313,16 +410,6 @@ class TestRender:
     def test_ideal(self):
         assert render_ideal(ideal(3, (2, 0, 0), (0, 3, 0)), XYZ) == "x^2, y^3"
         assert render_ideal(MonomialIdeal(3), XYZ) == "0"
-
-    def test_render_dispatch(self):
-        from hilbertfn.series import series_numerator
-
-        assert render(Monomial((1, 0, 0)), XYZ) == "x"
-        assert render(series_numerator(MonomialIdeal(2))) == "1/(1 - t)^2"
-        with pytest.raises(ValueError):
-            render(Monomial((1, 0, 0)))
-        with pytest.raises(TypeError):
-            render([1, 2], XYZ)
 
     @given(
         st.lists(
