@@ -364,8 +364,17 @@ def _check_degree_bounds(args) -> None:
 
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    """Run one command and return its exit code.
+
+    argparse reports a rejected argv (exit code 2) and ``--help`` (exit code
+    0) by raising ``SystemExit``; ``run`` returns that code instead, so an
+    in-process caller always gets a code and :func:`main` exits with it.
+    """
     out = out if out is not None else sys.stdout
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         _check_degree_bounds(args)
         return args.func(args, out)

@@ -5,7 +5,8 @@
   b_max, capped by its F(a, b_max) exponent prefixes;
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
-  quotients, memoized on the sub-ideal (:func:`series.syzygy_numerator`);
+  quotients, each monomial packed into one int and each sub-ideal memoized
+  on its packed generators (:func:`series.syzygy_numerator`);
 * table: row-by-row short-exact-sequence build with annihilator terms.
 
 HF(R/I, b) depends only on the generators of degree <= b, which

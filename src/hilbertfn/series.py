@@ -6,18 +6,25 @@ F(a, b) recovers the Hilbert function values.  Two independent routes compute
 K(t):
 
 * :func:`syzygy_numerator`, the Bayer-Stillman recursion over syzygy
-  sub-ideals, memoized on the sub-ideal; :func:`series_numerator`, the
-  syzygy method and ``auto`` take it;
+  sub-ideals; :func:`series_numerator`, the syzygy method and ``auto`` take
+  it.  It packs each monomial into one int, a field of W bits per variable
+  whose top bit is a guard that stays 0, so quotients, divisibility and
+  degrees are a few int operations.  Its memo keys are opaque: they carry W
+  and do not depend on the ring's arity;
 * :func:`subset_numerator`, the alternating sum over all 2^n subsets of the
   generators of (-1)^|S| t^(deg lcm S); only the lcm lattice method takes
-  it, so it stays the independent check on the recursion.
+  it, so it stays the independent check on the recursion.  It stays on
+  exponent tuples, as do :func:`monomial.minimal_exponents` and the
+  oracle, so the cross-checks do not share the packing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import lshift, or_
 from typing import Iterable, Optional
 
 from .monomial import MonomialIdeal, minimal_exponents
@@ -77,6 +84,63 @@ def subset_numerator(I: MonomialIdeal) -> SeriesNumerator:
     return alternating_numerator(I.arity, (Counter(map(sum, layer)) for layer in layers))
 
 
+@lru_cache(maxsize=64)
+def _fields(arity: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Constants of the packed layout with ``arity`` fields of ``width`` bits.
+
+    Variable i sits at bit offset (arity - 1 - i) * width, so comparing two
+    packed ints compares their exponent tuples lexicographically.  Returns
+    the offset of each variable, the guard bits (the top bit of every
+    field), one 1 at the bottom of every field, and the offset of the top
+    field, where ``v * ones`` collects the sum of v's fields.
+    """
+    offsets = tuple(range((arity - 1) * width, -1, -width))
+    ones = sum(1 << s for s in offsets)
+    return offsets, ones << (width - 1), ones, offsets[0] if offsets else 0
+
+
+def _minimal_packed(values: set, guards: int, ones: int, top: int, mask: int) -> tuple:
+    """The packed monomials of ``values`` that no other one divides, ascending.
+
+    :func:`monomial.minimal_exponents` on packed ints: a value can be divided
+    only by one of smaller degree, so each is tested against the survivors
+    of strictly smaller degree alone.  ``a`` divides ``b`` exactly when no
+    field of ``(b | guards) - a`` borrows its guard bit.
+    """
+    if len(values) < 2:
+        return tuple(values)
+    kept: list[int] = []  # survivors of degree below `level`
+    level: list[int] = []  # survivors of the current degree
+    level_degree = -1
+    for d, v in sorted([((v * ones >> top) & mask, v) for v in values]):
+        if d != level_degree:
+            kept += level
+            level = []
+            level_degree = d
+        guarded = v | guards
+        for h in kept:
+            if (guarded - h) & guards == guards:
+                break
+        else:
+            level.append(v)
+    kept += level
+    kept.sort()
+    return tuple(kept)
+
+
+def _subtract_shifted(coeffs: Counter, sub: tuple, shift: int) -> None:
+    """coeffs -= t^shift * K(S), with K(S) given as its coefficient tuple."""
+    for d, c in sub:
+        coeffs[d + shift] -= c
+
+
+def _open_node(key: tuple, first_degree: int) -> list:
+    """A stack frame [memo key, next j, coefficients of K so far]."""
+    coeffs = Counter({0: 1})
+    coeffs[first_degree] -= 1
+    return [key, 1, coeffs]
+
+
 def syzygy_numerator(
     I: MonomialIdeal, stats: Optional[dict] = None, memo: Optional[dict] = None
 ) -> SeriesNumerator:
@@ -88,64 +152,100 @@ def syzygy_numerator(
 
     where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
     i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
-    1 and the unit ideal 0.  K depends on the ideal alone, so every
-    sub-ideal is computed once, memoized on its canonical (minimal, sorted)
-    exponent tuples.  An explicit stack of open nodes replaces Python
+    1 and the unit ideal 0.  An explicit stack of open nodes replaces Python
     recursion.  The recursion reads every generator of I, whatever degree
     the caller expands to.
 
-    ``memo``, when given, maps canonical generator tuples to coefficient
-    tuples and is read and filled in place, so calls that pass the same dict
-    share their sub-ideals; a root already in it opens no node.  ``stats``,
-    when given, receives ``misses`` (sub-ideals computed by this call, the
-    root included), ``hits`` (sub-ideals found in the memo) and
-    ``memo_size``.
+    Each minimal generator is packed once into one int: variable i gets a
+    field of W bits, the earlier variables in the higher fields, where W is
+    one more than the bit length of the largest generator degree.  The top
+    bit of every field is a guard and stays 0 in a packed value, since no
+    exponent or degree needs more than W - 1 bits and quotients never
+    exceed their generators.  The fields of trailing variables that no
+    generator uses are dropped.  Ascending ints are then the generators in
+    lexicographic order of their exponent tuples, and the primitives are a
+    few int operations each:
+
+    * quotient: ``d = (h | guards) - g`` keeps its guard bit in exactly the
+      fields where h >= g, and ``d`` masked to the low W - 1 bits of those
+      fields is lcm(h, g) / g;
+    * divisibility: see :func:`_minimal_packed`;
+    * degree: ``v * ones`` sums all fields of v into the top one.
+
+    K depends on the ideal alone, so every sub-ideal is computed once,
+    memoized on W and its sorted packed minimal generators.  Equal keys
+    mean equal K(t): a key fixes the exponents field by field, and K(t) is
+    the same under a renaming of the variables and whatever trailing
+    variables no generator uses, so the key does not depend on the ring's
+    arity.  It carries W because ideals packed at different widths can give
+    equal ints.  Keys are opaque.
+
+    ``memo``, when given, maps those keys to coefficient tuples and is read
+    and filled in place, so calls that pass the same dict share their
+    sub-ideals; a root already in it opens no node.  ``stats``, when given,
+    receives ``misses`` (sub-ideals computed by this call, the root
+    included), ``hits`` (sub-ideals found in the memo) and ``memo_size``.
     """
     memo = {} if memo is None else memo
     known_before = len(memo)
+    exponents = minimal_exponents(g.exponents for g in I.generators)
+    width = max(map(sum, exponents), default=0).bit_length() + 1
+    offsets, guards, ones, top = _fields(I.arity, width)
+    root = sorted([sum(map(lshift, e, offsets)) for e in exponents])
+    used = reduce(or_, root, 0)
+    unused = ((used & -used).bit_length() - 1) // width * width if used else 0
+    if unused:
+        root = [v >> unused for v in root]
+        guards >>= unused
+        ones >>= unused
+        top -= unused
+    mask = (1 << width) - 1
+    borrow = width - 1
+
+    root_key = (width, tuple(root))
     hits = 0
-
-    def open_node(gens: tuple) -> list:
-        """[canonical generators, next j, coefficients of K so far]"""
-        coeffs = Counter({0: 1})
-        if gens:
-            coeffs[sum(gens[0])] -= 1
-        return [gens, 1, coeffs]
-
-    def subtract_shifted(coeffs: Counter, sub: tuple, shift: int) -> None:
-        for d, c in sub:
-            coeffs[d + shift] -= c
-
-    root = tuple(sorted(minimal_exponents(g.exponents for g in I.generators)))
-    if root in memo:
-        hits += 1
-        stack = []
+    stack = []
+    if root_key in memo:
+        hits = 1
+    elif not root:
+        memo[root_key] = ((0, 1),)
+    elif len(root) == 1:
+        # 1 - t^d for a principal ideal, 0 for the unit ideal: no node to open
+        d = (root[0] * ones >> top) & mask
+        memo[root_key] = ((0, 1), (d, -1)) if d else ()
     else:
-        stack = [open_node(root)]
+        stack.append(_open_node(root_key, (root[0] * ones >> top) & mask))
     while stack:
         frame = stack[-1]
-        gens, j, coeffs = frame
+        key, j, coeffs = frame
+        gens = key[1]
         if j >= len(gens):
-            memo[gens] = tuple(sorted((d, c) for d, c in coeffs.items() if c))
+            memo[key] = tuple(sorted((d, c) for d, c in coeffs.items() if c))
             stack.pop()
             if stack:
                 parent = stack[-1]
-                subtract_shifted(parent[2], memo[gens], sum(parent[0][parent[1]]))
+                g = parent[0][1][parent[1]]
+                _subtract_shifted(parent[2], memo[key], (g * ones >> top) & mask)
                 parent[1] += 1
             continue
         g = gens[j]
-        quotients = (tuple([x - y if x > y else 0 for x, y in zip(h, g)]) for h in gens[:j])
-        sub = tuple(sorted(minimal_exponents(quotients)))
-        known = memo.get(sub)
+        # lcm(h, g) / g for every earlier h: the fields of h - g whose
+        # guard bit survived the subtraction
+        quotients = {
+            (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
+            for h in gens[:j]
+        }
+        sub_key = (width, _minimal_packed(quotients, guards, ones, top, mask))
+        known = memo.get(sub_key)
         if known is None:
-            stack.append(open_node(sub))
+            stack.append(_open_node(sub_key, (sub_key[1][0] * ones >> top) & mask))
         else:
             hits += 1
-            subtract_shifted(coeffs, known, sum(g))
+            _subtract_shifted(coeffs, known, (g * ones >> top) & mask)
             frame[1] = j + 1
     if stats is not None:
         stats.update({"hits": hits, "misses": len(memo) - known_before, "memo_size": len(memo)})
-    return SeriesNumerator(I.arity, memo[root])
+    return SeriesNumerator(I.arity, memo[root_key])
 
 
 def series_numerator(I: MonomialIdeal) -> SeriesNumerator:

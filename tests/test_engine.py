@@ -20,6 +20,7 @@ from hilbertfn.engine import (
 )
 from hilbertfn.errors import ResourceCapError
 from hilbertfn.monomial import (
+    MAX_EXPONENT,
     MAX_ROW,
     Monomial,
     MonomialIdeal,
@@ -181,6 +182,27 @@ class TestSyzygy:
             I = ideal(arity, *gens)
             assert len(minimalize(I).generators) == n
             ideals.append(I)
+        # a 72-variable ring, so packed generators pass a machine word:
+        # sparse generators, often leaving trailing variables unused, and
+        # the zero and unit ideals
+        wide = 72
+        for _ in range(20):
+            gens = []
+            for _ in range(rng.randint(1, 7)):
+                e = [0] * wide
+                for v in rng.sample(range(rng.choice((8, wide))), rng.randint(1, 4)):
+                    e[v] = rng.randint(1, 5)
+                gens.append(e)
+            ideals.append(ideal(wide, *gens))
+        ideals += [MonomialIdeal(wide), ideal(wide, (0,) * wide)]
+        # the widest fields: exponents at MAX_EXPONENT next to exponents of 1
+        for _ in range(20):
+            arity = rng.choice((2, 3, 5, wide))
+            gens = [
+                [rng.choice((0, 0, 1, MAX_EXPONENT)) for _ in range(arity)]
+                for _ in range(rng.randint(1, 6))
+            ]
+            ideals.append(ideal(arity, *(g for g in gens if any(g))))
         for I in ideals:
             assert syzygy_numerator(I) == subset_numerator(minimalize(I)), I
             assert series_numerator(I) == syzygy_numerator(I), I
@@ -212,6 +234,37 @@ class TestSyzygy:
         syzygy_numerator(sub, fresh)
         assert syzygy_numerator(sub, shared, memo=memo) == syzygy_numerator(sub)
         assert shared["misses"] < fresh["misses"]
+        # ideals of different largest degrees pack at different widths, and
+        # their packed generators can be equal ints: x*y packs to 8 + 1 at
+        # width 3 and y^9 to 9 at width 5; x, w packs to 1, 64 at width 2
+        # and x^4, y to 1, 64 at width 4.  One memo must keep them apart.
+        ring = ["x", "y", "z", "w"]
+        for texts in (("x*y", "y^9"), ("x, w", "x^4, y")):
+            memo = {}
+            for text in texts:
+                J = parse_ideal(text, ring)
+                assert syzygy_numerator(J, memo=memo) == syzygy_numerator(J), text
+
+    def test_recursion_work_is_pinned(self):
+        # the nodes and memo hits the recursion takes on a fresh memo; the
+        # generator order (lexicographic on exponent vectors) decides them
+        I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
+        stats: dict = {}
+        hf_syzygy(I, 10, stats=stats)
+        assert stats == {"hits": 3, "misses": 8, "memo_size": 8}
+        # a squarefree ideal shaped like a Stanley-Reisner ideal: 24 minimal
+        # generators of degree 3 and 4 on 15 variables
+        rng = random.Random(15)
+        gens: list[tuple[int, ...]] = []
+        while len(gens) < 26:
+            support = rng.sample(range(15), rng.randint(3, 4))
+            g = tuple(int(v in support) for v in range(15))
+            if g not in gens:
+                gens.append(g)
+        J = ideal(15, *gens)
+        assert len(minimalize(J).generators) == 24
+        hf_syzygy(J, 6, stats=stats)
+        assert stats == {"hits": 766, "misses": 272, "memo_size": 272}
 
     def test_power_of_maximal_ideal(self):
         # m^20 in 3 variables: every monomial of degree >= 20 lies in it
