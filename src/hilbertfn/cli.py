@@ -2,8 +2,9 @@
 
 Subcommands: eval, table, series, compare, bench, sr.  Exit codes:
 0 success / agreement, 1 method disagreement (compare), 2 input error
-(including a ``--max-degree`` or ``--expand-to`` above ``MAX_DEGREE`` and a
-``--max-row`` above ``MAX_ROW``), 3 resource cap exceeded.
+(including a ``--max-degree`` or ``--expand-to`` above ``MAX_DEGREE``, a
+``--max-row`` above ``MAX_ROW`` and a negative ``--enum-cap`` or
+``--lattice-cap``), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -352,6 +353,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _check_degree_bounds(args) -> None:
+    """Refuse, before any work, a degree or row bound above its limit and a
+    negative method cap."""
     for flag, bound in (
         ("max_degree", MAX_DEGREE),
         ("expand_to", MAX_DEGREE),
@@ -361,6 +364,11 @@ def _check_degree_bounds(args) -> None:
         if value is not None and value > bound:
             name = "--" + flag.replace("_", "-")
             raise ValueError(f"{name} {value} exceeds supported bound {bound}")
+    for flag in ("enum_cap", "lattice_cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            name = "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:

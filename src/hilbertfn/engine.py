@@ -14,8 +14,11 @@ HF(R/I, b) depends only on the generators of degree <= b, which
 recursion on the survivors, whatever their number.  The table computes row 1
 the same way, builds its annihilator decompositions from the generators that
 can reach them (degree <= b_max + 1) and evaluates each stage's annihilator
-as one numerator, each term's K(S) read only up to the degree it can reach
-and computed over one memo per table.
+as one numerator.  Each term of a decomposition is the minimal exponent
+tuples of its sub-ideal in the first a - 1 table variables, minimalized
+once; its K(S) is read only up to the degree it can reach, by
+:func:`series.syzygy_coefficients` on those tuples over one memo per table,
+with no Monomial or MonomialIdeal built per term.
 The ``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
@@ -34,6 +37,7 @@ from typing import Literal, Optional
 from . import kernels
 from .errors import ResourceCapError
 from .monomial import (
+    ArityMismatchError,
     Monomial,
     MonomialIdeal,
     VariableOrder,
@@ -51,6 +55,7 @@ from .series import (
     expand_series,
     subset_lcm_layers,
     subset_numerator,
+    syzygy_coefficients,
     syzygy_numerator,
 )
 
@@ -187,16 +192,20 @@ class AnnihilatorDecomposition:
     The annihilator's HF at degree b is
 
         delta * F(free_arity, b - delta_shift)
-        + sum over terms of HF(sub_ideal quotient, b - shift)
+        + sum over terms of HF(k[first a - 1 variables] / S, b - shift)
 
-    where each sub-ideal lives in the first ``free_arity`` = a - 1 table
-    variables and carries no occurrence of the stage variable.
+    Each term is a pair ``(exponents, shift)``: ``exponents`` holds the
+    minimal generators of the sub-ideal S as exponent tuples in the first
+    ``free_arity`` = a - 1 table variables (coordinate i is the exponent of
+    ``order.perm[i]``); S carries no occurrence of the stage variable.  At
+    stage 1 a term lives in no variables, and its only tuple is ``()``, the
+    unit ideal.
     """
 
     free_arity: int
     delta: int
     delta_shift: int
-    terms: tuple[tuple[MonomialIdeal, int], ...]
+    terms: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
 
 
 def annihilator_decomposition(
@@ -206,19 +215,21 @@ def annihilator_decomposition(
 
     ``I`` must already satisfy the re-indexing criteria for ``order``
     (see :func:`reindex_for_table`); otherwise a syzygy may involve the
-    stage variable and a ValueError is raised.
+    stage variable and a ValueError is raised.  Each term's syzygy
+    quotients are projected onto the first a - 1 table variables and
+    minimalized once, here.
     """
     if not 1 <= a <= order.arity:
         raise ValueError(f"stage {a} out of range 1..{order.arity}")
+    if order.arity != I.arity:
+        raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
     x_a = order.perm[a - 1]
     gens = I.generators
-    free_arity = a - 1
-    project_arity = max(free_arity, 1)
-    project = order.perm[:project_arity]
+    project = order.perm[: a - 1]
 
     delta = 0
     delta_shift = 0
-    terms: list[tuple[MonomialIdeal, int]] = []
+    terms = []
     for j, p_j in enumerate(gens, start=1):
         if stage(p_j, order) != a:
             continue
@@ -238,9 +249,8 @@ def annihilator_decomposition(
                 )
             # the syzygy quotient lcm(h, p_j) / p_j, projected onto the free variables
             sub_gens.append(tuple([h[v] - q[v] if h[v] > q[v] else 0 for v in project]))
-        sub = MonomialIdeal(project_arity, tuple(map(Monomial, minimal_exponents(sub_gens))))
-        terms.append((sub, shift))
-    return AnnihilatorDecomposition(free_arity, delta, delta_shift, tuple(terms))
+        terms.append((tuple(minimal_exponents(sub_gens)), shift))
+    return AnnihilatorDecomposition(a - 1, delta, delta_shift, tuple(terms))
 
 
 def annihilator_hf(
@@ -253,15 +263,17 @@ def annihilator_hf(
         (delta * t^delta_shift + sum over terms of t^shift * K(S)) / (1 - t)^(a - 1),
 
     expanded once.  A term reaches degree b_max only through the generators
-    of S of degree <= b_max - shift, so each K(S) comes from
-    :func:`syzygy_numerator` on those alone.  ``memo`` is handed to every
-    one of those recursions; pass the same dict to share sub-ideals across
-    calls.
+    of S of degree <= b_max - shift, and those of a term's minimal tuples
+    are the minimal generators of the ideal they span, so each K(S) comes
+    from :func:`syzygy_coefficients` on them alone, with no second
+    minimalization.  ``memo`` is handed to every one of those recursions;
+    pass the same dict to share sub-ideals across calls.
     """
     memo = {} if memo is None else memo
     coeffs = Counter({dec.delta_shift: dec.delta})
-    for sub, shift in dec.terms:
-        for d, c in syzygy_numerator(upto_degree(sub, b_max - shift), memo=memo).coefficients:
+    for exponents, shift in dec.terms:
+        reach = b_max - shift
+        for d, c in syzygy_coefficients([e for e in exponents if sum(e) <= reach], memo=memo):
             coeffs[d + shift] += c
     num = SeriesNumerator(dec.free_arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
     return expand_series(num, b_max)

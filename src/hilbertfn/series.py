@@ -5,12 +5,16 @@ HS(R/I, t) = K(t) / (1 - t)^a; expanding it against the free-ring counts
 F(a, b) recovers the Hilbert function values.  Two independent routes compute
 K(t):
 
-* :func:`syzygy_numerator`, the Bayer-Stillman recursion over syzygy
-  sub-ideals; :func:`series_numerator`, the syzygy method and ``auto`` take
-  it.  It packs each monomial into one int, a field of W bits per variable
-  whose top bit is a guard that stays 0, so quotients, divisibility and
-  degrees are a few int operations.  Its memo keys are opaque: they carry W
-  and do not depend on the ring's arity;
+* the Bayer-Stillman recursion over syzygy sub-ideals.
+  :func:`syzygy_coefficients` runs it on minimal exponent tuples of one
+  arity and minimalizes nothing itself; the table's annihilator terms,
+  already minimal, call it directly.  :func:`syzygy_numerator` is its
+  :class:`MonomialIdeal` boundary, which minimalizes once;
+  :func:`series_numerator`, the syzygy method and ``auto`` take that.  The
+  recursion packs each monomial into one int, a field of W bits per
+  variable whose top bit is a guard that stays 0, so quotients,
+  divisibility and degrees are a few int operations.  Its memo keys are
+  opaque: they carry W and do not depend on the ring's arity;
 * :func:`subset_numerator`, the alternating sum over all 2^n subsets of the
   generators of (-1)^|S| t^(deg lcm S); only the lcm lattice method takes
   it, so it stays the independent check on the recursion.  It stays on
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import lshift, or_
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .monomial import MonomialIdeal, minimal_exponents
 
@@ -141,30 +145,35 @@ def _open_node(key: tuple, first_degree: int) -> list:
     return [key, 1, coeffs]
 
 
-def syzygy_numerator(
-    I: MonomialIdeal, stats: Optional[dict] = None, memo: Optional[dict] = None
-) -> SeriesNumerator:
-    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
+def syzygy_coefficients(
+    exponents: Sequence[tuple[int, ...]],
+    stats: Optional[dict] = None,
+    memo: Optional[dict] = None,
+) -> tuple[tuple[int, int], ...]:
+    """The ``(degree, coefficient)`` pairs of K(t) for the monomial ideal
+    whose minimal generators have the exponent tuples ``exponents``.
 
-    With the minimal generators sorted as g_1 < ... < g_n,
+    The tuples must share one arity, which may be 0 (``[()]`` is the unit
+    ideal in no variables), and must already be minimal: no minimalization
+    happens here, so a redundant generator gives a wrong K(t).  With the
+    generators sorted as g_1 < ... < g_n,
 
         K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
 
     where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
     i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
     1 and the unit ideal 0.  An explicit stack of open nodes replaces Python
-    recursion.  The recursion reads every generator of I, whatever degree
-    the caller expands to.
+    recursion.
 
-    Each minimal generator is packed once into one int: variable i gets a
-    field of W bits, the earlier variables in the higher fields, where W is
-    one more than the bit length of the largest generator degree.  The top
-    bit of every field is a guard and stays 0 in a packed value, since no
-    exponent or degree needs more than W - 1 bits and quotients never
-    exceed their generators.  The fields of trailing variables that no
-    generator uses are dropped.  Ascending ints are then the generators in
-    lexicographic order of their exponent tuples, and the primitives are a
-    few int operations each:
+    Each generator is packed once into one int: variable i gets a field of
+    W bits, the earlier variables in the higher fields, where W is one more
+    than the bit length of the largest generator degree.  The top bit of
+    every field is a guard and stays 0 in a packed value, since no exponent
+    or degree needs more than W - 1 bits and quotients never exceed their
+    generators.  The fields of trailing variables that no generator uses
+    are dropped.  Ascending ints are then the generators in lexicographic
+    order of their exponent tuples, and the primitives are a few int
+    operations each:
 
     * quotient: ``d = (h | guards) - g`` keeps its guard bit in exactly the
       fields where h >= g, and ``d`` masked to the low W - 1 bits of those
@@ -188,9 +197,8 @@ def syzygy_numerator(
     """
     memo = {} if memo is None else memo
     known_before = len(memo)
-    exponents = minimal_exponents(g.exponents for g in I.generators)
     width = max(map(sum, exponents), default=0).bit_length() + 1
-    offsets, guards, ones, top = _fields(I.arity, width)
+    offsets, guards, ones, top = _fields(len(exponents[0]) if exponents else 0, width)
     root = sorted([sum(map(lshift, e, offsets)) for e in exponents])
     used = reduce(or_, root, 0)
     unused = ((used & -used).bit_length() - 1) // width * width if used else 0
@@ -245,7 +253,21 @@ def syzygy_numerator(
             frame[1] = j + 1
     if stats is not None:
         stats.update({"hits": hits, "misses": len(memo) - known_before, "memo_size": len(memo)})
-    return SeriesNumerator(I.arity, memo[root_key])
+    return memo[root_key]
+
+
+def syzygy_numerator(
+    I: MonomialIdeal, stats: Optional[dict] = None, memo: Optional[dict] = None
+) -> SeriesNumerator:
+    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
+
+    The boundary of :func:`syzygy_coefficients` for a :class:`MonomialIdeal`:
+    it minimalizes I's generators once, all of them whatever degree the
+    caller expands to, and runs the recursion on their exponent tuples.
+    ``stats`` and ``memo`` are passed through.
+    """
+    exponents = minimal_exponents(g.exponents for g in I.generators)
+    return SeriesNumerator(I.arity, syzygy_coefficients(exponents, stats, memo))
 
 
 def series_numerator(I: MonomialIdeal) -> SeriesNumerator:

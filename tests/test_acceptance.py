@@ -113,7 +113,7 @@ def test_criterion_08_stanley_reisner_table():
     assert dec.delta == 0
     ((sub, shift),) = dec.terms
     assert shift == 2
-    assert sub == ideal(4, (1, 1, 0, 0))
+    assert sub == ((1, 1, 0, 0),)
     values = annihilator_hf(dec, 7)
     assert values == [0, 0] + [table.rows[3][b] for b in range(6)]
 
@@ -130,13 +130,13 @@ def test_criterion_09_annihilator_decomposition():
     dec2 = annihilator_decomposition(J, order, 2)
     assert dec2.delta == 0
     ((sub, shift),) = dec2.terms
-    assert shift == 7 and sub == ideal(1, (1,))
+    assert shift == 7 and sub == ((1,),)
     # quotient by <y> in one variable is the field k, so the term is HF{k(-7)}
     assert annihilator_hf(dec2, 9) == [0] * 7 + [1, 0, 0]
 
     dec3 = annihilator_decomposition(J, order, 3)
     assert dec3.delta == 0
-    assert [(sorted(g.exponents for g in sub.generators), shift) for sub, shift in dec3.terms] == [
+    assert [(sorted(sub), shift) for sub, shift in dec3.terms] == [
         ([(5, 0)], 3),
         ([(0, 1), (4, 0)], 5),
         ([(0, 1), (1, 0)], 5),

@@ -114,6 +114,27 @@ class TestEval:
         )
         assert code == cli.EXIT_CAP
 
+    def test_negative_caps_are_input_errors(self, capsys):
+        base = ["--ring", "x,y", "--ideal", "x^2,y^2", "--max-degree", "3"]
+        for argv in (
+            ["eval", *base, "--enum-cap", "-1", "--method", "oracle"],
+            ["eval", *base, "--lattice-cap", "-1", "--method", "lcm"],
+            ["eval", *base, "--lattice-cap", "-5"],
+            ["compare", *base, "--enum-cap", "-1"],
+            ["compare", *base, "--lattice-cap", "-1"],
+            ["bench", "--max-degree", "3", "--lattice-cap", "-1"],
+        ):
+            assert run(*argv) == (cli.EXIT_INPUT, ""), argv
+            err = capsys.readouterr().err
+            assert err.startswith("input error: --") and "must be >= 0" in err, argv
+
+    def test_zero_caps_are_caps(self):
+        base = ["eval", "--ring", "x,y", "--ideal", "x^2,y^2", "--max-degree", "3"]
+        assert run(*base, "--enum-cap", "0", "--method", "oracle")[0] == cli.EXIT_CAP
+        assert run(*base, "--lattice-cap", "0", "--method", "lcm")[0] == cli.EXIT_CAP
+        code, text = run(*base, "--lattice-cap", "0", "--enum-cap", "0")
+        assert code == 0 and text.splitlines()[1] == "HF 1 2 1 0"
+
 
 class TestTable:
     def test_rows(self):

@@ -22,17 +22,20 @@ from hilbertfn.errors import ResourceCapError
 from hilbertfn.monomial import (
     MAX_EXPONENT,
     MAX_ROW,
+    ArityMismatchError,
     Monomial,
     MonomialIdeal,
     VariableOrder,
     ideal,
     lcm,
+    minimal_exponents,
     minimalize,
     reindex_for_table,
+    syzygy_quotient,
 )
 from hilbertfn.parser import parse_ideal
 from hilbertfn.pascal import hf_principal, hf_two_generators, pascal_F
-from hilbertfn.series import series_numerator, subset_numerator
+from hilbertfn.series import series_numerator, subset_numerator, syzygy_coefficients
 
 XYZ = ["x", "y", "z"]
 
@@ -266,6 +269,21 @@ class TestSyzygy:
         hf_syzygy(J, 6, stats=stats)
         assert stats == {"hits": 766, "misses": 272, "memo_size": 272}
 
+    def test_tuple_entry_takes_minimal_tuples(self):
+        # the numerator is the tuple entry on the minimal exponent tuples,
+        # with the same stats; rings of no variables hold the unit ideal
+        rng = random.Random(31)
+        for _ in range(40):
+            I = random_ideal(rng, rng.randint(1, 6), rng.randint(0, 12), max_exp=4)
+            exponents = minimal_exponents(g.exponents for g in I.generators)
+            fresh: dict = {}
+            tuples: dict = {}
+            num = syzygy_numerator(I, fresh)
+            assert syzygy_coefficients(exponents, tuples) == num.coefficients
+            assert tuples == fresh
+        assert syzygy_coefficients([()]) == ()
+        assert syzygy_coefficients([]) == ((0, 1),)
+
     def test_power_of_maximal_ideal(self):
         # m^20 in 3 variables: every monomial of degree >= 20 lies in it
         m20 = ideal(3, *[(i, j, 20 - i - j) for i in range(21) for j in range(21 - i)])
@@ -294,7 +312,7 @@ class TestAnnihilatorDecomposition:
         assert dec.delta == 0
         ((sub, shift),) = dec.terms
         assert shift == 7
-        assert [g.exponents for g in sub.generators] == [(1,)]
+        assert list(sub) == [(1,)]
 
     def test_stage_three_terms(self):
         J, order = self._staged_three_var_ideal()
@@ -302,7 +320,7 @@ class TestAnnihilatorDecomposition:
         assert dec.delta == 0
         shifts = [shift for _, shift in dec.terms]
         assert shifts == [3, 5, 5]
-        gens = [sorted(g.exponents for g in sub.generators) for sub, _ in dec.terms]
+        gens = [sorted(sub) for sub, _ in dec.terms]
         assert gens == [
             [(5, 0)],
             [(0, 1), (4, 0)],  # {x, y^4}
@@ -314,6 +332,60 @@ class TestAnnihilatorDecomposition:
         order = VariableOrder.identity(3)
         dec = annihilator_decomposition(I, order, 2)
         assert dec.delta == 0 and dec.terms == ()
+
+    def test_order_arity_must_match(self):
+        # a wider order used to index past the ideal's exponents, a narrower
+        # one to drop its last variables from every term
+        for I, order, a in (
+            (ideal(2, (1, 0), (0, 1)), VariableOrder.identity(3), 3),
+            (ideal(3, (1, 0, 0), (0, 1, 1)), VariableOrder.identity(2), 2),
+        ):
+            with pytest.raises(ArityMismatchError, match="order arity"):
+                annihilator_decomposition(I, order, a)
+
+    def test_terms_are_projected_colon_ideals(self):
+        # every term against the colon ideal (p_1, ..., p_{j-1}) : p_j built
+        # from syzygy_quotient and minimalize, compared by exact exponents
+        def stage_of(g, order):
+            return max((s + 1 for s, v in enumerate(order.perm) if g.exponents[v]), default=0)
+
+        rng = random.Random(4141)
+        checked = unit_terms = empty_terms = 0
+        for k in range(150):
+            arity = rng.randint(1, 6)
+            order = VariableOrder(tuple(rng.sample(range(arity), arity)))
+            I = random_ideal(rng, arity, rng.randint(1, 9), max_exp=rng.choice((2, 3, 5)))
+            if k % 3 == 0:
+                # repeated powers of the first variable: stage-1 terms in no variables
+                first = order.perm[0]
+                powers = [tuple(e if v == first else 0 for v in range(arity)) for e in (3, 2, 4)]
+                I = MonomialIdeal(arity, I.generators + tuple(map(Monomial, powers)))
+            J = reindex_for_table(I, order)
+            gens = J.generators
+            for a in range(1, arity + 1):
+                dec = annihilator_decomposition(J, order, a)
+                free = order.perm[: a - 1]
+                staged = [j for j, g in enumerate(gens) if stage_of(g, order) == a]
+                first_here = bool(staged) and staged[0] == 0
+                assert dec.free_arity == a - 1
+                assert (dec.delta, dec.delta_shift) == (
+                    (1, gens[0].degree - 1) if first_here else (0, 0)
+                ), (J, order, a)
+                expected = []
+                for j in staged[1:] if first_here else staged:
+                    colon = minimalize(
+                        MonomialIdeal(arity, [syzygy_quotient(p, gens[j]) for p in gens[:j]])
+                    )
+                    for m in colon.generators:
+                        assert all(m.exponents[v] == 0 for v in order.perm[a - 1 :])
+                    projected = [tuple(m.exponents[v] for v in free) for m in colon.generators]
+                    expected.append((sorted(projected), gens[j].degree - 1))
+                terms = [(sorted(sub), shift) for sub, shift in dec.terms]
+                assert terms == expected, (J, order, a)
+                checked += len(expected)
+                unit_terms += sum(sub == ((0,) * (a - 1),) for sub, _ in dec.terms)
+                empty_terms += sum(sub == ((),) for sub, _ in dec.terms)
+        assert checked > 500 and unit_terms > 300 and empty_terms > 150
 
     def test_reindex_precondition_enforced(self):
         # unordered stage-3 generators make a syzygy involve z
@@ -616,8 +688,12 @@ def _per_term_sum(dec, b_max: int) -> list[int]:
             else:
                 v += int(b == dec.delta_shift)
         for sub, shift in dec.terms:
-            if shift <= b:
-                v += hf(sub, b - shift, method="syzygy")[-1]
+            if shift > b:
+                continue
+            if dec.free_arity:
+                v += hf(ideal(dec.free_arity, *sub), b - shift, method="syzygy")[-1]
+            else:
+                v += int(b == shift and not sub)
         values.append(v)
     return values
 
@@ -643,14 +719,14 @@ class TestAnnihilatorNumerator:
         assert stages > 150 and termless > 10
 
     def test_terms_read_reachable_generators_over_one_memo(self, monkeypatch):
-        real_numerator = engine.syzygy_numerator
+        real_coefficients = engine.syzygy_coefficients
         real_ann = engine.annihilator_hf
         roots = []
         memos = []
 
-        def numerator_spy(I, stats=None, memo=None):
-            roots.append(I)
-            return real_numerator(I, stats, memo=memo)
+        def coefficients_spy(exponents, stats=None, memo=None):
+            roots.append(exponents)
+            return real_coefficients(exponents, stats, memo=memo)
 
         def ann_spy(dec, b_max, memo=None):
             memos.append(memo)
@@ -658,10 +734,10 @@ class TestAnnihilatorNumerator:
             values = real_ann(dec, b_max, memo=memo)
             assert len(roots) == len(dec.terms)
             for sub, (full, shift) in zip(roots, dec.terms):
-                assert sub == upto_degree(full, b_max - shift)
+                assert sub == [e for e in full if sum(e) <= b_max - shift]
             return values
 
-        monkeypatch.setattr(engine, "syzygy_numerator", numerator_spy)
+        monkeypatch.setattr(engine, "syzygy_coefficients", coefficients_spy)
         monkeypatch.setattr(engine, "annihilator_hf", ann_spy)
         for I, b in _boundary_ideals(15) + _many_generator_ideals(16):
             del memos[:]
