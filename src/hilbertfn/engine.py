@@ -45,7 +45,6 @@ from .monomial import (
     minimalize,
     reindex_for_table,
     restrict,
-    stage,
     syzygy_quotient,
 )
 from .pascal import pascal_F
@@ -215,7 +214,8 @@ def annihilator_decomposition(
 
     ``I`` must already satisfy the re-indexing criteria for ``order``
     (see :func:`reindex_for_table`); otherwise a syzygy may involve the
-    stage variable and a ValueError is raised.  Each term's syzygy
+    stage variable and a ValueError is raised.  A generator is at stage a
+    when it uses x_a and no later table variable.  Each term's syzygy
     quotients are projected onto the first a - 1 table variables and
     minimalized once, here.
     """
@@ -226,19 +226,20 @@ def annihilator_decomposition(
     x_a = order.perm[a - 1]
     gens = I.generators
     project = order.perm[: a - 1]
+    later = order.perm[a:]
 
     delta = 0
     delta_shift = 0
     terms = []
     for j, p_j in enumerate(gens, start=1):
-        if stage(p_j, order) != a:
+        q = p_j.exponents
+        if not q[x_a] or any(map(q.__getitem__, later)):
             continue
-        shift = p_j.degree - 1  # deg(p_j / x_a)
+        shift = sum(q) - 1  # deg(p_j / x_a)
         if j == 1:
             delta = 1
             delta_shift = shift
             continue
-        q = p_j.exponents
         sub_gens = []
         for p_i in gens[: j - 1]:
             h = p_i.exponents

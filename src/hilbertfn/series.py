@@ -13,8 +13,10 @@ K(t):
   :func:`series_numerator`, the syzygy method and ``auto`` take that.  The
   recursion packs each monomial into one int, a field of W bits per
   variable whose top bit is a guard that stays 0, so quotients,
-  divisibility and degrees are a few int operations.  Its memo keys are
-  opaque: they carry W and do not depend on the ring's arity;
+  divisibility and degrees are a few int operations, and ascending ints
+  let each quotient set be minimalized in one pass.  A principal sub-ideal
+  is closed where it is found, with no node opened for it.  The memo keys
+  are opaque: they carry W and do not depend on the ring's arity;
 * :func:`subset_numerator`, the alternating sum over all 2^n subsets of the
   generators of (-1)^|S| t^(deg lcm S); only the lcm lattice method takes
   it, so it stays the independent check on the recursion.  It stays on
@@ -103,48 +105,6 @@ def _fields(arity: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
     return offsets, ones << (width - 1), ones, offsets[0] if offsets else 0
 
 
-def _minimal_packed(values: set, guards: int, ones: int, top: int, mask: int) -> tuple:
-    """The packed monomials of ``values`` that no other one divides, ascending.
-
-    :func:`monomial.minimal_exponents` on packed ints: a value can be divided
-    only by one of smaller degree, so each is tested against the survivors
-    of strictly smaller degree alone.  ``a`` divides ``b`` exactly when no
-    field of ``(b | guards) - a`` borrows its guard bit.
-    """
-    if len(values) < 2:
-        return tuple(values)
-    kept: list[int] = []  # survivors of degree below `level`
-    level: list[int] = []  # survivors of the current degree
-    level_degree = -1
-    for d, v in sorted([((v * ones >> top) & mask, v) for v in values]):
-        if d != level_degree:
-            kept += level
-            level = []
-            level_degree = d
-        guarded = v | guards
-        for h in kept:
-            if (guarded - h) & guards == guards:
-                break
-        else:
-            level.append(v)
-    kept += level
-    kept.sort()
-    return tuple(kept)
-
-
-def _subtract_shifted(coeffs: Counter, sub: tuple, shift: int) -> None:
-    """coeffs -= t^shift * K(S), with K(S) given as its coefficient tuple."""
-    for d, c in sub:
-        coeffs[d + shift] -= c
-
-
-def _open_node(key: tuple, first_degree: int) -> list:
-    """A stack frame [memo key, next j, coefficients of K so far]."""
-    coeffs = Counter({0: 1})
-    coeffs[first_degree] -= 1
-    return [key, 1, coeffs]
-
-
 def syzygy_coefficients(
     exponents: Sequence[tuple[int, ...]],
     stats: Optional[dict] = None,
@@ -162,8 +122,10 @@ def syzygy_coefficients(
 
     where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
     i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
-    1 and the unit ideal 0.  An explicit stack of open nodes replaces Python
-    recursion.
+    1, the unit ideal 0 and a principal ideal 1 - t^d.  An explicit stack of
+    suspended nodes replaces Python recursion; a principal S_j (every S_2 is
+    one) is closed where it is found, without opening a node, and a node
+    runs on through consecutive memo hits until it must open a child.
 
     Each generator is packed once into one int: variable i gets a field of
     W bits, the earlier variables in the higher fields, where W is one more
@@ -178,7 +140,10 @@ def syzygy_coefficients(
     * quotient: ``d = (h | guards) - g`` keeps its guard bit in exactly the
       fields where h >= g, and ``d`` masked to the low W - 1 bits of those
       fields is lcm(h, g) / g;
-    * divisibility: see :func:`_minimal_packed`;
+    * divisibility: h divides v exactly when no field of
+      ``(v | guards) - h`` borrows its guard bit.  A proper divisor packs
+      to a smaller int, so the quotients are minimalized in one ascending
+      pass, each tested against the survivors before it;
     * degree: ``v * ones`` sums all fields of v into the top one.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
@@ -192,8 +157,9 @@ def syzygy_coefficients(
     ``memo``, when given, maps those keys to coefficient tuples and is read
     and filled in place, so calls that pass the same dict share their
     sub-ideals; a root already in it opens no node.  ``stats``, when given,
-    receives ``misses`` (sub-ideals computed by this call, the root
-    included), ``hits`` (sub-ideals found in the memo) and ``memo_size``.
+    receives ``misses`` (sub-ideals computed by this call, the root and the
+    principal ones included), ``hits`` (sub-ideals found in the memo) and
+    ``memo_size``.
     """
     memo = {} if memo is None else memo
     known_before = len(memo)
@@ -212,7 +178,6 @@ def syzygy_coefficients(
 
     root_key = (width, tuple(root))
     hits = 0
-    stack = []
     if root_key in memo:
         hits = 1
     elif not root:
@@ -222,35 +187,49 @@ def syzygy_coefficients(
         d = (root[0] * ones >> top) & mask
         memo[root_key] = ((0, 1), (d, -1)) if d else ()
     else:
-        stack.append(_open_node(root_key, (root[0] * ones >> top) & mask))
-    while stack:
-        frame = stack[-1]
-        key, j, coeffs = frame
-        gens = key[1]
-        if j >= len(gens):
-            memo[key] = tuple(sorted((d, c) for d, c in coeffs.items() if c))
-            stack.pop()
-            if stack:
-                parent = stack[-1]
-                g = parent[0][1][parent[1]]
-                _subtract_shifted(parent[2], memo[key], (g * ones >> top) & mask)
-                parent[1] += 1
-            continue
-        g = gens[j]
-        # lcm(h, g) / g for every earlier h: the fields of h - g whose
-        # guard bit survived the subtraction
-        quotients = {
-            (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
-            for h in gens[:j]
-        }
-        sub_key = (width, _minimal_packed(quotients, guards, ones, top, mask))
-        known = memo.get(sub_key)
-        if known is None:
-            stack.append(_open_node(sub_key, (sub_key[1][0] * ones >> top) & mask))
-        else:
-            hits += 1
-            _subtract_shifted(coeffs, known, (g * ones >> top) & mask)
-            frame[1] = j + 1
+        key, gens, j = root_key, root_key[1], 1
+        coeffs = Counter({0: 1})
+        coeffs[(gens[0] * ones >> top) & mask] -= 1
+        stack = []  # suspended ancestors: (key, gens, j, coeffs, shift)
+        while True:
+            if j < len(gens):
+                g = gens[j]
+                shift = (g * ones >> top) & mask
+                # lcm(h, g) / g for every earlier h: the fields of h - g whose
+                # guard bit survived the subtraction
+                kept = []
+                for v in sorted({
+                    (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
+                    for h in gens[:j]
+                }):
+                    guarded = v | guards
+                    for h in kept:
+                        if (guarded - h) & guards == guards:
+                            break
+                    else:
+                        kept.append(v)
+                sub_key = (width, tuple(kept))
+                sub = memo.get(sub_key)
+                if sub is not None:
+                    hits += 1
+                elif len(kept) == 1:
+                    d = (kept[0] * ones >> top) & mask
+                    sub = memo[sub_key] = ((0, 1), (d, -1)) if d else ()
+                else:
+                    stack.append((key, gens, j, coeffs, shift))
+                    key, gens, j = sub_key, sub_key[1], 1
+                    coeffs = Counter({0: 1})
+                    coeffs[(gens[0] * ones >> top) & mask] -= 1
+                    continue
+            else:
+                sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
+                if not stack:
+                    break
+                key, gens, j, coeffs, shift = stack.pop()
+            # coeffs -= t^shift * K(S_j)
+            for d, c in sub:
+                coeffs[d + shift] -= c
+            j += 1
     if stats is not None:
         stats.update({"hits": hits, "misses": len(memo) - known_before, "memo_size": len(memo)})
     return memo[root_key]

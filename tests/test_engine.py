@@ -268,6 +268,26 @@ class TestSyzygy:
         assert len(minimalize(J).generators) == 24
         hf_syzygy(J, 6, stats=stats)
         assert stats == {"hits": 766, "misses": 272, "memo_size": 272}
+        # the staircase x^12, x^11*y, ..., y^12: every S_j is (y), a
+        # principal sub-ideal computed once and then found in the memo
+        S = ideal(2, *[(12 - i, i) for i in range(13)])
+        hf_syzygy(S, 20, stats=stats)
+        assert stats == {"hits": 11, "misses": 2, "memo_size": 2}
+        # an equal-degree antichain drawn as the many-generators workload
+        # draws them (degree 5 in 4 variables), with 16 generators so that
+        # the 2^16 subset sum stays cheap
+        rng = random.Random(24)
+        pool: set[tuple[int, ...]] = set()
+        while len(pool) < 16:
+            e = [0] * 4
+            for _ in range(5):
+                e[rng.randrange(4)] += 1
+            pool.add(tuple(e))
+        A = ideal(4, *sorted(pool))
+        hf_syzygy(A, 12, stats=stats)
+        assert stats == {"hits": 19, "misses": 14, "memo_size": 14}
+        for K in (S, A):
+            assert syzygy_numerator(K) == subset_numerator(K)
 
     def test_tuple_entry_takes_minimal_tuples(self):
         # the numerator is the tuple entry on the minimal exponent tuples,

@@ -175,3 +175,48 @@ def test_reindex_criterion_two_holds(rng):
                 if si == sj and si > 0:
                     var = order.perm[si - 1]
                     assert gens[i].exponents[var] <= gens[j].exponents[var]
+
+
+def _table_view(gens, perm):
+    """Each generator's stage and its exponents listed by table position,
+    built from the inverse of ``perm``: the independent reading that
+    ``restrict`` and ``reindex_for_table`` are checked against."""
+    position = {v: i for i, v in enumerate(perm)}
+    views = []
+    for g in gens:
+        by_position = [0] * len(perm)
+        for v, e in enumerate(g):
+            by_position[position[v]] = e
+        stage_ = max((i + 1 for i, e in enumerate(by_position) if e), default=0)
+        views.append((stage_, tuple(by_position)))
+    return views
+
+
+def test_restrict_and_reindex_keep_exact_exponents(rng):
+    # a permutation mixed up in either function keeps every degree, so the
+    # exact exponent tuples are compared, on seeded ideals and random orders
+    from conftest import random_ideal
+
+    for _ in range(150):
+        arity = rng.randint(1, 6)
+        I = random_ideal(rng, arity, rng.randint(0, 10), max_exp=rng.choice([1, 3, 6]))
+        if rng.random() < 0.2:
+            I = ideal(arity, *(g.exponents for g in I.generators), (0,) * arity)
+        perm = list(range(arity))
+        rng.shuffle(perm)
+        order = VariableOrder(perm)
+        gens = [g.exponents for g in I.generators]
+        views = _table_view(gens, perm)
+        for a in range(1, arity + 1):
+            expected = [view[:a] for s, view in views if s <= a]
+            assert [g.exponents for g in restrict(I, order, a).generators] == expected
+
+        # a stable sort by stage, then by the stage variable's exponent
+        def rank(k):
+            s, view = views[k]
+            return (s, view[s - 1] if s else 0)
+
+        J = reindex_for_table(I, order)
+        assert [g.exponents for g in J.generators] == [
+            gens[k] for k in sorted(range(len(gens)), key=rank)
+        ]
