@@ -267,34 +267,31 @@ def cmd_sr(args, out) -> int:
         return EXIT_INPUT
     I = simplicial.nonface_ideal(complex_.vertices, nonfaces)
     values = engine.hf(I, args.max_degree, method="auto")
+    meta = {}
     if args.format == "json":
-        doc = {
+        meta = {
             "ring": ring,
             "minimal_nonfaces": [list(nf) for nf in nonfaces],
             "ideal": [parser.render_monomial(g, ring) for g in I.generators],
-            "values": [{"degree": b, "value": str(v)} for b, v in enumerate(values)],
         }
-        print(json.dumps(doc), file=out)
-        return EXIT_OK
-    if args.format == "plain":
+    elif args.format == "plain":
         print(
             "minimal non-faces: "
             + "; ".join(",".join(nf) for nf in nonfaces),
             file=out,
         )
         print("ideal: " + parser.render_ideal(I, ring), file=out)
-    _print_values(values, args.format, {}, out)
+    _print_values(values, args.format, meta, out)
     return EXIT_OK
 
 
 def _add_common(sub, *, degree=True, caps=False) -> None:
-    """Ring, ideal and format flags; ``caps`` adds the two method caps, for
-    the subcommands whose methods read them."""
+    """Ring and ideal flags; ``caps`` adds the two method caps, for the
+    subcommands whose methods read them."""
     sub.add_argument("--ring", required=True, help="comma-separated variables")
     sub.add_argument("--ideal", required=True, help="comma-separated generators")
     if degree:
         sub.add_argument("--max-degree", type=int, default=10)
-    sub.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     if caps:
         sub.add_argument("--enum-cap", type=int, default=engine.ENUM_CAP_DEFAULT)
         sub.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
@@ -309,8 +306,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Hilbert functions and series of monomial quotient rings",
     )
     subs = p.add_subparsers(dest="command", required=True)
+    # the output format, for every subcommand that renders values
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
-    s = subs.add_parser("eval", help="HF sequence of a quotient ring")
+    s = subs.add_parser("eval", help="HF sequence of a quotient ring", parents=[fmt])
     _add_common(s, caps=True)
     s.add_argument(
         "--method",
@@ -319,13 +319,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     s.set_defaults(func=cmd_eval)
 
-    s = subs.add_parser("table", help="Hilbert function table")
+    s = subs.add_parser("table", help="Hilbert function table", parents=[fmt])
     _add_common(s)
     s.add_argument("--max-row", type=int, required=True)
     s.add_argument("--order", help="variable introduction order (default: ring order)")
     s.set_defaults(func=cmd_table)
 
-    s = subs.add_parser("series", help="Hilbert series as a rational function")
+    s = subs.add_parser("series", help="Hilbert series as a rational function", parents=[fmt])
     _add_common(s, degree=False)
     s.add_argument("--expand-to", type=int, default=None)
     s.set_defaults(func=cmd_series)
@@ -334,19 +334,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(s, caps=True)
     s.set_defaults(func=cmd_compare)
 
-    s = subs.add_parser("bench", help="benchmark the methods on generated ideals")
+    s = subs.add_parser("bench", help="benchmark the methods on generated ideals", parents=[fmt])
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--repetitions", type=int, default=1)
     s.add_argument("--max-degree", type=int, default=10)
-    s.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     s.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
     s.set_defaults(func=cmd_bench)
 
-    s = subs.add_parser("sr", help="Stanley-Reisner pipeline from a facet list")
+    s = subs.add_parser("sr", help="Stanley-Reisner pipeline from a facet list", parents=[fmt])
     s.add_argument("--ring", required=True, help="comma-separated vertex names")
     s.add_argument("--facets", required=True, help="semicolon-separated facets")
     s.add_argument("--max-degree", type=int, default=10)
-    s.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     s.set_defaults(func=cmd_sr)
 
     return p

@@ -11,14 +11,14 @@
 
 HF(R/I, b) depends only on the generators of degree <= b, which
 :func:`upto_degree` keeps.  ``auto`` drops the rest and takes the syzygy
-recursion on the survivors, whatever their number.  The table computes row 1
-the same way, builds its annihilator decompositions from the generators that
-can reach them (degree <= b_max + 1) and evaluates each stage's annihilator
-as one numerator.  Each term of a decomposition is the minimal exponent
-tuples of its sub-ideal in the first a - 1 table variables, minimalized
-once; its K(S) is read only up to the degree it can reach, by
-:func:`series.syzygy_coefficients` on those tuples over one memo per table,
-with no Monomial or MonomialIdeal built per term.
+recursion on the survivors, whatever their number.  The table reads row 1,
+k[x]/(x^m), off its first generator, builds its annihilator decompositions
+from the generators that can reach them (degree <= b_max + 1) and evaluates
+each stage's annihilator as one numerator.  Each term of a decomposition is
+the minimal exponent tuples of its sub-ideal in the first a - 1 table
+variables, minimalized once; its K(S) is read only up to the degree it can
+reach, by :func:`series.syzygy_coefficients` on those tuples over one memo
+per table, with no Monomial or MonomialIdeal built per term.
 The ``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
@@ -44,7 +44,7 @@ from .monomial import (
     minimal_exponents,
     minimalize,
     reindex_for_table,
-    restrict,
+    stage,
     syzygy_quotient,
 )
 from .pascal import pascal_F
@@ -303,9 +303,11 @@ def hf_table(
 ) -> HilbertTable:
     """Build the Hilbert function table row by row.
 
-    Row 1 is :func:`hf` on the generators in the first variable; each later
-    row a uses the short exact sequence for multiplication by the stage
-    variable:
+    Row 1 is k[x]/(x^m), x the first table variable: 1 below degree m, then
+    0.  :func:`reindex_for_table` puts the unit (m = 0) and then the powers of
+    x, by ascending exponent, first; with none of degree <= b_max + 1,
+    m = b_max + 1.  Each later row a uses the short exact sequence for
+    multiplication by the stage variable:
 
         HF(M_a, b) = HF(M_{a-1}, b) + HF(M_a, b-1) - HF((0 : x_a), b-1).
 
@@ -324,12 +326,14 @@ def hf_table(
     if a_max < 1 or b_max < 0:
         raise ValueError("need a_max >= 1 and b_max >= 0")
 
-    J = reindex_for_table(I, order)
-    live = upto_degree(J, b_max + 1)
+    live = upto_degree(reindex_for_table(I, order), b_max + 1)
     memo: dict = {}
     zeros = (0,) * (b_max + 1)
 
-    rows = [tuple(hf(restrict(J, order, 1), b_max))]
+    m = b_max + 1
+    if live.generators and stage(live.generators[0], order) <= 1:
+        m = live.generators[0].exponents[order.perm[0]]
+    rows = [(1,) * m + (0,) * (b_max + 1 - m)]
     ann_hfs = [zeros]
     for a in range(2, a_max + 1):
         if a <= I.arity:

@@ -194,9 +194,6 @@ class VariableOrder:
     def arity(self) -> int:
         return len(self.perm)
 
-    def __iter__(self) -> Iterable[int]:
-        return iter(self.perm)
-
 
 def stage(g: Monomial, order: VariableOrder) -> int:
     """The first stage at which g lives in the sub-ring of introduced variables.

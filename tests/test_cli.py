@@ -305,6 +305,16 @@ class TestCompare:
         assert text.splitlines()[0] == "DISAGREE"
         assert "differs" in text
 
+    def test_format_is_refused(self, capsys):
+        # compare prints AGREE or a diff table in every case, so it takes no
+        # --format: argparse rejects the flag
+        code, text = run(
+            "compare", "--ring", "x,y", "--ideal", "x^2",
+            "--format", "json", "--max-degree", "3",
+        )
+        assert (code, text) == (cli.EXIT_INPUT, "")
+        assert "--format" in capsys.readouterr().err
+
 
 class TestBench:
     def test_deterministic_for_fixed_seed(self):

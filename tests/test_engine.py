@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -31,6 +32,7 @@ from hilbertfn.monomial import (
     minimal_exponents,
     minimalize,
     reindex_for_table,
+    restrict,
     syzygy_quotient,
 )
 from hilbertfn.parser import parse_ideal
@@ -475,6 +477,49 @@ class TestTable:
         for a in range(4, MAX_ROW + 1):
             assert table.rows[a - 1] == tuple(accumulate(table.rows[a - 2])), a
             assert table.annihilator_hfs[a - 1] == (0,) * 11, a
+
+    def test_rows_never_reenter_the_dispatcher(self, monkeypatch):
+        # row 1 is read off the first reindexed generator; every row up to
+        # the arity is checked against the oracle on the stage quotient
+        def refuse(*args, **kwargs):
+            raise AssertionError("hf_table called hf")
+
+        monkeypatch.setattr(engine, "hf", refuse)
+        rng = random.Random(1414)
+        row_one_kinds = Counter()
+        for k in range(240):
+            arity = rng.randint(1, 5)
+            order = VariableOrder(tuple(rng.sample(range(arity), arity)))
+            a_max = rng.randint(1, arity + 2)
+            b_max = rng.randint(0, 12)
+            I = random_ideal(rng, arity, rng.randint(1, 8), max_exp=rng.choice((2, 4, 8)))
+            x = order.perm[0]
+            unit = Monomial((0,) * arity)
+
+            def power(e):
+                return Monomial(tuple(e if v == x else 0 for v in range(arity)))
+
+            gens = I.generators
+            unstaged = tuple(g for g in gens if any(g.exponents[v] for v in order.perm[1:]))
+            gens = (
+                gens,
+                (unit,),
+                gens + (unit,),
+                (),  # the zero ideal
+                unstaged,  # no stage-1 generator
+                unstaged + (power(b_max + rng.randint(2, 4)),),  # x^m above b_max + 1
+                gens + tuple(power(e) for e in rng.sample(range(1, 15), 3)),  # unsorted x^m
+            )[k % 7]
+            I = MonomialIdeal(arity, gens)
+            table = hf_table(I, order=order, a_max=a_max, b_max=b_max)
+            J = reindex_for_table(I, order)
+            assert len(table.rows) == a_max
+            for a in range(1, min(a_max, arity) + 1):
+                expected = hf(restrict(J, order, a), b_max, method="oracle")
+                assert list(table.rows[a - 1]) == expected, (I, order, a, b_max)
+            m = sum(table.rows[0])
+            row_one_kinds["unit" if m == 0 else "free" if m == b_max + 1 else "power"] += 1
+        assert min(row_one_kinds.values()) > 30 and len(row_one_kinds) == 3, row_one_kinds
 
 
 class TestDispatcher:
