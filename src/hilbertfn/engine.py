@@ -2,7 +2,10 @@
 
 * oracle: brute-force count of the monomials outside the ideal (ground
   truth), one pure-Python walk in :mod:`kernels` for every degree up to
-  b_max, capped by its F(a, b_max) exponent prefixes;
+  b_max.  It opens frames for the exponent prefixes of the first a - 2
+  variables and closes the last two per prefix by runs of the penultimate
+  exponent; the cap still counts its F(a, b_max) prefixes of a - 1
+  variables;
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
   quotients, each monomial packed into one int and each sub-ideal memoized

@@ -1,12 +1,18 @@
 """Enumeration kernel for the brute-force Hilbert function oracle.
 
-One walk over the exponent prefixes of the first a - 1 variables, each of
+One walk over the exponent prefixes of the first a - 2 variables, each of
 total at most b_max, counts the monomials outside the ideal at every degree
-0..b_max at once, in exact integers.  The last variable is never enumerated:
-a prefix that some generators still divide reaches degree b with last
-exponent b - s, so its monomial is outside exactly on an interval of
-degrees; a prefix that no generator divides any more has only free
-completions, which are summed for all degrees together at the end.
+0..b_max at once, in exact integers.  Only those prefixes open stack frames;
+the last two variables are never enumerated.  For each prefix of total d,
+the penultimate exponent's range splits into runs over which the least last
+exponent ``low`` of the generators still dividing stays fixed: a monomial in
+a run is outside exactly while its last exponent is below ``low``, so each
+run adds four +-1 entries to a second-order difference array over the
+degree, and the runs stop at the first ``low`` of 0.  A prefix that no
+generator divides any more has only free completions, which are summed for
+all degrees together at the end.  The walk still closes the same
+F(a, b_max) prefixes of a - 1 variables, but each costs O(runs), not
+O(b_max).
 """
 
 from __future__ import annotations
@@ -17,6 +23,39 @@ from typing import Sequence
 
 # No compiled kernel exists; perfbench/run.py reports this in its run metadata.
 HAVE_COMPILED = False
+
+
+def _runs(
+    dividing: list[tuple[int, ...]], pen: int, last: int, room: int
+) -> list[tuple[int, int]]:
+    """The (offset, sign) entries below ``room`` of the second-order
+    difference array that counts, per degree above the prefix's, the
+    completions (e, f) of the last two variables outside the ideal of
+    ``dividing``, which is sorted by exponent ``pen``.
+
+    A run [e0, e1) of penultimate exponents e over which ``low``, the least
+    last exponent of the generators with penultimate exponent <= e, stays
+    fixed puts (e, f) outside for 0 <= f < low: +1 on degrees e .. e + low - 1
+    for each e in the run, which is the four entries (e0, +1), (e1, -1),
+    (e0 + low, -1) and (e1 + low, +1).  Below the first generator ``low`` is
+    infinite, so that run is the free span; the runs stop at the first
+    ``low`` of 0.  An offset at or above ``room`` changes no degree below the
+    top, so it is dropped."""
+    entries = []
+    start, low = 0, room
+    for g in dividing:
+        f = g[last]
+        if f < low:
+            e = g[pen]
+            if start < e:
+                entries += ((start, 1), (e, -1), (start + low, -1), (e + low, 1))
+            start, low = e, f
+            if low == 0:
+                break
+    else:
+        # the last run never ends
+        entries += ((start, 1), (start + low, -1))
+    return [entry for entry in entries if entry[0] < room]
 
 
 def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) -> list[int]:
@@ -31,21 +70,28 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
         return [1 if b < m else 0 for b in range(top)]
 
     last = arity - 1
-    # Difference arrays over the degree.  ``bounded`` gets +1 on each degree
-    # interval whose monomials are outside.  ``free[k]`` marks the start
-    # degrees of prefixes whose k later variables are free: k + 1 prefix
-    # sums turn the marks into the count of their completions per degree.
-    bounded = [0] * (top + 1)
+    pen = last - 1
+    # Difference arrays over the degree.  ``free[k]`` marks the start degrees
+    # of prefixes whose k later variables are free: k + 1 prefix sums turn
+    # the marks into the count of their completions per degree.  ``bounded``
+    # is ``free[1]``, second order like it: each closed prefix of total d
+    # adds its runs there, shifted by d.
     free = [[0] * (top + 1) for _ in range(arity)]
+    bounded = free[1]
+
+    if arity == 2:
+        for off, sign in _runs(sorted(gen_list, key=itemgetter(pen)), pen, last, top):
+            bounded[off] += sign
 
     # Each frame extends a prefix of total ``s`` that ``active`` divide by the
-    # exponent of variable ``pos``.  Frames only add into the difference
-    # arrays, so the order they are taken in does not matter, and a stack
-    # keeps a ring of any arity within Python's recursion limit.
-    stack = [(0, 0, gen_list)]
+    # exponent of variable ``pos`` < pen.  Frames only add into the
+    # difference arrays, so the order they are taken in does not matter, and
+    # a stack keeps a ring of any arity within Python's recursion limit.
+    stack = [(0, 0, gen_list)] if arity > 2 else []
     while stack:
         pos, s, active = stack.pop()
         active.sort(key=itemgetter(pos))
+        count = len(active)
         first = active[0][pos] if active else top
         # exponents below ``first`` leave no generator dividing the prefix
         stop = min(s + first, top)
@@ -54,28 +100,31 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
             marks[s] += 1
             marks[stop] -= 1
         n = 0
-        low = top  # min of g[last] over active[:n]
+        if pos + 1 < pen:
+            for d in range(s + first, top):
+                e = d - s
+                while n < count and active[n][pos] <= e:
+                    n += 1
+                stack.append((pos + 1, d, active[:n]))
+            continue
+        # Close the last two variables of each extension of total d: its
+        # runs only shift with d until another generator divides it.
+        by_pen = sorted(active, key=itemgetter(pen))
         for d in range(s + first, top):
             e = d - s
-            while n < len(active) and active[n][pos] <= e:
-                if pos + 1 == last:
-                    low = min(low, active[n][last])
-                n += 1
-            if pos + 1 == last:
-                # outside for degrees d .. d + low - 1: the last exponent is
-                # below every surviving generator's
-                end = min(d + low, top)
-                if d < end:
-                    bounded[d] += 1
-                    bounded[end] -= 1
-            else:
-                stack.append((pos + 1, d, active[:n]))
+            room = top - d
+            if n < count and active[n][pos] <= e:
+                while n < count and active[n][pos] <= e:
+                    n += 1
+                entries = _runs([g for g in by_pen if g[pos] <= e], pen, last, room)
+            for off, sign in entries:
+                if off < room:
+                    bounded[d + off] += sign
 
     acc = free[last]
     for k in range(last - 1, 0, -1):
         acc = list(map(add, accumulate(acc), free[k]))
-    acc = list(map(add, accumulate(acc), bounded))
-    return list(accumulate(acc[:top]))
+    return list(accumulate(accumulate(acc[:top])))
 
 
 def count_outside(arity: int, degree: int, gens: Sequence[Sequence[int]]) -> int:

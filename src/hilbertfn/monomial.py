@@ -57,6 +57,14 @@ class Monomial:
         return f"Monomial({self.exponents})"
 
 
+def _unchecked_monomial(exponents: tuple[int, ...]) -> Monomial:
+    """A Monomial on exponents the caller has already bounded (the parser),
+    built without the second pass of ``Monomial.__post_init__``."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exponents", exponents)
+    return m
+
+
 def _check_arity(u: Monomial, v: Monomial) -> None:
     if u.arity != v.arity:
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {v.arity}")

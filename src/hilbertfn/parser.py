@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .monomial import MAX_EXPONENT, Monomial, MonomialIdeal
+from .monomial import MAX_EXPONENT, Monomial, MonomialIdeal, _unchecked_monomial
 from .simplicial import SimplicialComplex
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
@@ -127,7 +127,7 @@ def _parse_generator(piece: str, offset: int, index: dict[str, int], arity: int)
     if not text:
         raise ParseError("empty-generator", SourceSpan(offset, offset + len(piece)), "empty generator")
     if text == "1":
-        return Monomial((0,) * arity)
+        return _unchecked_monomial((0,) * arity)
     exps = [0] * arity
     offset += len(piece) - len(piece.lstrip())
     for factor in text.split("*"):
@@ -141,7 +141,7 @@ def _parse_generator(piece: str, offset: int, index: dict[str, int], arity: int)
         else:
             exps[var] += exp
         offset += len(factor) + 1
-    return Monomial(tuple(exps))
+    return _unchecked_monomial(tuple(exps))
 
 
 def parse_ideal(text: str, ring: Sequence[str]) -> MonomialIdeal:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hilbertfn import cli, engine, parser, simplicial
 from hilbertfn.monomial import MAX_DEGREE, MAX_ROW, VariableOrder, ideal
+from hilbertfn.pascal import pascal_F
 
 
 def run(*argv):
@@ -113,6 +114,25 @@ class TestEval:
             "--max-degree", "9", "--enum-cap", "5", "--method", "oracle",
         )
         assert code == cli.EXIT_CAP
+
+    def test_enum_cap_boundary_is_the_prefix_count(self, capsys):
+        # the oracle walks F(a, b) prefixes: a cap of exactly that many runs,
+        # one less refuses, for eval and compare alike
+        for ring, gens, b in (
+            ("x", "x^3", 4),
+            ("x,y", "x^2*y, y^3", 5),
+            ("x,y,z", "x*z, y*z, x^2*y", 6),
+            ("x,y,z,w", "x^2, y*w, z^3*w", 5),
+            ("v,w,x,y,z", "v*w, x^2*y, z^2", 4),
+        ):
+            work = pascal_F(len(ring.split(",")), b)
+            base = ["--ring", ring, "--ideal", gens, "--max-degree", str(b)]
+            for argv in (["eval", *base, "--method", "oracle"], ["compare", *base]):
+                assert run(*argv, "--enum-cap", str(work))[0] == cli.EXIT_OK, argv
+                code, text = run(*argv, "--enum-cap", str(work - 1))
+                assert (code, text) == (cli.EXIT_CAP, ""), argv
+                err = capsys.readouterr().err
+                assert f"enumeration of {work} monomials exceeds cap {work - 1}" in err, argv
 
     def test_negative_caps_are_input_errors(self, capsys):
         base = ["--ring", "x,y", "--ideal", "x^2,y^2", "--max-degree", "3"]

@@ -335,6 +335,20 @@ class TestIdeal:
         # leading zeros do not count towards the bound
         assert parse_ideal("x^" + "0" * 5000 + "7", XYZ) == parse_ideal("x^7", XYZ)
 
+    def test_parsed_generators_equal_checked_monomials(self):
+        # the parser builds its monomials unchecked; the public constructor
+        # still checks library input
+        with pytest.raises(ValueError):
+            Monomial((-1,))
+        with pytest.raises(OverflowError):
+            Monomial((MAX_EXPONENT + 1,))
+        text = f"1, x^2*y*z^3, z, y*x^{MAX_EXPONENT}*y, x^{MAX_EXPONENT}*y^{MAX_EXPONENT}"
+        for g in parse_ideal(text, XYZ).generators:
+            checked = Monomial(tuple(g.exponents))
+            assert type(g) is Monomial and type(g.exponents) is tuple
+            assert g == checked and hash(g) == hash(checked), g
+            assert g.degree == checked.degree and repr(g) == repr(checked)
+
     def test_empty_generator(self):
         with pytest.raises(ParseError) as e:
             parse_ideal("x^2,, y", XYZ)
