@@ -17,7 +17,6 @@ from .engine import (
     hf_oracle,
     hf_syzygy,
     hf_table,
-    syzygy_numerator,
 )
 from .errors import ResourceCapError
 from .monomial import (

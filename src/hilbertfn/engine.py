@@ -5,11 +5,13 @@
   b_max.  It opens frames for the exponent prefixes of the first a - 2
   variables and closes the last two per prefix by runs of the penultimate
   exponent; the cap still counts its F(a, b_max) prefixes of a - 1
-  variables;
+  variables.  The cap check and the walk are both in :func:`hf`;
+  :func:`hf_oracle` reads one degree of it;
 * lcm: inclusion-exclusion over the lcm lattice of the generators;
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
   quotients, each monomial packed into one int and each sub-ideal memoized
-  on its packed generators (:func:`series.syzygy_numerator`);
+  on its packed generators (:func:`series.series_numerator`, the recursion's
+  one entry for a :class:`MonomialIdeal`);
 * table: row-by-row short-exact-sequence build with annihilator terms.
 
 HF(R/I, b) depends only on the generators of degree <= b, which
@@ -20,9 +22,9 @@ from the generators that can reach them (degree <= b_max + 1) and evaluates
 each stage's annihilator as one numerator.  Each term of a decomposition is
 the minimal exponent tuples of its sub-ideal in the first a - 1 table
 variables, minimalized once; its K(S) is read only up to the degree it can
-reach, by :func:`series.syzygy_coefficients` on those tuples over one memo
-per table, with no Monomial or MonomialIdeal built per term.
-The ``syzygy``, ``oracle`` and ``lcm`` methods and
+reach, by :func:`series.syzygy_coefficients`, the recursion's tuple entry,
+on those tuples over one memo per table, with no Monomial or MonomialIdeal
+built per term.  The ``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
 route to K(t); the 2^n lcm lattice runs only when asked for:
@@ -55,10 +57,10 @@ from .series import (
     SeriesNumerator,
     alternating_numerator,
     expand_series,
+    series_numerator,
     subset_lcm_layers,
     subset_numerator,
     syzygy_coefficients,
-    syzygy_numerator,
 )
 
 MethodKind = Literal["oracle", "lcm", "syzygy", "table", "auto"]
@@ -77,26 +79,12 @@ def upto_degree(I: MonomialIdeal, b: int) -> MonomialIdeal:
     return MonomialIdeal(I.arity, tuple(g for g in I.generators if g.degree <= b))
 
 
-def _check_enum_cap(arity: int, b: int, enum_cap: int) -> None:
-    """Refuse a walk over the F(arity, b) exponent prefixes (the monomials
-    of degree b) when they are more than ``enum_cap``."""
-    work = pascal_F(arity, b)
-    if work > enum_cap:
-        raise ResourceCapError(f"enumeration of {work} monomials exceeds cap {enum_cap}")
-
-
 def hf_oracle(I: MonomialIdeal, b: int, enum_cap: int = ENUM_CAP_DEFAULT) -> int:
-    """Count degree-b monomials outside I by direct enumeration
-    (:func:`kernels.count_outside`), testing every generator as given.
-
-    Refuses (ResourceCapError) when the free ring has more than ``enum_cap``
-    monomials of degree b.
-    """
+    """HF(R/I, b) by direct enumeration: the value at b of ``hf``'s oracle
+    method, so under the same cap, and 0 for b < 0."""
     if b < 0:
         return 0
-    _check_enum_cap(I.arity, b, enum_cap)
-    gens = [g.exponents for g in I.generators]
-    return kernels.count_outside(I.arity, b, gens)
+    return hf(I, b, "oracle", enum_cap)[b]
 
 
 def _check_lattice_cap(I: MonomialIdeal, lattice_cap: int) -> None:
@@ -175,7 +163,7 @@ def hf_syzygy(
     b_max: int,
     stats: Optional[dict] = None,
 ) -> list[int]:
-    """HF(R/I, b) for b = 0..b_max: :func:`syzygy_numerator`, expanded once.
+    """HF(R/I, b) for b = 0..b_max: :func:`series_numerator`, expanded once.
 
     The recursion reads every generator, also those above ``b_max`` (``auto``
     drops them first), and does not depend on ``b_max``.  ``stats`` receives
@@ -184,7 +172,7 @@ def hf_syzygy(
     computed, ``hits`` the lookups answered by the memo, and ``memo_size``
     the sub-ideals stored.
     """
-    return expand_series(syzygy_numerator(I, stats), b_max)
+    return expand_series(series_numerator(I, stats), b_max)
 
 
 @dataclass(frozen=True)
@@ -377,7 +365,10 @@ def hf(
     if method == "syzygy":
         return hf_syzygy(I, b_max)
     if method == "oracle":
-        _check_enum_cap(I.arity, b_max, enum_cap)
+        # the walk visits the F(arity, b_max) exponent prefixes of a - 1 variables
+        work = pascal_F(I.arity, b_max)
+        if work > enum_cap:
+            raise ResourceCapError(f"enumeration of {work} monomials exceeds cap {enum_cap}")
         gens = [g.exponents for g in I.generators]
         return kernels.count_outside_upto(I.arity, b_max, gens)
     if method == "table":

@@ -5,18 +5,19 @@ HS(R/I, t) = K(t) / (1 - t)^a; expanding it against the free-ring counts
 F(a, b) recovers the Hilbert function values.  Two independent routes compute
 K(t):
 
-* the Bayer-Stillman recursion over syzygy sub-ideals.
-  :func:`syzygy_coefficients` runs it on minimal exponent tuples of one
-  arity and minimalizes nothing itself; the table's annihilator terms,
-  already minimal, call it directly.  :func:`syzygy_numerator` is its
-  :class:`MonomialIdeal` boundary, which minimalizes once;
-  :func:`series_numerator`, the syzygy method and ``auto`` take that.  The
-  recursion packs each monomial into one int, a field of W bits per
-  variable whose top bit is a guard that stays 0, so quotients,
-  divisibility and degrees are a few int operations, and ascending ints
-  let each quotient set be minimalized in one pass.  A principal sub-ideal
-  is closed where it is found, with no node opened for it.  The memo keys
-  are opaque: they carry W and do not depend on the ring's arity;
+* the Bayer-Stillman recursion over syzygy sub-ideals, with one entry per
+  input kind.  :func:`syzygy_coefficients` is the tuple entry: it runs on
+  minimal exponent tuples of one arity and minimalizes nothing itself; the
+  table's annihilator terms, already minimal, call it directly.
+  :func:`series_numerator` is the ideal entry: it minimalizes a
+  :class:`MonomialIdeal` once and calls the tuple entry; the syzygy method,
+  ``auto`` and ``series`` take it.  The recursion packs each monomial into
+  one int, a field of W bits per variable whose top bit is a guard that
+  stays 0, so quotients, divisibility and degrees are a few int operations,
+  and ascending ints let each quotient set be minimalized in one pass.  A
+  principal sub-ideal is closed where it is found, with no node opened for
+  it.  The memo keys are opaque: they carry W and do not depend on the
+  ring's arity;
 * :func:`subset_numerator`, the alternating sum over all 2^n subsets of the
   generators of (-1)^|S| t^(deg lcm S); only the lcm lattice method takes
   it, so it stays the independent check on the recursion.  It stays on
@@ -40,8 +41,8 @@ from .monomial import MonomialIdeal, minimal_exponents
 class SeriesNumerator:
     """Finitely supported numerator polynomial with denominator (1 - t)^arity.
 
-    ``coefficients`` maps degree to a signed integer; zero coefficients are
-    not stored.
+    ``coefficients`` is a tuple of ``(degree, coefficient)`` pairs in
+    ascending degree; zero coefficients are not stored.
     """
 
     arity: int
@@ -235,28 +236,17 @@ def syzygy_coefficients(
     return memo[root_key]
 
 
-def syzygy_numerator(
-    I: MonomialIdeal, stats: Optional[dict] = None, memo: Optional[dict] = None
-) -> SeriesNumerator:
+def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
     """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
 
-    The boundary of :func:`syzygy_coefficients` for a :class:`MonomialIdeal`:
-    it minimalizes I's generators once, all of them whatever degree the
-    caller expands to, and runs the recursion on their exponent tuples.
-    ``stats`` and ``memo`` are passed through.
+    The :class:`MonomialIdeal` entry of :func:`syzygy_coefficients`: it
+    minimalizes I's generators once, all of them whatever degree the caller
+    expands to, and runs the recursion on their exponent tuples, so any
+    generating set of the ideal gives the same numerator.  No lattice is
+    built, so no generator cap applies.  ``stats`` is passed through.
     """
     exponents = minimal_exponents(g.exponents for g in I.generators)
-    return SeriesNumerator(I.arity, syzygy_coefficients(exponents, stats, memo))
-
-
-def series_numerator(I: MonomialIdeal) -> SeriesNumerator:
-    """Numerator of HS(R/I, t) over (1 - t)^arity, by :func:`syzygy_numerator`.
-
-    Any generating set of the ideal gives the same numerator; redundant
-    generators are dropped first.  No lattice is built, so no generator cap
-    applies.
-    """
-    return syzygy_numerator(I)
+    return SeriesNumerator(I.arity, syzygy_coefficients(exponents, stats))
 
 
 def expand_series(num: SeriesNumerator, b_max: int) -> list[int]:

@@ -2,7 +2,9 @@ import argparse
 import csv
 import io
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -537,3 +539,25 @@ def test_entry_point_main(monkeypatch, capsys):
         cli.main()
     assert e.value.code == 0
     assert "HF 1 1 0 0" in capsys.readouterr().out
+
+
+def test_readme_command_line_block_runs():
+    # every hilbertfn line of README's "Command line" block exits 0, and a
+    # "# -> ..." comment under a command is a line of that command's output
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands: list[tuple[list[str], list[str]]] = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("hilbertfn "):
+            commands.append((shlex.split(line)[1:], []))
+        elif line.startswith("# -> "):
+            commands[-1][1].append(line[len("# -> "):])
+        else:
+            assert not line.strip() or line.startswith("#"), line
+    assert len(commands) == 7
+    assert ["(1 - t^2 - t^3 + t^5)/(1 - t)^3"] in [shown for _, shown in commands]
+    for argv, shown in commands:
+        code, text = run(*argv)
+        assert code == cli.EXIT_OK, argv
+        for line in shown:
+            assert line in text.splitlines(), argv

@@ -16,7 +16,6 @@ from hilbertfn.engine import (
     hf_oracle,
     hf_syzygy,
     hf_table,
-    syzygy_numerator,
     upto_degree,
 )
 from hilbertfn.errors import ResourceCapError
@@ -75,7 +74,15 @@ class TestOracle:
             with pytest.raises(ResourceCapError):
                 hf(I, b_max, method="oracle", enum_cap=work - 1)
             expected = hf(I, b_max, method="syzygy")
-            assert hf(I, b_max, method="oracle", enum_cap=work) == expected, I
+            values = hf(I, b_max, method="oracle", enum_cap=work)
+            assert values == expected, I
+            # hf_oracle is one degree of that walk, under the same cap at b
+            assert hf_oracle(I, -1, enum_cap=0) == 0
+            for b in range(b_max + 1):
+                work_b = pascal_F(arity, b)
+                with pytest.raises(ResourceCapError):
+                    hf_oracle(I, b, enum_cap=work_b - 1)
+                assert hf_oracle(I, b, enum_cap=work_b) == values[b], (I, b)
 
 
 class TestLcmLattice:
@@ -209,8 +216,7 @@ class TestSyzygy:
             ]
             ideals.append(ideal(arity, *(g for g in gens if any(g))))
         for I in ideals:
-            assert syzygy_numerator(I) == subset_numerator(minimalize(I)), I
-            assert series_numerator(I) == syzygy_numerator(I), I
+            assert series_numerator(I) == subset_numerator(minimalize(I)), I
 
     def test_memo_does_not_depend_on_degree(self):
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
@@ -222,22 +228,28 @@ class TestSyzygy:
         assert low == high
 
     def test_shared_memo(self):
+        # the memo is an argument of the tuple entry alone
+        def shared_coefficients(J, stats=None, memo=None):
+            exponents = minimal_exponents(g.exponents for g in J.generators)
+            return syzygy_coefficients(exponents, stats, memo)
+
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
         memo: dict = {}
         first: dict = {}
         again: dict = {}
-        assert syzygy_numerator(I, first, memo=memo) == syzygy_numerator(I)
+        expected = series_numerator(I).coefficients
+        assert shared_coefficients(I, first, memo) == expected
         size = len(memo)
         assert first["misses"] == size > 1
         # the root is in the memo: no node opens and nothing is added
-        assert syzygy_numerator(I, again, memo=memo) == syzygy_numerator(I)
+        assert shared_coefficients(I, again, memo) == expected
         assert again == {"hits": 1, "misses": 0, "memo_size": size}
         # a sub-ideal already in the memo is not computed again
         sub = parse_ideal("x*z^3, x^2*z^2, y^5", XYZ)
         fresh: dict = {}
         shared: dict = {}
-        syzygy_numerator(sub, fresh)
-        assert syzygy_numerator(sub, shared, memo=memo) == syzygy_numerator(sub)
+        series_numerator(sub, fresh)
+        assert shared_coefficients(sub, shared, memo) == series_numerator(sub).coefficients
         assert shared["misses"] < fresh["misses"]
         # ideals of different largest degrees pack at different widths, and
         # their packed generators can be equal ints: x*y packs to 8 + 1 at
@@ -248,7 +260,8 @@ class TestSyzygy:
             memo = {}
             for text in texts:
                 J = parse_ideal(text, ring)
-                assert syzygy_numerator(J, memo=memo) == syzygy_numerator(J), text
+                expected = series_numerator(J).coefficients
+                assert shared_coefficients(J, memo=memo) == expected, text
 
     def test_recursion_work_is_pinned(self):
         # the nodes and memo hits the recursion takes on a fresh memo; the
@@ -289,7 +302,7 @@ class TestSyzygy:
         hf_syzygy(A, 12, stats=stats)
         assert stats == {"hits": 19, "misses": 14, "memo_size": 14}
         for K in (S, A):
-            assert syzygy_numerator(K) == subset_numerator(K)
+            assert series_numerator(K) == subset_numerator(K)
 
     def test_tuple_entry_takes_minimal_tuples(self):
         # the numerator is the tuple entry on the minimal exponent tuples,
@@ -300,7 +313,7 @@ class TestSyzygy:
             exponents = minimal_exponents(g.exponents for g in I.generators)
             fresh: dict = {}
             tuples: dict = {}
-            num = syzygy_numerator(I, fresh)
+            num = series_numerator(I, fresh)
             assert syzygy_coefficients(exponents, tuples) == num.coefficients
             assert tuples == fresh
         assert syzygy_coefficients([()]) == ()

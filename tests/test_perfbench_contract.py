@@ -65,6 +65,22 @@ def test_tracer_sees_auto_take_the_recursion(monkeypatch):
     assert "engine.syzygy" in layers
 
 
+def test_numerator_route_is_traced_once_per_query(monkeypatch):
+    # hf_syzygy reaches the recursion through engine's own binding of
+    # series_numerator, which the tracer leaves alone: an eval must not also
+    # count as a series.numerator span (each adds 2^n - 1 numerator subsets)
+    ideal = ["--ring", "x,y,z", "--ideal", "x^2*y, y*z^3, x*z, z^4"]
+    for argv, layer, absent in (
+        (["series", *ideal], "series.numerator", "engine.syzygy"),
+        (["eval", *ideal, "--max-degree", "8"], "engine.syzygy", "series.numerator"),
+    ):
+        code, tracer = _traced(monkeypatch, argv)
+        assert code == cli.EXIT_OK, argv[0]
+        layers = [tracer.layer_names[i] for i in tracer.layer]
+        assert layers.count(layer) == 1, argv[0]
+        assert absent not in layers, argv[0]
+
+
 def test_tracer_sees_the_parser_on_eval_and_table(monkeypatch):
     # cli must reach parse_ring and parse_ideal through the parser module
     ideal = ["--ring", "x,y,z", "--ideal", "x^2*y, y*z^3, x*z, z^4", "--max-degree", "8"]
