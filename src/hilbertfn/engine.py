@@ -7,7 +7,8 @@
   exponent; the cap still counts its F(a, b_max) prefixes of a - 1
   variables.  The cap check and the walk are both in :func:`hf`;
   :func:`hf_oracle` reads one degree of it;
-* lcm: inclusion-exclusion over the lcm lattice of the generators;
+* lcm: inclusion-exclusion over the lcm lattice of the minimal generators,
+  weighted by its Mobius function (:func:`series.lattice_numerator`);
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
   quotients, each monomial packed into one int and each sub-ideal memoized
   on its packed generators (:func:`series.series_numerator`, the recursion's
@@ -27,8 +28,8 @@ on those tuples over one memo per table, with no Monomial or MonomialIdeal
 built per term.  The ``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
-route to K(t); the 2^n lcm lattice runs only when asked for:
-``method="lcm"``, ``cancel=True`` and :func:`build_lcm_lattice`.  All
+route to K(t); only ``method="lcm"`` takes the lcm lattice, and only
+``cancel=True`` and :func:`build_lcm_lattice` build its 2^n subsets.  All
 methods return identical values for identical inputs; the test suite
 cross-checks them against each other on randomized ideals.
 """
@@ -55,11 +56,9 @@ from .monomial import (
 from .pascal import pascal_F
 from .series import (
     SeriesNumerator,
-    alternating_numerator,
     expand_series,
+    lattice_numerator,
     series_numerator,
-    subset_lcm_layers,
-    subset_numerator,
     syzygy_coefficients,
 )
 
@@ -107,10 +106,18 @@ class LcmLattice:
 
 
 def build_lcm_lattice(I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT) -> LcmLattice:
+    """Every nonempty-subset lcm of I's generators as given, each layer in
+    colexicographic order of the subsets; each lcm extends the one of the
+    subset without its last generator by one max."""
     if not I.generators:
         raise ValueError("lcm lattice needs at least one generator")
     _check_lattice_cap(I, lattice_cap)
-    layers = subset_lcm_layers(I)
+    layers: list[list[tuple[int, ...]]] = [[(0,) * I.arity]]
+    for gen in I.generators:
+        g = gen.exponents
+        layers.append([])
+        for r in range(len(layers) - 2, -1, -1):
+            layers[r + 1] += [tuple(map(max, m, g)) for m in layers[r]]
     return LcmLattice(I.arity, tuple(tuple(map(Monomial, layer)) for layer in layers[1:]))
 
 
@@ -143,18 +150,22 @@ def hf_lcm_lattice(
 ) -> list[int]:
     """HF(R/I, b) for b = 0..b_max by inclusion-exclusion over the lattice.
 
-    The alternating subset sum is the Hilbert-series numerator K(t), taken
-    over all minimal generators, also those above ``b_max``, and expanded
-    once against F(a, b).  With ``cancel`` it is taken over the lattice of
-    the generators as given, after :func:`adjacent_cancellations`.
-    ``lattice_cap`` bounds the generator count as given.
+    The Hilbert-series numerator K(t) is :func:`lattice_numerator` on all
+    minimal generators, also those above ``b_max``, expanded once against
+    F(a, b).  With ``cancel`` it is the alternating sum over every subset of
+    the generators as given, after :func:`adjacent_cancellations`: a
+    subset-level check on the lattice route.  ``lattice_cap`` bounds the
+    generator count as given.
     """
-    _check_lattice_cap(I, lattice_cap)
-    if cancel and not I.is_zero:
-        counts, _ = adjacent_cancellations(build_lcm_lattice(I, lattice_cap))
-        num = alternating_numerator(I.arity, [Counter({0: 1}), *counts])
-    else:
-        num = subset_numerator(minimalize(I))
+    if not cancel or I.is_zero:
+        _check_lattice_cap(I, lattice_cap)
+        return expand_series(lattice_numerator(minimalize(I)), b_max)
+    counts, _ = adjacent_cancellations(build_lcm_lattice(I, lattice_cap))
+    coeffs = Counter({0: 1})
+    for r, degrees in enumerate(counts, start=1):
+        for d, k in degrees.items():
+            coeffs[d] += (-1) ** r * k
+    num = SeriesNumerator(I.arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
     return expand_series(num, b_max)
 
 

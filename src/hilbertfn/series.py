@@ -18,11 +18,11 @@ K(t):
   principal sub-ideal is closed where it is found, with no node opened for
   it.  The memo keys are opaque: they carry W and do not depend on the
   ring's arity;
-* :func:`subset_numerator`, the alternating sum over all 2^n subsets of the
-  generators of (-1)^|S| t^(deg lcm S); only the lcm lattice method takes
-  it, so it stays the independent check on the recursion.  It stays on
-  exponent tuples, as do :func:`monomial.minimal_exponents` and the
-  oracle, so the cross-checks do not share the packing.
+* :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
+  lattice of the generators, mu its Mobius function; only the lcm lattice
+  method takes it, so it stays the independent check on the recursion.  It
+  stays on exponent tuples, as do :func:`monomial.minimal_exponents` and
+  the oracle, so the cross-checks do not share the packing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import lshift, or_
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .monomial import MonomialIdeal, minimal_exponents
 
@@ -53,42 +53,30 @@ class SeriesNumerator:
         return not self.coefficients
 
 
-def subset_lcm_layers(I: MonomialIdeal) -> list[list[tuple[int, ...]]]:
-    """Exponent vectors of the lcm of every subset of I's generators as given,
-    grouped by subset size.
+def lattice_numerator(I: MonomialIdeal) -> SeriesNumerator:
+    """K(t) by inclusion-exclusion over the lcm lattice of I's generators as given.
 
-    ``layers[r]`` holds the lcms of all r-subsets in colexicographic order
-    (the order of their bitmasks); ``layers[0]`` is the empty subset's 1.
-    Each subset extends the subset without its last generator, so every
-    subset costs one componentwise max and no Monomial is built.
+    K(t) is the sum over lattice elements m of mu(m) t^(deg m), where mu(m)
+    sums (-1)^|S| over the generator subsets S with lcm m.  Each generator g
+    makes one pass over a snapshot of the dict m -> mu(m),
+    ``mu[lcm(m, g)] -= mu[m]``; an entry that reaches 0 is dropped, and a
+    later term may recreate it.  Any generating set of the ideal gives the
+    same K(t), so callers pass the minimal generators.
     """
-    layers: list[list[tuple[int, ...]]] = [[(0,) * I.arity]]
+    mu = {(0,) * I.arity: 1}
     for gen in I.generators:
         g = gen.exponents
-        layers.append([])
-        for r in range(len(layers) - 2, -1, -1):
-            layers[r + 1] += [tuple(map(max, m, g)) for m in layers[r]]
-    return layers
-
-
-def alternating_numerator(arity: int, layer_degrees: Iterable[Counter]) -> SeriesNumerator:
-    """The numerator sum over r of (-1)^r * sum over d of layer_degrees[r][d] t^d."""
+        for m, c in list(mu.items()):
+            join = tuple(map(max, m, g))
+            left = mu.get(join, 0) - c
+            if left:
+                mu[join] = left
+            else:
+                del mu[join]
     coeffs: Counter = Counter()
-    for r, degrees in enumerate(layer_degrees):
-        sign = -1 if r % 2 else 1
-        for d, mult in degrees.items():
-            coeffs[d] += sign * mult
-    return SeriesNumerator(arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
-
-
-def subset_numerator(I: MonomialIdeal) -> SeriesNumerator:
-    """K(t) summed over the subsets of I's generators as given.
-
-    Any generating set of the ideal gives the same K(t), so callers pass the
-    minimal generators to sum over the fewest subsets.
-    """
-    layers = subset_lcm_layers(I)
-    return alternating_numerator(I.arity, (Counter(map(sum, layer)) for layer in layers))
+    for m, c in mu.items():
+        coeffs[sum(m)] += c
+    return SeriesNumerator(I.arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
 
 
 @lru_cache(maxsize=64)

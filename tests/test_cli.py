@@ -1,7 +1,9 @@
 import argparse
 import csv
 import io
+import itertools
 import json
+import random
 import shlex
 import time
 from pathlib import Path
@@ -326,6 +328,34 @@ class TestCompare:
         assert code == cli.EXIT_DISAGREE
         assert text.splitlines()[0] == "DISAGREE"
         assert "differs" in text
+
+    def test_lcm_method_builds_no_subset_lattice(self, monkeypatch, capsys):
+        # the lcm method sums the lattice's Mobius values; only cancel=True
+        # still builds the 2^n subset lattice
+        def refuse(*args, **kwargs):
+            raise AssertionError("the subset lattice was built")
+
+        monkeypatch.setattr(engine, "build_lcm_lattice", refuse)
+        I = parser.parse_ideal("x^2*y*z^3, x^3*z, y^2*z^2", ["x", "y", "z"])
+        assert engine.hf(I, 8, "lcm") == engine.hf(I, 8, "oracle")
+        base = ["--ring", "x,y,z", "--ideal", "x^2*y*z^3, x^3*z, y^2*z^2", "--max-degree", "8"]
+        assert run("compare", *base) == (cli.EXIT_OK, "AGREE\n")
+        with pytest.raises(AssertionError, match="subset lattice"):
+            engine.hf_lcm_lattice(I, 8, cancel=True)
+        # 20 of the 56 cubics in six variables, an antichain at the cap
+        rng = random.Random(20)
+        cubics = [e for e in itertools.product(range(4), repeat=6) if sum(e) == 3]
+        gens = rng.sample(cubics, engine.LATTICE_CAP_DEFAULT)
+        names = [f"x{i}" for i in range(1, 7)]
+        ring = ["--ring", ",".join(names), "--max-degree", "6"]
+        text = parser.render_ideal(ideal(6, *gens), names)
+        assert run("compare", *ring, "--ideal", text) == (cli.EXIT_OK, "AGREE\n")
+        # a 21st, redundant generator: the cap counts generators as given
+        redundant = (gens[0][0] + 1, *gens[0][1:])
+        text = parser.render_ideal(ideal(6, *gens, redundant), names)
+        code, out = run("eval", *ring, "--ideal", text, "--method", "lcm")
+        assert (code, out) == (cli.EXIT_CAP, "")
+        assert "21 generators exceed lattice cap 20" in capsys.readouterr().err
 
     def test_format_is_refused(self, capsys):
         # compare prints AGREE or a diff table in every case, so it takes no

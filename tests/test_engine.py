@@ -36,7 +36,7 @@ from hilbertfn.monomial import (
 )
 from hilbertfn.parser import parse_ideal
 from hilbertfn.pascal import hf_principal, hf_two_generators, pascal_F
-from hilbertfn.series import series_numerator, subset_numerator, syzygy_coefficients
+from hilbertfn.series import lattice_numerator, series_numerator, syzygy_coefficients
 
 XYZ = ["x", "y", "z"]
 
@@ -141,6 +141,38 @@ class TestLcmLattice:
             J = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 8), max_exp=4)
             assert hf_lcm_lattice(J, 12, cancel=True) == hf_lcm_lattice(J, 12), J
 
+    def test_lattice_numerator_is_the_layer_sum(self):
+        # on the generators as given, the Mobius dict sums to the alternating
+        # sum over every subset lcm of the lattice's layers.  The last
+        # generator of x, y, x*y takes the entry x*y to 0, which drops it,
+        # before lcm(x, x*y) brings it back; unit generators empty the dict,
+        # and duplicates and multiples cancel against their divisors
+        rng = random.Random(18)
+        ideals = [MonomialIdeal(3), ideal(2, (1, 0), (0, 1), (1, 1)), ideal(2, (0, 0))]
+        for _ in range(120):
+            arity = rng.randint(1, 4)
+            gens = list(random_ideal(rng, arity, rng.randint(1, 7), max_exp=3).generators)
+            kind = rng.choice(("unit", "duplicate", "multiple", "plain"))
+            if kind == "unit":
+                g = Monomial((0,) * arity)
+            elif kind == "duplicate":
+                g = rng.choice(gens)
+            else:
+                e = list(rng.choice(gens).exponents)
+                e[rng.randrange(arity)] += 1
+                g = Monomial(tuple(e))
+            if kind != "plain":
+                gens.insert(rng.randrange(len(gens) + 1), g)
+            ideals.append(MonomialIdeal(arity, tuple(gens)))
+        for I in ideals:
+            coeffs = Counter({0: 1})
+            layers = build_lcm_lattice(I).layers if I.generators else ()
+            for r, layer in enumerate(layers, start=1):
+                for m in layer:
+                    coeffs[m.degree] += (-1) ** r
+            expected = tuple(sorted((d, c) for d, c in coeffs.items() if c))
+            assert lattice_numerator(I).coefficients == expected, I
+
 
 class TestSyzygy:
     def test_two_generators(self):
@@ -167,7 +199,7 @@ class TestSyzygy:
         assert hf_syzygy(I, 8) == hf_syzygy(parse_ideal("x^2, y^3", XYZ), 8)
 
     def test_numerator_matches_subset_sum(self):
-        # the recursion and the subset-lcm sum are independent routes to K(t)
+        # the recursion and the lcm lattice are independent routes to K(t)
         rng = random.Random(1992)
         ideals = [MonomialIdeal(3), parse_ideal("1", XYZ), parse_ideal("x^2, 1, y", XYZ)]
         for _ in range(200):
@@ -216,7 +248,7 @@ class TestSyzygy:
             ]
             ideals.append(ideal(arity, *(g for g in gens if any(g))))
         for I in ideals:
-            assert series_numerator(I) == subset_numerator(minimalize(I)), I
+            assert series_numerator(I) == lattice_numerator(minimalize(I)), I
 
     def test_memo_does_not_depend_on_degree(self):
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
@@ -289,8 +321,7 @@ class TestSyzygy:
         hf_syzygy(S, 20, stats=stats)
         assert stats == {"hits": 11, "misses": 2, "memo_size": 2}
         # an equal-degree antichain drawn as the many-generators workload
-        # draws them (degree 5 in 4 variables), with 16 generators so that
-        # the 2^16 subset sum stays cheap
+        # draws them (degree 5 in 4 variables), with 16 generators
         rng = random.Random(24)
         pool: set[tuple[int, ...]] = set()
         while len(pool) < 16:
@@ -302,7 +333,7 @@ class TestSyzygy:
         hf_syzygy(A, 12, stats=stats)
         assert stats == {"hits": 19, "misses": 14, "memo_size": 14}
         for K in (S, A):
-            assert series_numerator(K) == subset_numerator(K)
+            assert series_numerator(K) == lattice_numerator(K)
 
     def test_tuple_entry_takes_minimal_tuples(self):
         # the numerator is the tuple entry on the minimal exponent tuples,

@@ -4,7 +4,7 @@ import random
 import pytest
 from conftest import random_ideal
 
-from hilbertfn import cli, series
+from hilbertfn import cli, engine, series
 from hilbertfn.engine import LATTICE_CAP_DEFAULT, hf
 from hilbertfn.monomial import ideal, minimalize
 from hilbertfn.parser import parse_ideal
@@ -102,7 +102,8 @@ def test_series_never_uses_the_subset_sum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the subset sum was used")
 
-    monkeypatch.setattr(series, "subset_lcm_layers", refuse)
+    monkeypatch.setattr(series, "lattice_numerator", refuse)
+    monkeypatch.setattr(engine, "lattice_numerator", refuse)
     for text in (
         "x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2",
         "x^2, x^3*y, y^3, x^2*y^3, y^3",
