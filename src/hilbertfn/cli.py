@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: eval, table, series, compare, bench, sr.  Exit codes:
-0 success / agreement, 1 method disagreement (compare), 2 input error
-(including a ``--max-degree`` or ``--expand-to`` above ``MAX_DEGREE``, a
-``--max-row`` above ``MAX_ROW`` and a negative ``--enum-cap`` or
-``--lattice-cap``), 3 resource cap exceeded.
+0 success / agreement, 1 method disagreement (compare), 2 input error,
+3 resource cap exceeded.  Every integer flag but ``--seed`` declares its
+range: ``--max-degree`` and ``--expand-to`` 0..``MAX_DEGREE``,
+``--max-row`` 1..``MAX_ROW``, ``--enum-cap`` and ``--lattice-cap`` >= 0,
+``--repetitions`` >= 1.  argparse refuses a value outside it, like any other
+bad flag value, with exit code 2 before any work.
 """
 
 from __future__ import annotations
@@ -20,13 +22,19 @@ from typing import Optional, Sequence
 
 from . import engine, parser, series, simplicial
 from .errors import ResourceCapError
-from .monomial import MAX_DEGREE, MAX_ROW, Monomial, MonomialIdeal, VariableOrder
+from .monomial import Monomial, MonomialIdeal, VariableOrder
 from .parser import ParseError
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+
+# Largest degree bound (--max-degree, --expand-to) the command line accepts.
+MAX_DEGREE = 10**5
+# Largest table row count (--max-row) the command line accepts: it bounds the
+# rows printed, each of --max-degree + 1 values that grow with the row.
+MAX_ROW = 1000
 
 
 def _print_values(values: Sequence[int], fmt: str, meta: dict, out) -> None:
@@ -112,8 +120,6 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    if args.expand_to is not None and args.expand_to < 0:
-        raise ValueError("--expand-to must be >= 0")
     ring, I = _parse_ring_and_ideal(args)
     num = series.series_numerator(I)
     values = None if args.expand_to is None else series.expand_series(num, args.expand_to)
@@ -185,8 +191,6 @@ def _bench_cases(seed: int) -> list[tuple[int, MonomialIdeal]]:
 
 
 def cmd_bench(args, out) -> int:
-    if args.repetitions < 1:
-        raise ValueError("--repetitions must be >= 1")
     b_max = args.max_degree
     records = []
     for rep in range(args.repetitions):
@@ -198,7 +202,6 @@ def cmd_bench(args, out) -> int:
                 "arity": arity,
                 "generators": len(I.generators),
                 "ideal": parser.render_ideal(I, ring),
-                "subsets": 2 ** len(I.generators) - 1,
                 "methods": {},
             }
             for method in ("lcm", "syzygy", "table"):
@@ -285,16 +288,34 @@ def cmd_sr(args, out) -> int:
     return EXIT_OK
 
 
+def _bounded(low: int, high: Optional[int] = None):
+    """An argparse ``type`` for an integer flag in low..high, unbounded above
+    when ``high`` is None: argparse refuses any other value with exit code 2
+    and a message that names the flag."""
+
+    def in_range(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    # argparse names the type in its message for a non-integer
+    in_range.__name__ = "int"
+    return in_range
+
+
 def _add_common(sub, *, degree=True, caps=False) -> None:
     """Ring and ideal flags; ``caps`` adds the two method caps, for the
     subcommands whose methods read them."""
     sub.add_argument("--ring", required=True, help="comma-separated variables")
     sub.add_argument("--ideal", required=True, help="comma-separated generators")
     if degree:
-        sub.add_argument("--max-degree", type=int, default=10)
+        sub.add_argument("--max-degree", type=_bounded(0, MAX_DEGREE), default=10)
     if caps:
-        sub.add_argument("--enum-cap", type=int, default=engine.ENUM_CAP_DEFAULT)
-        sub.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
+        sub.add_argument("--enum-cap", type=_bounded(0), default=engine.ENUM_CAP_DEFAULT)
+        sub.add_argument("--lattice-cap", type=_bounded(0), default=engine.LATTICE_CAP_DEFAULT)
 
 
 @functools.cache
@@ -321,13 +342,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("table", help="Hilbert function table", parents=[fmt])
     _add_common(s)
-    s.add_argument("--max-row", type=int, required=True)
+    s.add_argument("--max-row", type=_bounded(1, MAX_ROW), required=True)
     s.add_argument("--order", help="variable introduction order (default: ring order)")
     s.set_defaults(func=cmd_table)
 
     s = subs.add_parser("series", help="Hilbert series as a rational function", parents=[fmt])
     _add_common(s, degree=False)
-    s.add_argument("--expand-to", type=int, default=None)
+    s.add_argument("--expand-to", type=_bounded(0, MAX_DEGREE), default=None)
     s.set_defaults(func=cmd_series)
 
     s = subs.add_parser("compare", help="run all four methods and diff")
@@ -336,37 +357,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bench", help="benchmark the methods on generated ideals", parents=[fmt])
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--repetitions", type=int, default=1)
-    s.add_argument("--max-degree", type=int, default=10)
-    s.add_argument("--lattice-cap", type=int, default=engine.LATTICE_CAP_DEFAULT)
+    s.add_argument("--repetitions", type=_bounded(1), default=1)
+    s.add_argument("--max-degree", type=_bounded(0, MAX_DEGREE), default=10)
+    s.add_argument("--lattice-cap", type=_bounded(0), default=engine.LATTICE_CAP_DEFAULT)
     s.set_defaults(func=cmd_bench)
 
     s = subs.add_parser("sr", help="Stanley-Reisner pipeline from a facet list", parents=[fmt])
     s.add_argument("--ring", required=True, help="comma-separated vertex names")
     s.add_argument("--facets", required=True, help="semicolon-separated facets")
-    s.add_argument("--max-degree", type=int, default=10)
+    s.add_argument("--max-degree", type=_bounded(0, MAX_DEGREE), default=10)
     s.set_defaults(func=cmd_sr)
 
     return p
-
-
-def _check_degree_bounds(args) -> None:
-    """Refuse, before any work, a degree or row bound above its limit and a
-    negative method cap."""
-    for flag, bound in (
-        ("max_degree", MAX_DEGREE),
-        ("expand_to", MAX_DEGREE),
-        ("max_row", MAX_ROW),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None and value > bound:
-            name = "--" + flag.replace("_", "-")
-            raise ValueError(f"{name} {value} exceeds supported bound {bound}")
-    for flag in ("enum_cap", "lattice_cap"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            name = "--" + flag.replace("_", "-")
-            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -382,11 +384,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        _check_degree_bounds(args)
         return args.func(args, out)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -16,11 +16,6 @@ class ArityMismatchError(ValueError):
 
 
 MAX_EXPONENT = 10**6
-# Largest degree bound (--max-degree, --expand-to) the command line accepts.
-MAX_DEGREE = 10**5
-# Largest table row count (--max-row) the command line accepts: it bounds the
-# rows printed, each of --max-degree + 1 values that grow with the row.
-MAX_ROW = 1000
 
 
 @dataclass(frozen=True)

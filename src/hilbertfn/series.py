@@ -100,11 +100,13 @@ def syzygy_coefficients(
     memo: Optional[dict] = None,
 ) -> tuple[tuple[int, int], ...]:
     """The ``(degree, coefficient)`` pairs of K(t) for the monomial ideal
-    whose minimal generators have the exponent tuples ``exponents``.
+    generated by the exponent tuples ``exponents``.
 
     The tuples must share one arity, which may be 0 (``[()]`` is the unit
-    ideal in no variables), and must already be minimal: no minimalization
-    happens here, so a redundant generator gives a wrong K(t).  With the
+    ideal in no variables).  They need not be minimal: a divisor packs to a
+    smaller int and sorts first, so the S_j of a repeated or redundant
+    generator holds the unit ideal, whose K is 0.  Minimal tuples only save
+    nodes, which is why :func:`series_numerator` minimalizes.  With the
     generators sorted as g_1 < ... < g_n,
 
         K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
@@ -136,12 +138,12 @@ def syzygy_coefficients(
     * degree: ``v * ones`` sums all fields of v into the top one.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
-    memoized on W and its sorted packed minimal generators.  Equal keys
-    mean equal K(t): a key fixes the exponents field by field, and K(t) is
-    the same under a renaming of the variables and whatever trailing
-    variables no generator uses, so the key does not depend on the ring's
-    arity.  It carries W because ideals packed at different widths can give
-    equal ints.  Keys are opaque.
+    memoized on W and its sorted packed generators, minimal below the root
+    and as given at it.  Equal keys mean equal K(t): a key fixes the
+    exponents field by field, and K(t) is the same under a renaming of the
+    variables and whatever trailing variables no generator uses, so the key
+    does not depend on the ring's arity.  It carries W because ideals packed
+    at different widths can give equal ints.  Keys are opaque.
 
     ``memo``, when given, maps those keys to coefficient tuples and is read
     and filled in place, so calls that pass the same dict share their

@@ -238,7 +238,6 @@ def test_criterion_12_bench_determinism():
     assert len(doc1["cases"]) == len(doc2["cases"]) == 20
     for e1, e2 in zip(doc1["cases"], doc2["cases"]):
         assert e1["ideal"] == e2["ideal"]
-        assert e1["subsets"] == 2 ** e1["generators"] - 1
         for method in ("lcm", "syzygy", "table"):
             assert e1["methods"][method].get("values") == (
                 e2["methods"][method].get("values")

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertfn import cli, engine, parser, simplicial
-from hilbertfn.monomial import MAX_DEGREE, MAX_ROW, VariableOrder, ideal
+from hilbertfn.cli import MAX_DEGREE, MAX_ROW
+from hilbertfn.monomial import VariableOrder, ideal
 from hilbertfn.pascal import pascal_F
 
 
@@ -94,23 +95,44 @@ class TestEval:
             assert code == cli.EXIT_INPUT, ideal
             assert span in capsys.readouterr().err, ideal
 
-    def test_degree_bound(self):
+    def test_degree_bound(self, capsys):
         argv = ["eval", "--ring", "x", "--ideal", "x", "--method", "oracle"]
         code, text = run(*argv, "--max-degree", "100000000")
         assert (code, text) == (cli.EXIT_INPUT, "")
         code, text = run(*argv, "--max-degree", str(MAX_DEGREE))
         assert code == 0
         assert text.splitlines()[1] == "HF 1" + " 0" * MAX_DEGREE
+        capsys.readouterr()
         over = str(MAX_DEGREE + 1)
         ideal = ["--ring", "x,y", "--ideal", "x^2"]
-        for rejected in (
-            ["table", *ideal, "--max-row", "2", "--max-degree", over],
-            ["compare", *ideal, "--max-degree", over],
-            ["series", *ideal, "--expand-to", over],
-            ["sr", "--ring", "x,y", "--facets", "x; y", "--max-degree", over],
-            ["bench", "--max-degree", over],
+        # every bound is argparse's, so the message names the flag
+        for flag, rejected in (
+            ("--max-degree", ["eval", *ideal, "--max-degree", "-1"]),
+            ("--max-degree", ["table", *ideal, "--max-row", "2", "--max-degree", over]),
+            ("--max-degree", ["table", *ideal, "--max-row", "2", "--max-degree", "-1"]),
+            ("--max-degree", ["compare", *ideal, "--max-degree", over]),
+            ("--max-degree", ["compare", *ideal, "--max-degree", "-1"]),
+            ("--expand-to", ["series", *ideal, "--expand-to", over]),
+            ("--expand-to", ["series", *ideal, "--expand-to", "-1"]),
+            ("--max-degree", ["sr", "--ring", "x,y", "--facets", "x; y", "--max-degree", over]),
+            ("--max-degree", ["sr", "--ring", "x,y", "--facets", "x; y", "--max-degree", "-1"]),
+            ("--max-degree", ["bench", "--max-degree", over]),
+            ("--max-degree", ["bench", "--max-degree", "-1"]),
+            ("--max-row", ["table", *ideal, "--max-row", "0"]),
+            ("--max-row", ["table", *ideal, "--max-row", str(MAX_ROW + 1)]),
+            ("--repetitions", ["bench", "--repetitions", "0"]),
         ):
             assert run(*rejected) == (cli.EXIT_INPUT, ""), rejected
+            assert f"argument {flag}" in capsys.readouterr().err, rejected
+        # refused before the complex is read: no violation is reported
+        assert run("sr", "--ring", "a,b", "--facets", "a", "--max-degree", "-1") == (
+            cli.EXIT_INPUT, ""
+        )
+        err = capsys.readouterr().err
+        assert "argument --max-degree" in err and "violation:" not in err
+        # a non-integer reads as for a plain int flag
+        assert run("table", *ideal, "--max-row", "2.5") == (cli.EXIT_INPUT, "")
+        assert "argument --max-row: invalid int value: '2.5'" in capsys.readouterr().err
 
     def test_cap_exit_code(self):
         code, _ = run(
@@ -140,17 +162,16 @@ class TestEval:
 
     def test_negative_caps_are_input_errors(self, capsys):
         base = ["--ring", "x,y", "--ideal", "x^2,y^2", "--max-degree", "3"]
-        for argv in (
-            ["eval", *base, "--enum-cap", "-1", "--method", "oracle"],
-            ["eval", *base, "--lattice-cap", "-1", "--method", "lcm"],
-            ["eval", *base, "--lattice-cap", "-5"],
-            ["compare", *base, "--enum-cap", "-1"],
-            ["compare", *base, "--lattice-cap", "-1"],
-            ["bench", "--max-degree", "3", "--lattice-cap", "-1"],
+        for flag, argv in (
+            ("--enum-cap", ["eval", *base, "--enum-cap", "-1", "--method", "oracle"]),
+            ("--lattice-cap", ["eval", *base, "--lattice-cap", "-1", "--method", "lcm"]),
+            ("--lattice-cap", ["eval", *base, "--lattice-cap", "-5"]),
+            ("--enum-cap", ["compare", *base, "--enum-cap", "-1"]),
+            ("--lattice-cap", ["compare", *base, "--lattice-cap", "-1"]),
+            ("--lattice-cap", ["bench", "--max-degree", "3", "--lattice-cap", "-1"]),
         ):
             assert run(*argv) == (cli.EXIT_INPUT, ""), argv
-            err = capsys.readouterr().err
-            assert err.startswith("input error: --") and "must be >= 0" in err, argv
+            assert f"argument {flag}: must be >= 0" in capsys.readouterr().err, argv
 
     def test_zero_caps_are_caps(self):
         base = ["eval", "--ring", "x,y", "--ideal", "x^2,y^2", "--max-degree", "3"]
@@ -380,7 +401,7 @@ class TestBench:
         doc1, doc2 = json.loads(text1), json.loads(text2)
         for e1, e2 in zip(doc1["cases"], doc2["cases"]):
             assert e1["ideal"] == e2["ideal"]
-            assert e1["subsets"] == 2 ** e1["generators"] - 1
+            assert list(e1) == ["case", "repetition", "arity", "generators", "ideal", "methods"]
             for method in ("lcm", "syzygy", "table"):
                 assert e1["methods"][method].get("values") == (
                     e2["methods"][method].get("values")

@@ -6,6 +6,7 @@ import pytest
 from conftest import compositions, random_ideal
 
 from hilbertfn import engine
+from hilbertfn.cli import MAX_ROW
 from hilbertfn.engine import (
     adjacent_cancellations,
     annihilator_decomposition,
@@ -21,7 +22,6 @@ from hilbertfn.engine import (
 from hilbertfn.errors import ResourceCapError
 from hilbertfn.monomial import (
     MAX_EXPONENT,
-    MAX_ROW,
     ArityMismatchError,
     Monomial,
     MonomialIdeal,
@@ -349,6 +349,28 @@ class TestSyzygy:
             assert tuples == fresh
         assert syzygy_coefficients([()]) == ()
         assert syzygy_coefficients([]) == ((0, 1),)
+        # minimal tuples only save nodes: a divisor packs to a smaller int and
+        # sorts first, so the S_j of a repeated or redundant generator holds
+        # the unit ideal, whose K is 0
+        shared: dict = {}
+        for _ in range(400):
+            arity = rng.randint(0, 7)
+            raw = [
+                tuple(rng.choice((0, 0, 1, 2, 3, MAX_EXPONENT)) for _ in range(arity))
+                for _ in range(rng.randint(1, 6))
+            ]
+            for _ in range(rng.randint(0, 3)):
+                g = rng.choice(raw)
+                raw.append(g)  # a duplicate
+                raw.append(tuple(min(e + rng.randint(0, 2), MAX_EXPONENT) for e in g))
+            if rng.random() < 0.1:
+                raw.append((0,) * arity)  # the unit
+            rng.shuffle(raw)
+            expected = syzygy_coefficients(minimal_exponents(raw))
+            assert syzygy_coefficients(raw) == expected, raw
+            assert syzygy_coefficients(raw, memo=shared) == expected, raw
+        assert syzygy_coefficients([(), ()]) == ()
+        assert syzygy_coefficients([(2, 1), (2, 1), (3, 1), (0, 0)]) == ()
 
     def test_power_of_maximal_ideal(self):
         # m^20 in 3 variables: every monomial of degree >= 20 lies in it
