@@ -38,7 +38,6 @@ from .pascal import (
     hf_principal,
     hf_two_generators,
     pascal_F,
-    pascal_F_ascending,
     pascal_table,
 )
 from .series import SeriesNumerator, expand_series, render_series, series_numerator

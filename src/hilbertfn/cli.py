@@ -81,7 +81,7 @@ def cmd_eval(args, out) -> int:
 
 
 def _variable_order(args, ring: list[str]) -> VariableOrder:
-    if not getattr(args, "order", None):
+    if not args.order:
         return VariableOrder.identity(len(ring))
     names = parser.parse_ring(args.order)
     if sorted(names) != sorted(ring):

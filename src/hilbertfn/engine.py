@@ -98,19 +98,17 @@ class LcmLattice:
     """All nonempty-subset lcms of an ideal's generators, grouped by subset size.
 
     ``layers[r - 1]`` holds the lcm of every r-subset, so layer r has
-    C(n, r) entries and contributes with sign (-1)^(r-1) to HF(I, b).
+    C(n, r) entries and contributes with sign (-1)^(r-1) to HF(I, b).  The
+    zero ideal's lattice is empty, with no layers, and its K is 1.
     """
 
-    arity: int
     layers: tuple[tuple[Monomial, ...], ...]
 
 
 def build_lcm_lattice(I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT) -> LcmLattice:
-    """Every nonempty-subset lcm of I's generators as given, each layer in
-    colexicographic order of the subsets; each lcm extends the one of the
-    subset without its last generator by one max."""
-    if not I.generators:
-        raise ValueError("lcm lattice needs at least one generator")
+    """Every nonempty-subset lcm of I's generators as given (none for the
+    zero ideal), each layer in colexicographic order of the subsets; each
+    lcm extends the one of the subset without its last generator by one max."""
     _check_lattice_cap(I, lattice_cap)
     layers: list[list[tuple[int, ...]]] = [[(0,) * I.arity]]
     for gen in I.generators:
@@ -118,7 +116,7 @@ def build_lcm_lattice(I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT) 
         layers.append([])
         for r in range(len(layers) - 2, -1, -1):
             layers[r + 1] += [tuple(map(max, m, g)) for m in layers[r]]
-    return LcmLattice(I.arity, tuple(tuple(map(Monomial, layer)) for layer in layers[1:]))
+    return LcmLattice(tuple(tuple(map(Monomial, layer)) for layer in layers[1:]))
 
 
 def adjacent_cancellations(
@@ -154,10 +152,10 @@ def hf_lcm_lattice(
     minimal generators, also those above ``b_max``, expanded once against
     F(a, b).  With ``cancel`` it is the alternating sum over every subset of
     the generators as given, after :func:`adjacent_cancellations`: a
-    subset-level check on the lattice route.  ``lattice_cap`` bounds the
-    generator count as given.
+    subset-level check.  Either way the zero ideal's empty lattice gives
+    K = 1.  ``lattice_cap`` bounds the generator count as given.
     """
-    if not cancel or I.is_zero:
+    if not cancel:
         _check_lattice_cap(I, lattice_cap)
         return expand_series(lattice_numerator(minimalize(I)), b_max)
     counts, _ = adjacent_cancellations(build_lcm_lattice(I, lattice_cap))

@@ -44,7 +44,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at {span.start}..{span.end})")
         self.kind = kind
         self.span = span
-        self.message = message
 
 
 def parse_ring(text: str) -> list[str]:

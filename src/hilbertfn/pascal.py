@@ -1,19 +1,16 @@
 """Exact Pascal-table combinatorics and closed-form Hilbert functions.
 
-``F(a, b)`` counts the monomials of degree b in a variables, i.e. the entry
-of row a, column b of the Pascal table, with the convention F(a, b) = 0 for
-b < 0 so callers never branch on degree ranges.  The closed forms for one
-and two generators are reference formulas: :func:`hilbertfn.engine.hf`
-takes the syzygy recursion for every ideal, and the tests check it against
-them.
+The module holds F, the Pascal table and the two closed forms.  ``F(a, b)``
+counts the monomials of degree b in a variables, i.e. the entry of row a,
+column b of the Pascal table, with the convention F(a, b) = 0 for b < 0 so
+callers never branch on degree ranges.  The closed forms for one and two
+generators are reference formulas: :func:`hilbertfn.engine.hf` takes the
+syzygy recursion for every ideal, and the tests check it against them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
-
-AscendingForm = Literal["by-b", "by-a"]
 
 
 def pascal_F(a: int, b: int) -> int:
@@ -41,32 +38,6 @@ def pascal_table(a_max: int, b_max: int) -> list[list[int]]:
             row.append(prev[b] + row[b - 1])
         rows.append(row)
     return rows
-
-
-def pascal_F_ascending(a: int, b: int, form: AscendingForm = "by-b") -> int:
-    """Evaluate F(a, b) as a sum of ascending-factorial terms.
-
-    by-b: sum over i of [b]^i / i! for i = 0..a-1.
-    by-a: sum over j of [a-1]^j / j! for j = 0..b.
-    Each term is a binomial, so the stepwise product/divide stays exact.
-    """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    if b < 0:
-        raise ValueError("b must be >= 0")
-    total = 1
-    term = 1
-    if form == "by-b":
-        for i in range(1, a):
-            term = term * (b + i - 1) // i
-            total += term
-    elif form == "by-a":
-        for j in range(1, b + 1):
-            term = term * (a - 2 + j) // j
-            total += term
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return total
 
 
 def hf_principal(a: int, d: int, b: int) -> int:

@@ -60,7 +60,7 @@ def validate_complex(c: SimplicialComplex) -> list[str]:
                     f"facet {c.facets[i]} is contained in facet {c.facets[j]}"
                 )
                 break
-    covered = set().union(*facet_sets) if facet_sets else set()
+    covered = set().union(*facet_sets)
     for v in c.vertices:
         if v not in covered:
             violations.append(f"vertex {v!r} is not covered by any facet")

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import re
 import shlex
 import time
 from pathlib import Path
@@ -431,6 +432,26 @@ class TestBench:
         assert code == 0
         header = text.splitlines()[0].split(",")
         assert header == ["case", "repetition", "arity", "generators", "method", "seconds", "ok"]
+
+    def test_text_format_reports_capped_cases(self):
+        # the default format: one line per case and method, lcm refused past
+        # the lattice cap, syzygy timed with its memo size and hits
+        code, text = run("bench", "--seed", "1", "--max-degree", "2", "--lattice-cap", "3")
+        assert code == 0
+        line_re = re.compile(r"case (\d+) arity=(\d+) gens=(\d+) (lcm|syzygy|table): (.*)")
+        capped = 0
+        for line in text.splitlines():
+            m = line_re.fullmatch(line)
+            assert m, line
+            gens, method, rest = int(m[3]), m[4], m[5]
+            if method == "lcm" and gens > 3:
+                assert rest == f"capped ({gens} generators exceed lattice cap 3)", line
+                capped += 1
+            elif method == "syzygy":
+                assert re.fullmatch(r"\d+\.\d{4}s memo=\d+ hits=\d+", rest), line
+            else:
+                assert re.fullmatch(r"\d+\.\d{4}s", rest), line
+        assert capped == 16
 
     def test_repetitions_must_be_positive(self, capsys):
         for reps in ("0", "-1"):

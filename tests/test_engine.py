@@ -127,6 +127,15 @@ class TestLcmLattice:
     def test_zero_ideal(self):
         assert hf_lcm_lattice(MonomialIdeal(3), 4) == [pascal_F(3, b) for b in range(5)]
 
+    def test_zero_ideal_lattice_is_empty(self):
+        # no generator, no nonempty subset: the cancelled sum over no
+        # layers is K = 1, the free ring
+        for a in range(1, 5):
+            zero = MonomialIdeal(a)
+            assert build_lcm_lattice(zero).layers == ()
+            for b in range(6):
+                assert hf_lcm_lattice(zero, b, cancel=True) == hf(zero, b, method="oracle")
+
     def test_cancellation_is_sound_and_minimal(self):
         I = parse_ideal("x*z, y*z, x^2*y", XYZ)
         lattice = build_lcm_lattice(I)
@@ -166,8 +175,7 @@ class TestLcmLattice:
             ideals.append(MonomialIdeal(arity, tuple(gens)))
         for I in ideals:
             coeffs = Counter({0: 1})
-            layers = build_lcm_lattice(I).layers if I.generators else ()
-            for r, layer in enumerate(layers, start=1):
+            for r, layer in enumerate(build_lcm_lattice(I).layers, start=1):
                 for m in layer:
                     coeffs[m.degree] += (-1) ** r
             expected = tuple(sorted((d, c) for d, c in coeffs.items() if c))
@@ -481,6 +489,10 @@ class TestAnnihilatorDecomposition:
         order = VariableOrder.identity(3)
         with pytest.raises(ValueError):
             annihilator_decomposition(I, order, 3)
+        # stages run 1..arity
+        for a in (0, 4):
+            with pytest.raises(ValueError, match=f"stage {a} out of range"):
+                annihilator_decomposition(reindex_for_table(I, order), order, a)
 
     def test_values_match_brute_force(self):
         J, order = self._staged_three_var_ideal()
@@ -688,6 +700,12 @@ class TestDispatcher:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             hf(MonomialIdeal(2), 3, method="nope")
+        I = ideal(2, (1, 1))
+        with pytest.raises(ValueError, match="b_max must be >= 0"):
+            hf(I, -1)
+        for a_max, b_max in ((0, 3), (2, -1)):
+            with pytest.raises(ValueError, match="need a_max >= 1 and b_max >= 0"):
+                hf_table(I, a_max=a_max, b_max=b_max)
 
 
 def _of_degree(rng: random.Random, arity: int, d: int) -> tuple[int, ...]:

@@ -42,6 +42,18 @@ def test_divides():
 def test_divides_arity_mismatch():
     with pytest.raises(ArityMismatchError):
         divides(Monomial((1,)), Monomial((1, 2)))
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        MonomialIdeal(0)
+    with pytest.raises(ArityMismatchError):
+        MonomialIdeal(2, (Monomial((1, 2, 3)),))
+    I = ideal(2, (1, 0), (0, 1))
+    with pytest.raises(ArityMismatchError):
+        contains_monomial(I, Monomial((1, 1, 1)))
+    for order in (VariableOrder.identity(1), VariableOrder.identity(3)):
+        with pytest.raises(ArityMismatchError):
+            restrict(I, order, 1)
+        with pytest.raises(ArityMismatchError):
+            reindex_for_table(I, order)
 
 
 def test_lcm():

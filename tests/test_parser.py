@@ -322,6 +322,10 @@ class TestIdeal:
             parse_ideal("x^600000*x^600000", XYZ)
         assert e.value.kind == "bad-exponent"
         assert (e.value.span.start, e.value.span.end) == (9, 17)
+        with pytest.raises(ParseError) as e:
+            parse_ideal("x^1000000*x", XYZ)  # a bare factor can overflow too
+        assert e.value.kind == "bad-exponent"
+        assert (e.value.span.start, e.value.span.end) == (10, 11)
         # ASCII digits only, and no int() of a string past the bound's length
         for text, span in (
             ("x^\u00b2", (1, 3)),  # superscript two

@@ -6,7 +6,6 @@ from hilbertfn.pascal import (
     hf_principal,
     hf_two_generators,
     pascal_F,
-    pascal_F_ascending,
     pascal_table,
 )
 
@@ -27,19 +26,8 @@ def test_pascal_table_matches_closed_form():
             assert table[a - 1][b] == pascal_F(a, b)
 
 
-def test_pascal_F_ascending():
-    # F(3, b) = 1 + b + (b^2 + b)/2
-    assert pascal_F_ascending(3, 4, "by-b") == 15
-    assert pascal_F_ascending(1, 7, "by-b") == 1
-    assert pascal_F_ascending(4, 6, "by-a") == 84  # = pascal_F(4, 6)
-
-
 @pytest.mark.parametrize("a", range(1, 11))
 def test_all_pascal_forms_agree(a):
-    for b in range(31):
-        expected = pascal_F(a, b)
-        assert pascal_F_ascending(a, b, "by-b") == expected
-        assert pascal_F_ascending(a, b, "by-a") == expected
     table = pascal_table(10, 30)
     assert table[a - 1] == [pascal_F(a, b) for b in range(31)]
 
@@ -72,3 +60,11 @@ def test_hf_two_generators_rejects_bad_degrees():
         hf_two_generators(3, 2, 3, 2, 5)  # d_lcm < max
     with pytest.raises(ValueError):
         hf_two_generators(3, 2, 3, 6, 5)  # d_lcm > d_u + d_v
+    with pytest.raises(ValueError):
+        pascal_F(0, 1)  # no variables
+    with pytest.raises(ValueError):
+        pascal_table(0, 3)
+    with pytest.raises(ValueError):
+        hf_principal(3, 0, 2)  # generator of degree 0
+    with pytest.raises(ValueError):
+        hf_two_generators(0, 1, 1, 2, 3)

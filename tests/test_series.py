@@ -75,6 +75,8 @@ def test_expansion_rejects_negative_coefficients():
     bad = SeriesNumerator(2, ((0, 1), (1, -3)))
     with pytest.raises(ValueError, match="negative coefficient -1 at degree 1"):
         expand_series(bad, 5)
+    with pytest.raises(ValueError, match="b_max must be >= 0"):
+        expand_series(SeriesNumerator(2, ((0, 1),)), -1)
 
 
 def test_render():
