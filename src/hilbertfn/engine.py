@@ -19,13 +19,18 @@ HF(R/I, b) depends only on the generators of degree <= b, which
 :func:`upto_degree` keeps.  ``auto`` drops the rest and takes the syzygy
 recursion on the survivors, whatever their number.  The table reads row 1,
 k[x]/(x^m), off its first generator, builds its annihilator decompositions
-from the generators that can reach them (degree <= b_max + 1) and evaluates
-each stage's annihilator as one numerator.  Each term of a decomposition is
-the minimal exponent tuples of its sub-ideal in the first a - 1 table
-variables, minimalized once; its K(S) is read only up to the degree it can
-reach, by :func:`series.syzygy_coefficients`, the recursion's tuple entry,
-on those tuples over one memo per table, with no Monomial or MonomialIdeal
-built per term.  The ``syzygy``, ``oracle`` and ``lcm`` methods and
+from the generators that can reach them (degree <= b_max + 1), dropped
+before they are sorted for the table, and evaluates each stage's
+annihilator as one numerator.  Each term of a decomposition is the minimal
+exponent tuples of its colon ideal in the first a - 1 table variables.
+:func:`annihilator_decomposition` picks the stage's generators, checks the
+re-indexing precondition and projects them; the colon ideals come from
+:func:`series.colon_ideals`, the recursion's own colon step on packed ints,
+so this module builds no tuple per syzygy quotient and knows nothing of
+the packing.  A term's K(S) is read only up to the degree it can reach, by
+:func:`series.syzygy_coefficients`, the recursion's tuple entry, on those
+tuples over one memo per table, with no Monomial or MonomialIdeal built
+per term.  The ``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
 route to K(t); only ``method="lcm"`` takes the lcm lattice, and only
@@ -47,15 +52,14 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
-    minimal_exponents,
     minimalize,
     reindex_for_table,
     stage,
-    syzygy_quotient,
 )
 from .pascal import pascal_F
 from .series import (
     SeriesNumerator,
+    colon_ideals,
     expand_series,
     lattice_numerator,
     series_numerator,
@@ -163,8 +167,7 @@ def hf_lcm_lattice(
     for r, degrees in enumerate(counts, start=1):
         for d, k in degrees.items():
             coeffs[d] += (-1) ** r * k
-    num = SeriesNumerator(I.arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
-    return expand_series(num, b_max)
+    return expand_series(SeriesNumerator.from_degrees(I.arity, coeffs), b_max)
 
 
 def hf_syzygy(
@@ -214,44 +217,53 @@ def annihilator_decomposition(
 
     ``I`` must already satisfy the re-indexing criteria for ``order``
     (see :func:`reindex_for_table`); otherwise a syzygy may involve the
-    stage variable and a ValueError is raised.  A generator is at stage a
-    when it uses x_a and no later table variable.  Each term's syzygy
-    quotients are projected onto the first a - 1 table variables and
-    minimalized once, here.
+    stage variable and a ValueError naming the two generators is raised.
+    A generator is at stage a when it uses x_a and no later table variable.
+    The generators up to the last one at stage a are projected onto the
+    first a - 1 table variables, and :func:`series.colon_ideals` returns
+    each term's minimal generators from them, in ascending lexicographic
+    order: projection commutes with the syzygy quotient, which is taken
+    variable by variable.
     """
     if not 1 <= a <= order.arity:
         raise ValueError(f"stage {a} out of range 1..{order.arity}")
     if order.arity != I.arity:
         raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
     x_a = order.perm[a - 1]
-    gens = I.generators
-    project = order.perm[: a - 1]
     later = order.perm[a:]
+    gens = I.generators
 
     delta = 0
     delta_shift = 0
-    terms = []
-    for j, p_j in enumerate(gens, start=1):
-        q = p_j.exponents
-        if not q[x_a] or any(map(q.__getitem__, later)):
+    targets = []
+    shifts = []  # deg(p_j / x_a) of each target
+    x_max = 0  # the largest x_a exponent of the generators before q
+    for j, p in enumerate(gens):
+        q = p.exponents
+        e = q[x_a]
+        if not e:
             continue
-        shift = sum(q) - 1  # deg(p_j / x_a)
-        if j == 1:
-            delta = 1
-            delta_shift = shift
-            continue
-        sub_gens = []
-        for p_i in gens[: j - 1]:
-            h = p_i.exponents
-            if h[x_a] > q[x_a]:
+        if not any(map(q.__getitem__, later)):
+            if x_max > e:
+                h = next(g.exponents for g in gens if g.exponents[x_a] > e)
                 raise ValueError(
-                    "re-indexing precondition violated: syzygy "
-                    f"{syzygy_quotient(p_i, p_j).exponents} involves the stage-{a} variable"
+                    f"re-indexing precondition violated: generator {h} precedes {q} with a "
+                    f"higher stage-{a} exponent, so their syzygy involves the stage variable"
                 )
-            # the syzygy quotient lcm(h, p_j) / p_j, projected onto the free variables
-            sub_gens.append(tuple([h[v] - q[v] if h[v] > q[v] else 0 for v in project]))
-        terms.append((tuple(minimal_exponents(sub_gens)), shift))
-    return AnnihilatorDecomposition(a - 1, delta, delta_shift, tuple(terms))
+            if j:
+                targets.append(j)
+                shifts.append(sum(q) - 1)
+            else:
+                delta = 1
+                delta_shift = sum(q) - 1
+        if e > x_max:
+            x_max = e
+    if not targets:
+        return AnnihilatorDecomposition(a - 1, delta, delta_shift, ())
+    project = order.perm[: a - 1]
+    projected = [tuple([g.exponents[v] for v in project]) for g in gens[: targets[-1] + 1]]
+    terms = tuple(zip(colon_ideals(projected, targets), shifts))
+    return AnnihilatorDecomposition(a - 1, delta, delta_shift, terms)
 
 
 def annihilator_hf(
@@ -276,8 +288,7 @@ def annihilator_hf(
         reach = b_max - shift
         for d, c in syzygy_coefficients([e for e in exponents if sum(e) <= reach], memo=memo):
             coeffs[d + shift] += c
-    num = SeriesNumerator(dec.free_arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
-    return expand_series(num, b_max)
+    return expand_series(SeriesNumerator.from_degrees(dec.free_arity, coeffs), b_max)
 
 
 @dataclass(frozen=True)
@@ -317,7 +328,9 @@ def hf_table(
     The annihilator in degree b depends only on the generators of degree
     <= b + 1, so the decompositions are built from those of degree
     <= b_max + 1 alone (the last entry of each ``annihilator_hfs`` sequence
-    needs the b_max + 1 ones), and all stages share one syzygy memo.
+    needs the b_max + 1 ones), and all stages share one syzygy memo.  The
+    others are dropped before :func:`reindex_for_table` sorts the rest; a
+    stable sort gives the same order either way.
     """
     if order is None:
         order = VariableOrder.identity(I.arity)
@@ -326,7 +339,7 @@ def hf_table(
     if a_max < 1 or b_max < 0:
         raise ValueError("need a_max >= 1 and b_max >= 0")
 
-    live = upto_degree(reindex_for_table(I, order), b_max + 1)
+    live = reindex_for_table(upto_degree(I, b_max + 1), order)
     memo: dict = {}
     zeros = (0,) * (b_max + 1)
 

@@ -13,16 +13,24 @@ K(t):
   :class:`MonomialIdeal` once and calls the tuple entry; the syzygy method,
   ``auto`` and ``series`` take it.  The recursion packs each monomial into
   one int, a field of W bits per variable whose top bit is a guard that
-  stays 0, so quotients, divisibility and degrees are a few int operations,
-  and ascending ints let each quotient set be minimalized in one pass.  A
-  principal sub-ideal is closed where it is found, with no node opened for
-  it.  The memo keys are opaque: they carry W and do not depend on the
+  stays 0, so quotients, divisibility and degrees are a few int operations.
+  A principal sub-ideal is closed where it is found, with no node opened
+  for it.  The memo keys are opaque: they carry W and do not depend on the
   ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
-  method takes it, so it stays the independent check on the recursion.  It
-  stays on exponent tuples, as do :func:`monomial.minimal_exponents` and
-  the oracle, so the cross-checks do not share the packing.
+  method takes it, so it stays the independent check on the recursion.
+
+This module alone knows the packed layout.  Its one colon step,
+:func:`_colon`, gives the minimal generators of (g_1, ..., g_{j-1}) : g_j
+from packed ints, the ascending ints minimalized in one pass.  The
+recursion calls it for every S_j, and :func:`colon_ideals`, its tuple
+entry, packs exponent tuples once, calls it for each target index and
+unpacks only the minimal quotients; the table's
+``engine.annihilator_decomposition`` builds its terms through it.
+:func:`lattice_numerator` stays on exponent tuples, as do
+:func:`monomial.minimal_exponents` and the oracle, so the cross-checks do
+not share the packing.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import lshift, or_
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .monomial import MonomialIdeal, minimal_exponents
 
@@ -47,6 +55,12 @@ class SeriesNumerator:
 
     arity: int
     coefficients: tuple[tuple[int, int], ...]  # (degree, coefficient), ascending
+
+    @classmethod
+    def from_degrees(cls, arity: int, coeffs: Mapping[int, int]) -> SeriesNumerator:
+        """The numerator with coefficient ``coeffs[d]`` at degree d: sorted
+        by degree, zero coefficients dropped."""
+        return cls(arity, tuple(sorted([(d, c) for d, c in coeffs.items() if c])))
 
     @property
     def is_zero(self) -> bool:
@@ -76,7 +90,7 @@ def lattice_numerator(I: MonomialIdeal) -> SeriesNumerator:
     coeffs: Counter = Counter()
     for m, c in mu.items():
         coeffs[sum(m)] += c
-    return SeriesNumerator(I.arity, tuple(sorted((d, c) for d, c in coeffs.items() if c)))
+    return SeriesNumerator.from_degrees(I.arity, coeffs)
 
 
 @lru_cache(maxsize=64)
@@ -92,6 +106,55 @@ def _fields(arity: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
     offsets = tuple(range((arity - 1) * width, -1, -width))
     ones = sum(1 << s for s in offsets)
     return offsets, ones << (width - 1), ones, offsets[0] if offsets else 0
+
+
+def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> list[int]:
+    """The minimal generators of (gens[0], ..., gens[j-1]) : gens[j], ascending.
+
+    ``gens`` are packed with guard bits ``guards`` and fields of
+    ``borrow + 1`` bits.  The colon is generated by the syzygy quotients
+    lcm(h, g) / g, and ``d = (h | guards) - g`` keeps its guard bit in
+    exactly the fields where h >= g, so ``d`` masked to the low ``borrow``
+    bits of those fields is the quotient.  A proper divisor packs to a
+    smaller int, so the quotients are minimalized in one ascending pass:
+    each is tested against the survivors before it, and h divides v exactly
+    when no field of ``(v | guards) - h`` borrows its guard bit.
+    """
+    g = gens[j]
+    kept: list[int] = []
+    for v in sorted({
+        (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
+        for h in gens[:j]
+    }):
+        guarded = v | guards
+        for h in kept:
+            if (guarded - h) & guards == guards:
+                break
+        else:
+            kept.append(v)
+    return kept
+
+
+def colon_ideals(
+    exponents: Sequence[tuple[int, ...]], targets: Sequence[int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """For each index j in ``targets`` (each >= 1), the minimal generators
+    of the colon ideal (e_0, ..., e_{j-1}) : e_j, where e_i = exponents[i].
+
+    The tuples share one arity, which may be 0.  Each colon comes back as
+    exponent tuples in ascending lexicographic order, from the recursion's
+    own colon step: the tuples are packed once, at the recursion's width
+    for their largest degree, and only the minimal quotients are unpacked.
+    """
+    width = max(map(sum, exponents)).bit_length() + 1
+    offsets, guards, _, _ = _fields(len(exponents[0]), width)
+    packed = [sum(map(lshift, e, offsets)) for e in exponents]
+    mask = (1 << width) - 1
+    borrow = width - 1
+    return [
+        tuple([tuple([(v >> s) & mask for s in offsets]) for v in _colon(packed, j, guards, borrow)])
+        for j in targets
+    ]
 
 
 def syzygy_coefficients(
@@ -126,16 +189,10 @@ def syzygy_coefficients(
     generators.  The fields of trailing variables that no generator uses
     are dropped.  Ascending ints are then the generators in lexicographic
     order of their exponent tuples, and the primitives are a few int
-    operations each:
-
-    * quotient: ``d = (h | guards) - g`` keeps its guard bit in exactly the
-      fields where h >= g, and ``d`` masked to the low W - 1 bits of those
-      fields is lcm(h, g) / g;
-    * divisibility: h divides v exactly when no field of
-      ``(v | guards) - h`` borrows its guard bit.  A proper divisor packs
-      to a smaller int, so the quotients are minimalized in one ascending
-      pass, each tested against the survivors before it;
-    * degree: ``v * ones`` sums all fields of v into the top one.
+    operations each: the minimal generators of S_j come from one call of
+    the colon step :func:`_colon` (quotients by one subtraction and mask,
+    divisibility by one borrow test, one ascending pass), and ``v * ones``
+    sums all fields of v into the top one, its degree.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
     memoized on W and its sorted packed generators, minimal below the root
@@ -186,19 +243,7 @@ def syzygy_coefficients(
             if j < len(gens):
                 g = gens[j]
                 shift = (g * ones >> top) & mask
-                # lcm(h, g) / g for every earlier h: the fields of h - g whose
-                # guard bit survived the subtraction
-                kept = []
-                for v in sorted({
-                    (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
-                    for h in gens[:j]
-                }):
-                    guarded = v | guards
-                    for h in kept:
-                        if (guarded - h) & guards == guards:
-                            break
-                    else:
-                        kept.append(v)
+                kept = _colon(gens, j, guards, borrow)
                 sub_key = (width, tuple(kept))
                 sub = memo.get(sub_key)
                 if sub is not None:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import comb
 
 import pytest
 from conftest import compositions, random_ideal
@@ -446,7 +447,7 @@ class TestAnnihilatorDecomposition:
             return max((s + 1 for s, v in enumerate(order.perm) if g.exponents[v]), default=0)
 
         rng = random.Random(4141)
-        checked = unit_terms = empty_terms = 0
+        cases = []
         for k in range(150):
             arity = rng.randint(1, 6)
             order = VariableOrder(tuple(rng.sample(range(arity), arity)))
@@ -456,6 +457,12 @@ class TestAnnihilatorDecomposition:
                 first = order.perm[0]
                 powers = [tuple(e if v == first else 0 for v in range(arity)) for e in (3, 2, 4)]
                 I = MonomialIdeal(arity, I.generators + tuple(map(Monomial, powers)))
+            cases.append((I, order))
+        for I, _ in _packing_ideals(4142):
+            cases.append((I, VariableOrder(tuple(rng.sample(range(I.arity), I.arity)))))
+        checked = unit_terms = empty_terms = 0
+        for I, order in cases:
+            arity = I.arity
             J = reindex_for_table(I, order)
             gens = J.generators
             for a in range(1, arity + 1):
@@ -487,7 +494,8 @@ class TestAnnihilatorDecomposition:
         # unordered stage-3 generators make a syzygy involve z
         I = ideal(3, (2, 2, 2), (0, 3, 1))
         order = VariableOrder.identity(3)
-        with pytest.raises(ValueError):
+        pair = r"generator \(2, 2, 2\) precedes \(0, 3, 1\)"
+        with pytest.raises(ValueError, match=f"re-indexing precondition violated: {pair}"):
             annihilator_decomposition(I, order, 3)
         # stages run 1..arity
         for a in (0, 4):
@@ -747,6 +755,38 @@ def _many_generator_ideals(seed: int):
     ]
 
 
+def _packing_ideals(seed: int):
+    """(ideal, b) pairs aimed at the packed layout of the colon step and the
+    recursion, whose field width W steps up where the largest degree
+    reaches 8, 16 and 64: generators of degree on either side of each step,
+    exponents well above 5, and antichains of 20 to 45 generators in 3 to 6
+    variables shaped like the many-generators benchmark workload."""
+    rng = random.Random(seed)
+    cases = []
+    for d in (7, 8, 15, 16, 63, 64):
+        arity = rng.randint(2, 5)
+        # x_v^(d+1) for every variable, and the product of all variables,
+        # which is at the last stage in every table order: its colon ideal
+        # holds x_v^d for every variable but the last, at shift arity - 1
+        gens = [tuple((d + 1) * (v == u) for v in range(arity)) for u in range(arity)]
+        gens += [(1,) * arity]
+        gens += [_of_degree(rng, arity, e) for e in (d, d - 1, rng.randint(1, d - 1))]
+        cases.append((ideal(arity, *gens), d + arity))
+    for max_exp in (9, 17, 40):
+        for _ in range(3):
+            arity = rng.randint(2, 5)
+            cases.append((random_ideal(rng, arity, rng.randint(3, 8), max_exp), rng.randint(8, 20)))
+    for arity, n in ((3, 22), (3, 30), (4, 24), (4, 45), (5, 30), (6, 20)):
+        d = max(3, next(k for k in range(1, 40) if comb(arity + k - 1, k) >= 2 * n))
+        pool: set = set()
+        while len(pool) < n:
+            pool.add(_of_degree(rng, arity, d))
+        gens = sorted(pool)
+        rng.shuffle(gens)
+        cases.append((ideal(arity, *gens), d + rng.randint(1, 3)))
+    return cases
+
+
 class TestDegreeFilter:
     def test_upto_degree(self):
         I = ideal(2, (3, 1), (1, 1), (2, 3), (4, 0), (0, 5), (1, 1))
@@ -850,16 +890,21 @@ def _per_term_sum(dec, b_max: int) -> list[int]:
 class TestAnnihilatorNumerator:
     def test_matches_per_term_sum(self):
         rng = random.Random(2024)
+        random_cases = (
+            (random_ideal(rng, arity, rng.randint(1, 10), max_exp=rng.choice((2, 3, 5))), 0, 12)
+            for arity in (rng.randint(2, 6) for _ in range(60))
+        )
+        # at its bound, a packing ideal's widest colon generators are read
+        packing_cases = ((I, b, b) for I, b in _packing_ideals(2025))
         stages = termless = 0
-        for _ in range(60):
-            arity = rng.randint(2, 6)
-            I = random_ideal(rng, arity, rng.randint(1, 10), max_exp=rng.choice((2, 3, 5)))
+        for I, b_min, b_max in chain(random_cases, packing_cases):
+            arity = I.arity
             order = _random_order(rng, arity)
             J = reindex_for_table(I, order)
             memo: dict = {}
             for a in range(1, arity + 1):
                 dec = annihilator_decomposition(J, order, a)
-                b = rng.randint(0, 12)
+                b = rng.randint(b_min, b_max)
                 expected = _per_term_sum(dec, b)
                 assert annihilator_hf(dec, b) == expected, (I, order, a, b)
                 assert annihilator_hf(dec, b, memo=memo) == expected, (I, order, a, b)
