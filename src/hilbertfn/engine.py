@@ -18,13 +18,13 @@
 HF(R/I, b) depends only on the generators of degree <= b, which
 :func:`upto_degree` keeps.  ``auto`` drops the rest and takes the syzygy
 recursion on the survivors, whatever their number.  The table reads row 1,
-k[x]/(x^m), off its first generator, builds its annihilator decompositions
-from the generators that can reach them (degree <= b_max + 1), dropped
-before they are sorted for the table, and evaluates each stage's
-annihilator as one numerator.  Each term of a decomposition is the minimal
-exponent tuples of its colon ideal in the first a - 1 table variables.
-:func:`annihilator_decomposition` picks the stage's generators, checks the
-re-indexing precondition and projects them; the colon ideals come from
+k[x]/(x^m), off the least power of its first variable, builds its
+annihilator decompositions from the generators that can reach them (degree
+<= b_max + 1), in any order, and evaluates each stage's annihilator as one
+numerator.  Each term of a decomposition is the minimal exponent tuples of
+its colon ideal in the first a - 1 table variables.
+:func:`annihilator_decomposition` picks the stage's generators, orders them
+as the paper's re-indexing does and projects them; the colon ideals come from
 :func:`series.colon_ideals`, the recursion's own colon step on packed ints,
 so this module builds no tuple per syzygy quotient and knows nothing of
 the packing.  A term's K(S) is read only up to the degree it can reach, by
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Literal, Optional
 
 from . import kernels
@@ -53,8 +54,6 @@ from .monomial import (
     MonomialIdeal,
     VariableOrder,
     minimalize,
-    reindex_for_table,
-    stage,
 )
 from .pascal import pascal_F
 from .series import (
@@ -215,15 +214,16 @@ def annihilator_decomposition(
 ) -> AnnihilatorDecomposition:
     """Decompose the annihilator of multiplication by the stage-a variable.
 
-    ``I`` must already satisfy the re-indexing criteria for ``order``
-    (see :func:`reindex_for_table`); otherwise a syzygy may involve the
-    stage variable and a ValueError naming the two generators is raised.
-    A generator is at stage a when it uses x_a and no later table variable.
-    The generators up to the last one at stage a are projected onto the
-    first a - 1 table variables, and :func:`series.colon_ideals` returns
-    each term's minimal generators from them, in ascending lexicographic
-    order: projection commutes with the syzygy quotient, which is taken
-    variable by variable.
+    The generators may come in any order.  A generator is at stage a when it
+    uses x_a and no later table variable; those of later stages are dropped.
+    The stage-a generators are ordered by ascending x_a exponent (stably)
+    after those of earlier stages, as :func:`reindex_for_table` orders them,
+    so that no syzygy of an earlier generator against a later one involves
+    x_a.  With no earlier-stage generator the first stage-a one gives
+    ``delta``.  The generators are projected onto the first a - 1 table
+    variables, and :func:`series.colon_ideals` returns each term's minimal
+    generators from them, in ascending lexicographic order: projection
+    commutes with the syzygy quotient, which is taken variable by variable.
     """
     if not 1 <= a <= order.arity:
         raise ValueError(f"stage {a} out of range 1..{order.arity}")
@@ -231,37 +231,26 @@ def annihilator_decomposition(
         raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
     x_a = order.perm[a - 1]
     later = order.perm[a:]
-    gens = I.generators
+    earlier = []
+    staged = []
+    for g in I.generators:
+        q = g.exponents
+        if not any(map(q.__getitem__, later)):
+            (staged if q[x_a] else earlier).append(q)
+    staged.sort(key=itemgetter(x_a))
 
     delta = 0
     delta_shift = 0
-    targets = []
-    shifts = []  # deg(p_j / x_a) of each target
-    x_max = 0  # the largest x_a exponent of the generators before q
-    for j, p in enumerate(gens):
-        q = p.exponents
-        e = q[x_a]
-        if not e:
-            continue
-        if not any(map(q.__getitem__, later)):
-            if x_max > e:
-                h = next(g.exponents for g in gens if g.exponents[x_a] > e)
-                raise ValueError(
-                    f"re-indexing precondition violated: generator {h} precedes {q} with a "
-                    f"higher stage-{a} exponent, so their syzygy involves the stage variable"
-                )
-            if j:
-                targets.append(j)
-                shifts.append(sum(q) - 1)
-            else:
-                delta = 1
-                delta_shift = sum(q) - 1
-        if e > x_max:
-            x_max = e
+    if staged and not earlier:
+        delta = 1
+        delta_shift = sum(staged[0]) - 1
+    gens = earlier + staged
+    targets = range(len(earlier) + delta, len(gens))
     if not targets:
         return AnnihilatorDecomposition(a - 1, delta, delta_shift, ())
     project = order.perm[: a - 1]
-    projected = [tuple([g.exponents[v] for v in project]) for g in gens[: targets[-1] + 1]]
+    projected = [tuple([q[v] for v in project]) for q in gens]
+    shifts = [sum(gens[j]) - 1 for j in targets]
     terms = tuple(zip(colon_ideals(projected, targets), shifts))
     return AnnihilatorDecomposition(a - 1, delta, delta_shift, terms)
 
@@ -315,10 +304,10 @@ def hf_table(
     """Build the Hilbert function table row by row.
 
     Row 1 is k[x]/(x^m), x the first table variable: 1 below degree m, then
-    0.  :func:`reindex_for_table` puts the unit (m = 0) and then the powers of
-    x, by ascending exponent, first; with none of degree <= b_max + 1,
-    m = b_max + 1.  Each later row a uses the short exact sequence for
-    multiplication by the stage variable:
+    0.  m is the least exponent of the powers of x among the generators of
+    degree <= b_max + 1 (0 with the unit), and b_max + 1 with none.  Each
+    later row a uses the short exact sequence for multiplication by the
+    stage variable:
 
         HF(M_a, b) = HF(M_{a-1}, b) + HF(M_a, b-1) - HF((0 : x_a), b-1).
 
@@ -329,8 +318,9 @@ def hf_table(
     <= b + 1, so the decompositions are built from those of degree
     <= b_max + 1 alone (the last entry of each ``annihilator_hfs`` sequence
     needs the b_max + 1 ones), and all stages share one syzygy memo.  The
-    others are dropped before :func:`reindex_for_table` sorts the rest; a
-    stable sort gives the same order either way.
+    generators may come in any order: :func:`annihilator_decomposition`
+    orders each stage's itself.  An ``order`` of another arity than ``I``
+    raises :class:`ArityMismatchError`.
     """
     if order is None:
         order = VariableOrder.identity(I.arity)
@@ -338,14 +328,16 @@ def hf_table(
         a_max = I.arity
     if a_max < 1 or b_max < 0:
         raise ValueError("need a_max >= 1 and b_max >= 0")
+    if order.arity != I.arity:
+        raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
 
-    live = reindex_for_table(upto_degree(I, b_max + 1), order)
+    live = upto_degree(I, b_max + 1)
     memo: dict = {}
     zeros = (0,) * (b_max + 1)
 
-    m = b_max + 1
-    if live.generators and stage(live.generators[0], order) <= 1:
-        m = live.generators[0].exponents[order.perm[0]]
+    x = order.perm[0]
+    powers = [g.exponents[x] for g in live.generators if g.degree == g.exponents[x]]
+    m = min(powers, default=b_max + 1)
     rows = [(1,) * m + (0,) * (b_max + 1 - m)]
     ann_hfs = [zeros]
     for a in range(2, a_max + 1):

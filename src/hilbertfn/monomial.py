@@ -231,7 +231,10 @@ def reindex_for_table(I: MonomialIdeal, order: VariableOrder) -> MonomialIdeal:
     Generators are grouped by the stage at which they first appear and,
     within a stage, sorted by the exponent of that stage's variable.  With
     this ordering, the syzygy of an earlier generator against a later one
-    never involves the later generator's stage variable.
+    never involves the later generator's stage variable.  This is the
+    paper's re-indexing: the table does not need it, since
+    :func:`engine.annihilator_decomposition` orders each stage's generators
+    the same way itself, and the tests check the table against it.
     """
     if order.arity != I.arity:
         raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")

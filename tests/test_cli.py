@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import itertools
@@ -613,11 +614,16 @@ def test_entry_point_main(monkeypatch, capsys):
     assert "HF 1 1 0 0" in capsys.readouterr().out
 
 
+def _readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block under README's ``section`` heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_command_line_block_runs():
     # every hilbertfn line of README's "Command line" block exits 0, and a
     # "# -> ..." comment under a command is a line of that command's output
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Command line", "sh")
     commands: list[tuple[list[str], list[str]]] = []
     for line in block.replace("\\\n", " ").splitlines():
         if line.startswith("hilbertfn "):
@@ -633,3 +639,18 @@ def test_readme_command_line_block_runs():
         assert code == cli.EXIT_OK, argv
         for line in shown:
             assert line in text.splitlines(), argv
+
+
+def test_readme_library_block_values():
+    # README's "Library" block runs, and a line whose comment is a list
+    # evaluates to that list
+    namespace: dict = {}
+    checked = 0
+    for line in _readme_block("Library", "python").splitlines():
+        code, _, comment = line.partition("#")
+        if comment.strip().startswith("["):
+            assert eval(code, namespace) == ast.literal_eval(comment.strip()), line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 1

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import accumulate, chain
 from math import comb
+from operator import le
 
 import pytest
 from conftest import compositions, random_ideal
@@ -432,13 +433,17 @@ class TestAnnihilatorDecomposition:
 
     def test_order_arity_must_match(self):
         # a wider order used to index past the ideal's exponents, a narrower
-        # one to drop its last variables from every term
+        # one to drop its last variables from every term; the table refuses
+        # either before it reads row 1
         for I, order, a in (
             (ideal(2, (1, 0), (0, 1)), VariableOrder.identity(3), 3),
             (ideal(3, (1, 0, 0), (0, 1, 1)), VariableOrder.identity(2), 2),
+            (ideal(3, (0, 2, 0), (0, 1, 1)), VariableOrder.identity(4), 3),
         ):
             with pytest.raises(ArityMismatchError, match="order arity"):
                 annihilator_decomposition(I, order, a)
+            with pytest.raises(ArityMismatchError, match="order arity"):
+                hf_table(I, order=order, a_max=1)
 
     def test_terms_are_projected_colon_ideals(self):
         # every term against the colon ideal (p_1, ..., p_{j-1}) : p_j built
@@ -490,38 +495,66 @@ class TestAnnihilatorDecomposition:
                 empty_terms += sum(sub == ((),) for sub, _ in dec.terms)
         assert checked > 500 and unit_terms > 300 and empty_terms > 150
 
-    def test_reindex_precondition_enforced(self):
-        # unordered stage-3 generators make a syzygy involve z
+    def test_generators_in_any_order(self):
+        # <y, x>: y is stage 2 but comes first; M_2 = k[x,y]/(x, y) = k, all
+        # of it killed by y, so the annihilator is k in degree 0
+        order = VariableOrder.identity(2)
+        dec = annihilator_decomposition(ideal(2, (0, 1), (1, 0)), order, 2)
+        assert annihilator_hf(dec, 4) == [1, 0, 0, 0, 0]
+        # stage-3 generators listed against ascending z: the decomposition
+        # is that of the re-indexed list
         I = ideal(3, (2, 2, 2), (0, 3, 1))
         order = VariableOrder.identity(3)
-        pair = r"generator \(2, 2, 2\) precedes \(0, 3, 1\)"
-        with pytest.raises(ValueError, match=f"re-indexing precondition violated: {pair}"):
-            annihilator_decomposition(I, order, 3)
+        J = reindex_for_table(I, order)
+        assert J.generators != I.generators
+        assert annihilator_decomposition(I, order, 3) == annihilator_decomposition(J, order, 3)
         # stages run 1..arity
         for a in (0, 4):
             with pytest.raises(ValueError, match=f"stage {a} out of range"):
-                annihilator_decomposition(reindex_for_table(I, order), order, a)
+                annihilator_decomposition(I, order, a)
 
     def test_values_match_brute_force(self):
-        J, order = self._staged_three_var_ideal()
-        from hilbertfn.monomial import Monomial, contains_monomial, restrict
+        # annihilator_hf against a count of the monomials m of M_a =
+        # k[first a table variables]/I_a outside I_a with x_a * m in I_a: the
+        # staged ideal, then random generator lists in their given order
+        # (with the unit, duplicates and unsorted powers of the first
+        # variable) under random orders
+        def count(I, order, a, b_max):
+            gens = [g.exponents for g in restrict(I, order, a).generators]
 
-        for a in (2, 3):
-            dec = annihilator_decomposition(J, order, a)
-            values = annihilator_hf(dec, 10)
-            I_a = restrict(J, order, a)
-            x_a = a - 1  # identity order
-            for b in range(11):
-                count = 0
-                for exps in compositions(b, a):
-                    g = Monomial(exps)
-                    if contains_monomial(I_a, g):
-                        continue
-                    shifted = list(exps)
-                    shifted[x_a] += 1
-                    if contains_monomial(I_a, Monomial(tuple(shifted))):
-                        count += 1
-                assert values[b] == count
+            def inside(e):
+                return any(all(map(le, g, e)) for g in gens)
+
+            values = [0] * (b_max + 1)
+            for b in range(b_max + 1):
+                for e in compositions(b, a):
+                    values[b] += not inside(e) and inside(e[:-1] + (e[-1] + 1,))
+            return values
+
+        J, order = self._staged_three_var_ideal()
+        cases = [(J, order, 10)]
+        rng = random.Random(11)
+        for k in range(240):
+            arity = rng.randint(1, 4)
+            order = VariableOrder(tuple(rng.sample(range(arity), arity)))
+            I = random_ideal(rng, arity, rng.randint(1, 6), max_exp=rng.choice((2, 3, 4)))
+            gens = list(I.generators)
+            x = order.perm[0]
+            gens += (
+                [],
+                [Monomial((0,) * arity)],
+                rng.sample(gens, min(2, len(gens))),
+                [Monomial(tuple(e if v == x else 0 for v in range(arity))) for e in (4, 2, 3)],
+            )[k % 4]
+            rng.shuffle(gens)
+            cases.append((MonomialIdeal(arity, gens), order, 6))
+        unordered = 0
+        for I, order, b_max in cases:
+            unordered += I != reindex_for_table(I, order)
+            for a in range(1, I.arity + 1):
+                dec = annihilator_decomposition(I, order, a)
+                assert annihilator_hf(dec, b_max) == count(I, order, a, b_max), (I, order, a)
+        assert unordered > 150
 
 
 class TestTable:
@@ -565,8 +598,10 @@ class TestTable:
             assert table.annihilator_hfs[a - 1] == (0,) * 11, a
 
     def test_rows_never_reenter_the_dispatcher(self, monkeypatch):
-        # row 1 is read off the first reindexed generator; every row up to
-        # the arity is checked against the oracle on the stage quotient
+        # row 1 is read off the least power of the first variable; every row
+        # up to the arity is checked against the oracle on the stage
+        # quotient, and the generators in shuffled order give the table of
+        # their re-indexed list
         def refuse(*args, **kwargs):
             raise AssertionError("hf_table called hf")
 
@@ -596,9 +631,12 @@ class TestTable:
                 unstaged + (power(b_max + rng.randint(2, 4)),),  # x^m above b_max + 1
                 gens + tuple(power(e) for e in rng.sample(range(1, 15), 3)),  # unsorted x^m
             )[k % 7]
+            gens = list(gens)
+            random.Random(k).shuffle(gens)  # apart from rng, which sets the case mix
             I = MonomialIdeal(arity, gens)
             table = hf_table(I, order=order, a_max=a_max, b_max=b_max)
             J = reindex_for_table(I, order)
+            assert table == hf_table(J, order=order, a_max=a_max, b_max=b_max)
             assert len(table.rows) == a_max
             for a in range(1, min(a_max, arity) + 1):
                 expected = hf(restrict(J, order, a), b_max, method="oracle")
