@@ -179,9 +179,11 @@ def hf_syzygy(
     The recursion reads every generator, also those above ``b_max`` (``auto``
     drops them first), and does not depend on ``b_max``.  ``stats`` receives
     the keys ``hits``, ``misses`` and ``memo_size``, which count sub-ideals, not
-    (sub-ideal, degree) pairs: ``misses`` is the number of recursion nodes
-    computed, ``hits`` the lookups answered by the memo, and ``memo_size``
-    the sub-ideals stored.
+    (sub-ideal, degree) pairs: ``misses`` is the number of memo entries the
+    call adds, which may exceed the recursion nodes it opens (each principal
+    sub-ideal is an entry, and a colon ideal S whose variables are split off
+    adds both S and S without them), ``hits`` the lookups answered by the
+    memo, and ``memo_size`` the sub-ideals stored.
     """
     return expand_series(series_numerator(I, stats), b_max)
 

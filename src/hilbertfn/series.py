@@ -15,8 +15,10 @@ K(t):
   one int, a field of W bits per variable whose top bit is a guard that
   stays 0, so quotients, divisibility and degrees are a few int operations.
   A principal sub-ideal is closed where it is found, with no node opened
-  for it.  The memo keys are opaque: they carry W and do not depend on the
-  ring's arity;
+  for it, and the variables among a colon ideal's minimal generators are
+  split off, K(S) = (1 - t)^k K(S'), but never off the root, which need not
+  be minimal.  The memo keys are opaque: they carry W and do not depend on
+  the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
@@ -39,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
+from math import comb
 from operator import lshift, or_
 from typing import Mapping, Optional, Sequence
 
@@ -135,6 +138,25 @@ def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> list[int]:
     return kept
 
 
+def _closed(gens: Sequence[int], ones: int, top: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """K of at most one packed generator: 1 for none, 0 for the unit ideal
+    and 1 - t^d for a principal ideal of degree d."""
+    if not gens:
+        return ((0, 1),)
+    d = (gens[0] * ones >> top) & mask
+    return ((0, 1), (d, -1)) if d else ()
+
+
+def _times_one_minus_t(coeffs: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, int], ...]:
+    """The ``(degree, coefficient)`` pairs of K(t) (1 - t)^k, K given by ``coeffs``."""
+    product: Counter = Counter()
+    for i in range(k + 1):
+        b = -comb(k, i) if i & 1 else comb(k, i)
+        for d, c in coeffs:
+            product[d + i] += b * c
+    return tuple(sorted([(d, c) for d, c in product.items() if c]))
+
+
 def colon_ideals(
     exponents: Sequence[tuple[int, ...]], targets: Sequence[int]
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -181,6 +203,15 @@ def syzygy_coefficients(
     one) is closed where it is found, without opening a node, and a node
     runs on through consecutive memo hits until it must open a child.
 
+    An S_j not in the memo with k > 0 variables among its minimal generators
+    has K(S_j) = (1 - t)^k K(S'), S' the rest: a variable divides no other
+    minimal generator, so it is a nonzerodivisor on the quotient by the
+    others.  K(S') comes from the memo, the closed forms or a node of its
+    own, and both K(S') and K(S_j) are stored.  The root is never split: it
+    need not be minimal, and in (x, y^8, x*y^3) the variable x divides
+    x*y^3.  A variable packs to one bit at the bottom of a field; 0, the
+    unit ideal, and x^2, one bit higher up, are not variables.
+
     Each generator is packed once into one int: variable i gets a field of
     W bits, the earlier variables in the higher fields, where W is one more
     than the bit length of the largest generator degree.  The top bit of
@@ -205,9 +236,9 @@ def syzygy_coefficients(
     ``memo``, when given, maps those keys to coefficient tuples and is read
     and filled in place, so calls that pass the same dict share their
     sub-ideals; a root already in it opens no node.  ``stats``, when given,
-    receives ``misses`` (sub-ideals computed by this call, the root and the
-    principal ones included), ``hits`` (sub-ideals found in the memo) and
-    ``memo_size``.
+    receives ``misses`` (the entries this call adds to the memo: the root,
+    the principal sub-ideals, and both S_j and S' of a split), ``hits``
+    (sub-ideals found in the memo) and ``memo_size``.
     """
     memo = {} if memo is None else memo
     known_before = len(memo)
@@ -228,17 +259,13 @@ def syzygy_coefficients(
     hits = 0
     if root_key in memo:
         hits = 1
-    elif not root:
-        memo[root_key] = ((0, 1),)
-    elif len(root) == 1:
-        # 1 - t^d for a principal ideal, 0 for the unit ideal: no node to open
-        d = (root[0] * ones >> top) & mask
-        memo[root_key] = ((0, 1), (d, -1)) if d else ()
+    elif len(root) < 2:
+        memo[root_key] = _closed(root, ones, top, mask)
     else:
         key, gens, j = root_key, root_key[1], 1
         coeffs = Counter({0: 1})
         coeffs[(gens[0] * ones >> top) & mask] -= 1
-        stack = []  # suspended ancestors: (key, gens, j, coeffs, shift)
+        stack = []  # suspended ancestors: (key, gens, j, coeffs, shift, sub_key, split)
         while True:
             if j < len(gens):
                 g = gens[j]
@@ -246,22 +273,34 @@ def syzygy_coefficients(
                 kept = _colon(gens, j, guards, borrow)
                 sub_key = (width, tuple(kept))
                 sub = memo.get(sub_key)
+                split = 0
                 if sub is not None:
                     hits += 1
                 elif len(kept) == 1:
-                    d = (kept[0] * ones >> top) & mask
-                    sub = memo[sub_key] = ((0, 1), (d, -1)) if d else ()
+                    sub = memo[sub_key] = _closed(kept, ones, top, mask)
                 else:
-                    stack.append((key, gens, j, coeffs, shift))
-                    key, gens, j = sub_key, sub_key[1], 1
-                    coeffs = Counter({0: 1})
-                    coeffs[(gens[0] * ones >> top) & mask] -= 1
-                    continue
+                    # K(S_j) = (1 - t)^split K(rest), rest the non-variables
+                    rest = [v for v in kept if v & (v - 1) or not v & ones]
+                    split = len(kept) - len(rest)
+                    rest_key = (width, tuple(rest))
+                    sub = memo.get(rest_key) if split else None
+                    if sub is not None:
+                        hits += 1
+                    elif len(rest) < 2:
+                        sub = memo[rest_key] = _closed(rest, ones, top, mask)
+                    else:
+                        stack.append((key, gens, j, coeffs, shift, sub_key, split))
+                        key, gens, j = rest_key, rest_key[1], 1
+                        coeffs = Counter({0: 1})
+                        coeffs[(gens[0] * ones >> top) & mask] -= 1
+                        continue
             else:
                 sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
                 if not stack:
                     break
-                key, gens, j, coeffs, shift = stack.pop()
+                key, gens, j, coeffs, shift, sub_key, split = stack.pop()
+            if split:
+                sub = memo[sub_key] = _times_one_minus_t(sub, split)
             # coeffs -= t^shift * K(S_j)
             for d, c in sub:
                 coeffs[d + shift] -= c
