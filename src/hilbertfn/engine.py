@@ -181,9 +181,9 @@ def hf_syzygy(
     the keys ``hits``, ``misses`` and ``memo_size``, which count sub-ideals, not
     (sub-ideal, degree) pairs: ``misses`` is the number of memo entries the
     call adds, which may exceed the recursion nodes it opens (each principal
-    sub-ideal is an entry, and a colon ideal S whose variables are split off
-    adds both S and S without them), ``hits`` the lookups answered by the
-    memo, and ``memo_size`` the sub-ideals stored.
+    sub-ideal is an entry, and an ideal S whose variables are split off, I
+    or a colon ideal, adds both S and S without them), ``hits`` the lookups
+    answered by the memo, and ``memo_size`` the sub-ideals stored.
     """
     return expand_series(series_numerator(I, stats), b_max)
 
@@ -267,11 +267,10 @@ def annihilator_hf(
         (delta * t^delta_shift + sum over terms of t^shift * K(S)) / (1 - t)^(a - 1),
 
     expanded once.  A term reaches degree b_max only through the generators
-    of S of degree <= b_max - shift, and those of a term's minimal tuples
-    are the minimal generators of the ideal they span, so each K(S) comes
-    from :func:`syzygy_coefficients` on them alone, with no second
-    minimalization.  ``memo`` is handed to every one of those recursions;
-    pass the same dict to share sub-ideals across calls.
+    of S of degree <= b_max - shift, so each K(S) comes from
+    :func:`syzygy_coefficients` on those of the term's tuples alone.
+    ``memo`` is handed to every one of those recursions; pass the same dict
+    to share sub-ideals across calls.
     """
     memo = {} if memo is None else memo
     coeffs = Counter({dec.delta_shift: dec.delta})

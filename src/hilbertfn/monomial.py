@@ -1,7 +1,12 @@
 """Monomials, monomial ideals and variable orders with exact integer exponents.
 
-Everything here is immutable and pure; ideals keep their generators in the
-order they were given, because the recursive engines depend on that order.
+Everything here is immutable and pure.  Ideals keep their generators in the
+order they were given, and some results read that order: the colexicographic
+layers of ``engine.build_lcm_lattice``, the survivor order of
+:func:`minimalize`, the order that ``engine.annihilator_decomposition`` keeps
+among generators tied within a stage, and the ``ideal`` echoed in the CLI's
+JSON output.  The syzygy recursion and the table's stages order the
+generators themselves.
 """
 
 from __future__ import annotations

@@ -6,33 +6,34 @@ F(a, b) recovers the Hilbert function values.  Two independent routes compute
 K(t):
 
 * the Bayer-Stillman recursion over syzygy sub-ideals, with one entry per
-  input kind.  :func:`syzygy_coefficients` is the tuple entry: it runs on
-  minimal exponent tuples of one arity and minimalizes nothing itself; the
-  table's annihilator terms, already minimal, call it directly.
-  :func:`series_numerator` is the ideal entry: it minimalizes a
-  :class:`MonomialIdeal` once and calls the tuple entry; the syzygy method,
-  ``auto`` and ``series`` take it.  The recursion packs each monomial into
-  one int, a field of W bits per variable whose top bit is a guard that
-  stays 0, so quotients, divisibility and degrees are a few int operations.
-  A principal sub-ideal is closed where it is found, with no node opened
-  for it, and the variables among a colon ideal's minimal generators are
-  split off, K(S) = (1 - t)^k K(S'), but never off the root, which need not
-  be minimal.  The memo keys are opaque: they carry W and do not depend on
-  the ring's arity;
+  input kind.  :func:`syzygy_coefficients` is the tuple entry: it takes
+  exponent tuples of one arity, minimal or not, and the table's annihilator
+  terms call it directly.  :func:`series_numerator` is the ideal entry: it
+  hands a :class:`MonomialIdeal`'s exponent tuples to the tuple entry; the
+  syzygy method, ``auto`` and ``series`` take it.  The recursion packs each
+  monomial into one int, a field of W bits per variable whose top bit is a
+  guard that stays 0, so quotients, divisibility and degrees are a few int
+  operations.  It minimalizes the ideal once, packed, and then resolves it
+  as it resolves every colon ideal: a principal one is closed where it is
+  found, with no node opened for it, and the variables among the minimal
+  generators are split off, K(S) = (1 - t)^k K(S').  The memo keys are
+  opaque: they carry W and do not depend on the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
 
-This module alone knows the packed layout.  Its one colon step,
-:func:`_colon`, gives the minimal generators of (g_1, ..., g_{j-1}) : g_j
-from packed ints, the ascending ints minimalized in one pass.  The
-recursion calls it for every S_j, and :func:`colon_ideals`, its tuple
-entry, packs exponent tuples once, calls it for each target index and
-unpacks only the minimal quotients; the table's
-``engine.annihilator_decomposition`` builds its terms through it.
-:func:`lattice_numerator` stays on exponent tuples, as do
-:func:`monomial.minimal_exponents` and the oracle, so the cross-checks do
-not share the packing.
+This module alone knows the packed layout.  Its one minimal pass,
+:func:`_minimal`, keeps the packed ints that no smaller one divides, and
+its one colon step, :func:`_colon`, gives the minimal generators of
+(g_1, ..., g_{j-1}) : g_j from packed ints through it.  The recursion
+runs the pass on the ideal and the colon step for every S_j, and
+:func:`colon_ideals`, the colon step's tuple entry, packs exponent tuples
+once, calls it for each target index and unpacks only the minimal
+quotients; the table's ``engine.annihilator_decomposition`` builds its
+terms through it.  :func:`lattice_numerator` stays on exponent tuples, as
+do :func:`monomial.minimal_exponents`, which the ``lcm`` method's
+``minimalize`` calls, and the oracle, so the cross-checks do not share the
+packing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from math import comb
 from operator import lshift, or_
 from typing import Mapping, Optional, Sequence
 
-from .monomial import MonomialIdeal, minimal_exponents
+from .monomial import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -111,24 +112,16 @@ def _fields(arity: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
     return offsets, ones << (width - 1), ones, offsets[0] if offsets else 0
 
 
-def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> list[int]:
-    """The minimal generators of (gens[0], ..., gens[j-1]) : gens[j], ascending.
+def _minimal(ascending: Sequence[int], guards: int) -> list[int]:
+    """The ints of ``ascending`` that no earlier one divides, in order.
 
-    ``gens`` are packed with guard bits ``guards`` and fields of
-    ``borrow + 1`` bits.  The colon is generated by the syzygy quotients
-    lcm(h, g) / g, and ``d = (h | guards) - g`` keeps its guard bit in
-    exactly the fields where h >= g, so ``d`` masked to the low ``borrow``
-    bits of those fields is the quotient.  A proper divisor packs to a
-    smaller int, so the quotients are minimalized in one ascending pass:
-    each is tested against the survivors before it, and h divides v exactly
-    when no field of ``(v | guards) - h`` borrows its guard bit.
+    The ints are packed with guard bits ``guards`` and sorted ascending.  A
+    proper divisor packs to a smaller int, so one pass tests each int
+    against the survivors before it, and h divides v exactly when no field
+    of ``(v | guards) - h`` borrows its guard bit; a repeat divides itself.
     """
-    g = gens[j]
     kept: list[int] = []
-    for v in sorted({
-        (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
-        for h in gens[:j]
-    }):
+    for v in ascending:
         guarded = v | guards
         for h in kept:
             if (guarded - h) & guards == guards:
@@ -136,6 +129,23 @@ def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> list[int]:
         else:
             kept.append(v)
     return kept
+
+
+def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> list[int]:
+    """The minimal generators of (gens[0], ..., gens[j-1]) : gens[j], ascending.
+
+    ``gens`` are packed with guard bits ``guards`` and fields of
+    ``borrow + 1`` bits.  The colon is generated by the syzygy quotients
+    lcm(h, g) / g, and ``d = (h | guards) - g`` keeps its guard bit in
+    exactly the fields where h >= g, so ``d`` masked to the low ``borrow``
+    bits of those fields is the quotient.  :func:`_minimal` keeps the
+    minimal quotients.
+    """
+    g = gens[j]
+    return _minimal(sorted({
+        (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
+        for h in gens[:j]
+    }), guards)
 
 
 def _closed(gens: Sequence[int], ones: int, top: int, mask: int) -> tuple[tuple[int, int], ...]:
@@ -188,29 +198,27 @@ def syzygy_coefficients(
     generated by the exponent tuples ``exponents``.
 
     The tuples must share one arity, which may be 0 (``[()]`` is the unit
-    ideal in no variables).  They need not be minimal: a divisor packs to a
-    smaller int and sorts first, so the S_j of a repeated or redundant
-    generator holds the unit ideal, whose K is 0.  Minimal tuples only save
-    nodes, which is why :func:`series_numerator` minimalizes.  With the
-    generators sorted as g_1 < ... < g_n,
+    ideal in no variables), and may come in any order, with repeats and
+    generators that others divide.  With the minimal generators sorted as
+    g_1 < ... < g_n,
 
         K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
 
     where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
     i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
     1, the unit ideal 0 and a principal ideal 1 - t^d.  An explicit stack of
-    suspended nodes replaces Python recursion; a principal S_j (every S_2 is
-    one) is closed where it is found, without opening a node, and a node
-    runs on through consecutive memo hits until it must open a child.
+    suspended nodes replaces Python recursion.
 
-    An S_j not in the memo with k > 0 variables among its minimal generators
-    has K(S_j) = (1 - t)^k K(S'), S' the rest: a variable divides no other
-    minimal generator, so it is a nonzerodivisor on the quotient by the
-    others.  K(S') comes from the memo, the closed forms or a node of its
-    own, and both K(S') and K(S_j) are stored.  The root is never split: it
-    need not be minimal, and in (x, y^8, x*y^3) the variable x divides
-    x*y^3.  A variable packs to one bit at the bottom of a field; 0, the
-    unit ideal, and x^2, one bit higher up, are not variables.
+    The ideal itself and every S_j, each given by its minimal generators,
+    are resolved alike: from the memo; by the closed form when principal
+    (every S_2 is), with no node opened; and otherwise, with k > 0 variables
+    among the generators, by K(S) = (1 - t)^k K(S'), S' the rest: a variable
+    divides no other minimal generator, so it is a nonzerodivisor on the
+    quotient by the others.  K(S') comes from the memo, the closed forms or
+    a node of its own, and both K(S') and K(S) are stored.  A variable packs
+    to one bit at the bottom of a field; 0, the unit ideal, and x^2, one bit
+    higher up, are not variables.  A node runs on through its S_j until one
+    must open a child.
 
     Each generator is packed once into one int: variable i gets a field of
     W bits, the earlier variables in the higher fields, where W is one more
@@ -220,106 +228,102 @@ def syzygy_coefficients(
     generators.  The fields of trailing variables that no generator uses
     are dropped.  Ascending ints are then the generators in lexicographic
     order of their exponent tuples, and the primitives are a few int
-    operations each: the minimal generators of S_j come from one call of
-    the colon step :func:`_colon` (quotients by one subtraction and mask,
-    divisibility by one borrow test, one ascending pass), and ``v * ones``
-    sums all fields of v into the top one, its degree.
+    operations each: :func:`_minimal` keeps the minimal generators of the
+    ideal in one ascending pass, the colon step :func:`_colon` gives those
+    of each S_j the same way, and ``v * ones`` sums all fields of v into
+    the top one, its degree.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
-    memoized on W and its sorted packed generators, minimal below the root
-    and as given at it.  Equal keys mean equal K(t): a key fixes the
-    exponents field by field, and K(t) is the same under a renaming of the
-    variables and whatever trailing variables no generator uses, so the key
-    does not depend on the ring's arity.  It carries W because ideals packed
-    at different widths can give equal ints.  Keys are opaque.
+    memoized on W and its sorted packed minimal generators.  Equal keys
+    mean equal K(t): a key fixes the exponents field by field, and K(t) is
+    the same under a renaming of the variables and whatever trailing
+    variables no generator uses, so the key does not depend on the ring's
+    arity.  It carries W because ideals packed at different widths can give
+    equal ints.  Keys are opaque.
 
     ``memo``, when given, maps those keys to coefficient tuples and is read
     and filled in place, so calls that pass the same dict share their
-    sub-ideals; a root already in it opens no node.  ``stats``, when given,
-    receives ``misses`` (the entries this call adds to the memo: the root,
-    the principal sub-ideals, and both S_j and S' of a split), ``hits``
-    (sub-ideals found in the memo) and ``memo_size``.
+    sub-ideals; an ideal already in it opens no node.  ``stats``, when
+    given, receives ``misses`` (the entries this call adds to the memo: the
+    ideal, the principal sub-ideals, and both S and S' of a split),
+    ``hits`` (sub-ideals found in the memo) and ``memo_size``.
     """
     memo = {} if memo is None else memo
     known_before = len(memo)
     width = max(map(sum, exponents), default=0).bit_length() + 1
     offsets, guards, ones, top = _fields(len(exponents[0]) if exponents else 0, width)
-    root = sorted([sum(map(lshift, e, offsets)) for e in exponents])
-    used = reduce(or_, root, 0)
+    kept = sorted([sum(map(lshift, e, offsets)) for e in exponents])
+    used = reduce(or_, kept, 0)
     unused = ((used & -used).bit_length() - 1) // width * width if used else 0
     if unused:
-        root = [v >> unused for v in root]
+        kept = [v >> unused for v in kept]
         guards >>= unused
         ones >>= unused
         top -= unused
+    kept = _minimal(kept, guards)
     mask = (1 << width) - 1
     borrow = width - 1
 
-    root_key = (width, tuple(root))
     hits = 0
-    if root_key in memo:
-        hits = 1
-    elif len(root) < 2:
-        memo[root_key] = _closed(root, ones, top, mask)
-    else:
-        key, gens, j = root_key, root_key[1], 1
-        coeffs = Counter({0: 1})
-        coeffs[(gens[0] * ones >> top) & mask] -= 1
-        stack = []  # suspended ancestors: (key, gens, j, coeffs, shift, sub_key, split)
-        while True:
-            if j < len(gens):
-                g = gens[j]
-                shift = (g * ones >> top) & mask
-                kept = _colon(gens, j, guards, borrow)
-                sub_key = (width, tuple(kept))
-                sub = memo.get(sub_key)
-                split = 0
-                if sub is not None:
-                    hits += 1
-                elif len(kept) == 1:
-                    sub = memo[sub_key] = _closed(kept, ones, top, mask)
-                else:
-                    # K(S_j) = (1 - t)^split K(rest), rest the non-variables
-                    rest = [v for v in kept if v & (v - 1) or not v & ones]
-                    split = len(kept) - len(rest)
-                    rest_key = (width, tuple(rest))
-                    sub = memo.get(rest_key) if split else None
-                    if sub is not None:
-                        hits += 1
-                    elif len(rest) < 2:
-                        sub = memo[rest_key] = _closed(rest, ones, top, mask)
-                    else:
-                        stack.append((key, gens, j, coeffs, shift, sub_key, split))
-                        key, gens, j = rest_key, rest_key[1], 1
-                        coeffs = Counter({0: 1})
-                        coeffs[(gens[0] * ones >> top) & mask] -= 1
-                        continue
+    # the ideal's parent is a virtual node with no coefficients of its own
+    key = gens = coeffs = None
+    j = shift = 0
+    stack = []  # suspended nodes: (key, gens, j, coeffs, shift, sub_key, split)
+    while True:
+        # resolve the sub-ideal with minimal generators `kept`
+        sub_key = (width, tuple(kept))
+        sub = memo.get(sub_key)
+        split = 0
+        if sub is not None:
+            hits += 1
+        elif len(kept) < 2:
+            sub = memo[sub_key] = _closed(kept, ones, top, mask)
+        else:
+            # K(S) = (1 - t)^split K(rest), rest the non-variables
+            rest = [v for v in kept if v & (v - 1) or not v & ones]
+            split = len(kept) - len(rest)
+            rest_key = (width, tuple(rest))
+            sub = memo.get(rest_key) if split else None
+            if sub is not None:
+                hits += 1
+            elif len(rest) < 2:
+                sub = memo[rest_key] = _closed(rest, ones, top, mask)
             else:
-                sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
-                if not stack:
-                    break
-                key, gens, j, coeffs, shift, sub_key, split = stack.pop()
+                stack.append((key, gens, j, coeffs, shift, sub_key, split))
+                key, gens, j = rest_key, rest, 1
+                coeffs = Counter({0: 1})
+                coeffs[(gens[0] * ones >> top) & mask] -= 1
+        # hand each finished sub-ideal to its node until one has an S_j left
+        while sub is not None:
             if split:
                 sub = memo[sub_key] = _times_one_minus_t(sub, split)
+            if coeffs is None:
+                if stats is not None:
+                    misses = len(memo) - known_before
+                    stats.update({"hits": hits, "misses": misses, "memo_size": len(memo)})
+                return sub
             # coeffs -= t^shift * K(S_j)
             for d, c in sub:
                 coeffs[d + shift] -= c
             j += 1
-    if stats is not None:
-        stats.update({"hits": hits, "misses": len(memo) - known_before, "memo_size": len(memo)})
-    return memo[root_key]
+            if j < len(gens):
+                break
+            sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
+            key, gens, j, coeffs, shift, sub_key, split = stack.pop()
+        shift = (gens[j] * ones >> top) & mask
+        kept = _colon(gens, j, guards, borrow)
 
 
 def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
     """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
 
-    The :class:`MonomialIdeal` entry of :func:`syzygy_coefficients`: it
-    minimalizes I's generators once, all of them whatever degree the caller
-    expands to, and runs the recursion on their exponent tuples, so any
-    generating set of the ideal gives the same numerator.  No lattice is
-    built, so no generator cap applies.  ``stats`` is passed through.
+    The :class:`MonomialIdeal` entry of :func:`syzygy_coefficients`, on the
+    exponent tuples of all of I's generators, whatever degree the caller
+    expands to, so any generating set of the ideal gives the same
+    numerator.  No lattice is built, so no generator cap applies.
+    ``stats`` is passed through.
     """
-    exponents = minimal_exponents(g.exponents for g in I.generators)
+    exponents = [g.exponents for g in I.generators]
     return SeriesNumerator(I.arity, syzygy_coefficients(exponents, stats))
 
 

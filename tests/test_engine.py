@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 from itertools import accumulate, chain
@@ -7,9 +8,10 @@ from operator import le
 import pytest
 from conftest import compositions, random_ideal
 
-from hilbertfn import engine
+from hilbertfn import cli, engine, monomial, series
 from hilbertfn.cli import MAX_ROW
 from hilbertfn.engine import (
+    AnnihilatorDecomposition,
     adjacent_cancellations,
     annihilator_decomposition,
     annihilator_hf,
@@ -408,8 +410,9 @@ class TestSyzygy:
                 )
             ]
             check(arity, sorted(set(gens)), b_max=4)
-        # raw roots, never split: the variable x divides x*y^3 in the first;
-        # random lists of variables, their multiples and duplicates
+        # raw roots are minimalized first and then split like any colon
+        # ideal: x*y^3 goes before x, the variable, splits off (y^8) in the
+        # first; random lists of variables, their multiples and duplicates
         check(2, [(1, 0), (0, 8), (1, 3)])
         shared: dict = {}
         for _ in range(200):
@@ -426,6 +429,56 @@ class TestSyzygy:
             check(arity, raw)
             check(arity, raw, memo=shared)
 
+    def test_root_is_resolved_like_a_colon_ideal(self):
+        # the root is minimalized and then takes the memo, the closed form
+        # and the variable split as every colon ideal does: the stats pin
+        # that no node opens for a root whose rest is closed
+        def check(arity, gens, hits, misses):
+            stats: dict = {}
+            coeffs = syzygy_coefficients(gens, stats)
+            assert coeffs == lattice_numerator(minimalize(ideal(arity, *gens))).coefficients
+            assert stats == {"hits": hits, "misses": misses, "memo_size": misses}, gens
+
+        # six variables: the rest is the zero ideal, K = (1 - t)^6
+        check(6, [tuple(int(v == u) for v in range(6)) for u in range(6)], 0, 2)
+        # (x, y, z^2*w, z*w^2): one node for the rest, whose S_2 is principal
+        check(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)], 0, 3)
+        # (x, y^8, x*y^3): x*y^3 goes, then x splits off the principal (y^8)
+        check(2, [(1, 0), (0, 8), (1, 3)], 0, 2)
+        # an annihilator term of variables alone adds its rest and itself to
+        # a shared memo; (x^2, y^3) packs at another width and shares neither
+        memo: dict = {}
+        J = ideal(3, (2, 0, 0), (0, 3, 0))
+        other = AnnihilatorDecomposition(3, 0, 0, ((((2, 0, 0), (0, 3, 0)), 1),))
+        assert annihilator_hf(other, 5, memo) == [0] + hf(J, 4, method="oracle")
+        known = len(memo)
+        dec = AnnihilatorDecomposition(3, 0, 0, ((((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2),))
+        assert annihilator_hf(dec, 5, memo) == [0, 0, 1, 0, 0, 0]
+        assert len(memo) == known + 2
+
+    def test_recursion_owns_its_minimalization(self, monkeypatch):
+        # the recursion minimalizes packed ints; only the lcm route still
+        # minimalizes exponent tuples, through minimalize
+        class Refused(Exception):
+            pass
+
+        def refuse(vectors):
+            raise Refused
+
+        monkeypatch.setattr(monomial, "minimal_exponents", refuse)
+        monkeypatch.setattr(series, "minimal_exponents", refuse, raising=False)
+        text = "x^3*z, x^2*y*z^3, y^2*z^2, x^3*z^2, x^3*z, y"
+        I = parse_ideal(text, XYZ)
+        expected = hf(I, 8, method="oracle")
+        for method in ("auto", "syzygy", "table"):
+            assert hf(I, 8, method=method) == expected, method
+        out = io.StringIO()
+        argv = ["series", "--ring", "x,y,z", "--ideal", text, "--expand-to", "8"]
+        assert cli.run(argv, out) == 0
+        assert out.getvalue().split("\n")[1] == " ".join(map(str, expected))
+        with pytest.raises(Refused):
+            hf(I, 8, method="lcm")
+
     def test_tuple_entry_takes_minimal_tuples(self):
         # the numerator is the tuple entry on the minimal exponent tuples,
         # with the same stats; rings of no variables hold the unit ideal
@@ -440,9 +493,8 @@ class TestSyzygy:
             assert tuples == fresh
         assert syzygy_coefficients([()]) == ()
         assert syzygy_coefficients([]) == ((0, 1),)
-        # minimal tuples only save nodes: a divisor packs to a smaller int and
-        # sorts first, so the S_j of a repeated or redundant generator holds
-        # the unit ideal, whose K is 0
+        # raw tuples give the K of their minimal ones, the unit among them
+        # included: the recursion minimalizes them itself
         shared: dict = {}
         for _ in range(400):
             arity = rng.randint(0, 7)
