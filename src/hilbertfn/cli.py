@@ -220,6 +220,7 @@ def cmd_bench(args, out) -> int:
                     if stats:
                         info["memo_size"] = stats["memo_size"]
                         info["memo_hits"] = stats["hits"]
+                        info["memo_nodes"] = stats["nodes"]
                 except ResourceCapError as exc:
                     info["error"] = str(exc)
                 entry["methods"][method] = info
@@ -252,6 +253,7 @@ def cmd_bench(args, out) -> int:
                 else:
                     extra = (
                         f" memo={info['memo_size']} hits={info['memo_hits']}"
+                        f" nodes={info['memo_nodes']}"
                         if "memo_size" in info
                         else ""
                     )

@@ -178,12 +178,15 @@ def hf_syzygy(
 
     The recursion reads every generator, also those above ``b_max`` (``auto``
     drops them first), and does not depend on ``b_max``.  ``stats`` receives
-    the keys ``hits``, ``misses`` and ``memo_size``, which count sub-ideals, not
-    (sub-ideal, degree) pairs: ``misses`` is the number of memo entries the
-    call adds, which may exceed the recursion nodes it opens (each principal
-    sub-ideal is an entry, and an ideal S whose variables are split off, I
-    or a colon ideal, adds both S and S without them), ``hits`` the lookups
-    answered by the memo, and ``memo_size`` the sub-ideals stored.
+    the keys ``hits``, ``misses``, ``memo_size`` and ``nodes``, which count
+    sub-ideals, not (sub-ideal, degree) pairs: ``nodes`` is the number of
+    recursion nodes the call opens, the sub-ideals whose K(t) is a sum over
+    their own colon ideals; ``misses`` the memo entries it adds, which may
+    exceed ``nodes`` (each principal sub-ideal is an entry with no node, and
+    an ideal S whose variables are split off, I or a colon ideal, adds both
+    S and S without them, and opens a node only for the latter); ``hits``
+    the lookups answered by the memo; and ``memo_size`` the sub-ideals
+    stored.
     """
     return expand_series(series_numerator(I, stats), b_max)
 

@@ -58,8 +58,9 @@ class Monomial:
 
 
 def _unchecked_monomial(exponents: tuple[int, ...]) -> Monomial:
-    """A Monomial on exponents the caller has already bounded (the parser),
-    built without the second pass of ``Monomial.__post_init__``."""
+    """A Monomial on exponents the caller has already bounded (the parser,
+    and ``simplicial.nonface_ideal``'s 0/1 vectors), built without the
+    second pass of ``Monomial.__post_init__``."""
     m = object.__new__(Monomial)
     object.__setattr__(m, "exponents", exponents)
     return m

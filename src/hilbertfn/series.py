@@ -16,19 +16,22 @@ K(t):
   operations.  It minimalizes the ideal once, packed, and then resolves it
   as it resolves every colon ideal: a principal one is closed where it is
   found, with no node opened for it, and the variables among the minimal
-  generators are split off, K(S) = (1 - t)^k K(S').  The memo keys are
-  opaque: they carry W and do not depend on the ring's arity;
+  generators are split off, K(S) = (1 - t)^k K(S'), (1 - t)^k a cached
+  binomial row.  The memo keys are opaque: they carry W and do not depend
+  on the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
 
 This module alone knows the packed layout.  Its one minimal pass,
-:func:`_minimal`, keeps the packed ints that no smaller one divides, and
-its one colon step, :func:`_colon`, gives the minimal generators of
-(g_1, ..., g_{j-1}) : g_j from packed ints through it.  The recursion
-runs the pass on the ideal and the colon step for every S_j, and
-:func:`colon_ideals`, the colon step's tuple entry, packs exponent tuples
-once, calls it for each target index and unpacks only the minimal
+:func:`_minimal`, gives the minimal generators of an ideal of packed ints
+as ``(variables, rest)``: the variables ORed into one mask, and the other
+minimal generators, none a multiple of a variable, ascending.  Its one
+colon step, :func:`_colon`, gives those of (g_1, ..., g_{j-1}) : g_j from
+packed ints through it.  The recursion runs the pass on the ideal and the
+colon step for every S_j, and :func:`colon_ideals`, the colon step's tuple
+entry, packs exponent tuples once, calls it for each target index, merges
+the variables back in ascending order and unpacks only the minimal
 quotients; the table's ``engine.annihilator_decomposition`` builds its
 terms through it.  :func:`lattice_numerator` stays on exponent tuples, as
 do :func:`monomial.minimal_exponents`, which the ``lcm`` method's
@@ -112,40 +115,60 @@ def _fields(arity: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
     return offsets, ones << (width - 1), ones, offsets[0] if offsets else 0
 
 
-def _minimal(ascending: Sequence[int], guards: int) -> list[int]:
-    """The ints of ``ascending`` that no earlier one divides, in order.
+def _minimal(ascending: Sequence[int], guards: int, borrow: int) -> tuple[int, tuple[int, ...]]:
+    """The minimal generators of the ideal of the packed ints ``ascending``,
+    as ``(variables, rest)``.
 
-    The ints are packed with guard bits ``guards`` and sorted ascending.  A
-    proper divisor packs to a smaller int, so one pass tests each int
-    against the survivors before it, and h divides v exactly when no field
-    of ``(v | guards) - h`` borrows its guard bit; a repeat divides itself.
+    The ints are packed with guard bits ``guards`` and fields of
+    ``borrow + 1`` bits, and sorted ascending.  ``variables`` ORs those of
+    degree 1, each one set bit at the bottom of a field, and ``rest`` holds
+    the other minimal ones, ascending.  One pass sorts them out: a multiple
+    of a variable packs to a larger int than the variable, so an int with a
+    nonzero exponent at a variable already met goes, a variable joins
+    ``variables``, and any other int is tested only against the survivors
+    in ``rest`` before it.  A proper divisor packs to a smaller int, and h
+    divides v exactly when no field of ``(v | guards) - h`` borrows its
+    guard bit; a repeat divides itself.  A 0 makes the ideal the unit
+    ideal, ``(0, (0,))``.
     """
-    kept: list[int] = []
+    if ascending and not ascending[0]:
+        return 0, (0,)
+    ones = guards >> borrow
+    low = (1 << borrow) - 1
+    variables = multiples = 0
+    rest: list[int] = []
     for v in ascending:
+        if v & multiples:
+            continue
+        if not v & (v - 1) and v & ones:
+            variables |= v
+            multiples |= v * low
+            continue
         guarded = v | guards
-        for h in kept:
+        for h in rest:
             if (guarded - h) & guards == guards:
                 break
         else:
-            kept.append(v)
-    return kept
+            rest.append(v)
+    return variables, tuple(rest)
 
 
-def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> list[int]:
-    """The minimal generators of (gens[0], ..., gens[j-1]) : gens[j], ascending.
+def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> tuple[int, tuple[int, ...]]:
+    """The minimal generators of (gens[0], ..., gens[j-1]) : gens[j], as
+    ``(variables, rest)``.
 
-    ``gens`` are packed with guard bits ``guards`` and fields of
-    ``borrow + 1`` bits.  The colon is generated by the syzygy quotients
-    lcm(h, g) / g, and ``d = (h | guards) - g`` keeps its guard bit in
-    exactly the fields where h >= g, so ``d`` masked to the low ``borrow``
-    bits of those fields is the quotient.  :func:`_minimal` keeps the
-    minimal quotients.
+    ``gens`` are packed as for :func:`_minimal`.  With g = gens[j], the
+    colon is generated by the syzygy quotients lcm(h, g) / g, and
+    ``d = (h | guards) - g`` keeps its guard bit in exactly the fields
+    where h >= g, so ``d`` masked to the low ``borrow`` bits of those
+    fields is the quotient.  :func:`_minimal` sets the variables among the
+    quotients aside and keeps the minimal others.
     """
     g = gens[j]
     return _minimal(sorted({
         (diff := (h | guards) - g) & ((ge := diff & guards) - (ge >> borrow))
         for h in gens[:j]
-    }), guards)
+    }), guards, borrow)
 
 
 def _closed(gens: Sequence[int], ones: int, top: int, mask: int) -> tuple[tuple[int, int], ...]:
@@ -157,13 +180,23 @@ def _closed(gens: Sequence[int], ones: int, top: int, mask: int) -> tuple[tuple[
     return ((0, 1), (d, -1)) if d else ()
 
 
-def _times_one_minus_t(coeffs: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, int], ...]:
-    """The ``(degree, coefficient)`` pairs of K(t) (1 - t)^k, K given by ``coeffs``."""
-    product: Counter = Counter()
-    for i in range(k + 1):
-        b = -comb(k, i) if i & 1 else comb(k, i)
-        for d, c in coeffs:
-            product[d + i] += b * c
+@lru_cache(maxsize=64)
+def _row(k: int) -> tuple[tuple[int, int], ...]:
+    """The ``(degree, coefficient)`` pairs of (1 - t)^k."""
+    return tuple([(i, -comb(k, i) if i & 1 else comb(k, i)) for i in range(k + 1)])
+
+
+def _times_row(coeffs: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, int], ...]:
+    """The ``(degree, coefficient)`` pairs of K(t) (1 - t)^k, K given by
+    ``coeffs``: the cached row of (1 - t)^k itself when K = 1."""
+    row = _row(k)
+    if coeffs == ((0, 1),):
+        return row
+    product: dict[int, int] = {}
+    for d, c in coeffs:
+        for i, b in row:
+            e = d + i
+            product[e] = product.get(e, 0) + b * c
     return tuple(sorted([(d, c) for d, c in product.items() if c]))
 
 
@@ -183,10 +216,13 @@ def colon_ideals(
     packed = [sum(map(lshift, e, offsets)) for e in exponents]
     mask = (1 << width) - 1
     borrow = width - 1
-    return [
-        tuple([tuple([(v >> s) & mask for s in offsets]) for v in _colon(packed, j, guards, borrow)])
-        for j in targets
-    ]
+    colons = []
+    for j in targets:
+        variables, rest = _colon(packed, j, guards, borrow)
+        if variables:
+            rest = sorted([*rest, *[1 << s for s in offsets if variables >> s & 1]])
+        colons.append(tuple([tuple([(v >> s) & mask for s in offsets]) for v in rest]))
+    return colons
 
 
 def syzygy_coefficients(
@@ -209,16 +245,19 @@ def syzygy_coefficients(
     1, the unit ideal 0 and a principal ideal 1 - t^d.  An explicit stack of
     suspended nodes replaces Python recursion.
 
-    The ideal itself and every S_j, each given by its minimal generators,
-    are resolved alike: from the memo; by the closed form when principal
-    (every S_2 is), with no node opened; and otherwise, with k > 0 variables
-    among the generators, by K(S) = (1 - t)^k K(S'), S' the rest: a variable
-    divides no other minimal generator, so it is a nonzerodivisor on the
-    quotient by the others.  K(S') comes from the memo, the closed forms or
-    a node of its own, and both K(S') and K(S) are stored.  A variable packs
-    to one bit at the bottom of a field; 0, the unit ideal, and x^2, one bit
-    higher up, are not variables.  A node runs on through its S_j until one
-    must open a child.
+    The ideal itself and every S_j, each given by its minimal generators
+    as ``(variables, rest)``, are resolved alike: from the memo; by the
+    closed form when principal (every S_2 is), with no node opened; and
+    otherwise, with k > 0 variables among the generators, by
+    K(S) = (1 - t)^k K(S'), S' the rest: a variable divides no other
+    minimal generator, so it is a nonzerodivisor on the quotient by the
+    others.  K(S') comes from the memo, the closed forms or a node of its
+    own, and both K(S') and K(S) are stored.  (1 - t)^k is a cached row of
+    binomial coefficients, bounded as k is by the arity, and is K(S) itself
+    when S' is the zero ideal, as it is when S holds only variables.  A
+    variable packs to one bit at the bottom of a field; 0, the unit ideal,
+    and x^2, one bit higher up, are not variables, and the unit ideal has no
+    variables.  A node runs on through its S_j until one must open a child.
 
     Each generator is packed once into one int: variable i gets a field of
     W bits, the earlier variables in the higher fields, where W is one more
@@ -228,13 +267,15 @@ def syzygy_coefficients(
     generators.  The fields of trailing variables that no generator uses
     are dropped.  Ascending ints are then the generators in lexicographic
     order of their exponent tuples, and the primitives are a few int
-    operations each: :func:`_minimal` keeps the minimal generators of the
-    ideal in one ascending pass, the colon step :func:`_colon` gives those
-    of each S_j the same way, and ``v * ones`` sums all fields of v into
-    the top one, its degree.
+    operations each: :func:`_minimal` gives the variables and the rest of
+    the ideal's minimal generators in one ascending pass, the colon step
+    :func:`_colon` gives those of each S_j the same way, the variables'
+    count is the mask's bit count, and ``v * ones`` sums all fields of v
+    into the top one, its degree.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
-    memoized on W and its sorted packed minimal generators.  Equal keys
+    memoized on W, its variables' mask and the rest, sorted and packed (S'
+    under a mask of 0).  Equal keys
     mean equal K(t): a key fixes the exponents field by field, and K(t) is
     the same under a renaming of the variables and whatever trailing
     variables no generator uses, so the key does not depend on the ring's
@@ -246,43 +287,45 @@ def syzygy_coefficients(
     sub-ideals; an ideal already in it opens no node.  ``stats``, when
     given, receives ``misses`` (the entries this call adds to the memo: the
     ideal, the principal sub-ideals, and both S and S' of a split),
-    ``hits`` (sub-ideals found in the memo) and ``memo_size``.
+    ``hits`` (sub-ideals found in the memo), ``memo_size`` and ``nodes``
+    (the nodes opened: sub-ideals whose K(t) is summed over their own S_j;
+    a split S opens at most one, for S').
     """
     memo = {} if memo is None else memo
     known_before = len(memo)
     width = max(map(sum, exponents), default=0).bit_length() + 1
     offsets, guards, ones, top = _fields(len(exponents[0]) if exponents else 0, width)
-    kept = sorted([sum(map(lshift, e, offsets)) for e in exponents])
-    used = reduce(or_, kept, 0)
+    packed = sorted([sum(map(lshift, e, offsets)) for e in exponents])
+    used = reduce(or_, packed, 0)
     unused = ((used & -used).bit_length() - 1) // width * width if used else 0
     if unused:
-        kept = [v >> unused for v in kept]
+        packed = [v >> unused for v in packed]
         guards >>= unused
         ones >>= unused
         top -= unused
-    kept = _minimal(kept, guards)
     mask = (1 << width) - 1
     borrow = width - 1
+    variables, rest = _minimal(packed, guards, borrow)
 
-    hits = 0
+    hits = nodes = 0
     # the ideal's parent is a virtual node with no coefficients of its own
     key = gens = coeffs = None
     j = shift = 0
     stack = []  # suspended nodes: (key, gens, j, coeffs, shift, sub_key, split)
     while True:
-        # resolve the sub-ideal with minimal generators `kept`
-        sub_key = (width, tuple(kept))
+        # resolve the sub-ideal S with minimal generators `variables` and `rest`
+        sub_key = (width, variables, rest)
         sub = memo.get(sub_key)
         split = 0
         if sub is not None:
             hits += 1
-        elif len(kept) < 2:
-            sub = memo[sub_key] = _closed(kept, ones, top, mask)
+        elif (k := variables.bit_count()) + len(rest) < 2:
+            # at most one generator; a lone variable's K is the row 1 - t
+            sub = memo[sub_key] = _closed(rest, ones, top, mask) if rest else _row(k)
         else:
-            # K(S) = (1 - t)^split K(rest), rest the non-variables
-            rest = [v for v in kept if v & (v - 1) or not v & ones]
-            split = len(kept) - len(rest)
-            rest_key = (width, tuple(rest))
+            # K(S) = (1 - t)^split K(S'), S' the rest
+            split = k
+            rest_key = (width, 0, rest)
             sub = memo.get(rest_key) if split else None
             if sub is not None:
                 hits += 1
@@ -290,17 +333,18 @@ def syzygy_coefficients(
                 sub = memo[rest_key] = _closed(rest, ones, top, mask)
             else:
                 stack.append((key, gens, j, coeffs, shift, sub_key, split))
+                nodes += 1
                 key, gens, j = rest_key, rest, 1
                 coeffs = Counter({0: 1})
                 coeffs[(gens[0] * ones >> top) & mask] -= 1
         # hand each finished sub-ideal to its node until one has an S_j left
         while sub is not None:
             if split:
-                sub = memo[sub_key] = _times_one_minus_t(sub, split)
+                sub = memo[sub_key] = _times_row(sub, split)
             if coeffs is None:
                 if stats is not None:
                     misses = len(memo) - known_before
-                    stats.update({"hits": hits, "misses": misses, "memo_size": len(memo)})
+                    stats.update(hits=hits, misses=misses, memo_size=len(memo), nodes=nodes)
                 return sub
             # coeffs -= t^shift * K(S_j)
             for d, c in sub:
@@ -311,7 +355,7 @@ def syzygy_coefficients(
             sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
             key, gens, j, coeffs, shift, sub_key, split = stack.pop()
         shift = (gens[j] * ones >> top) & mask
-        kept = _colon(gens, j, guards, borrow)
+        variables, rest = _colon(gens, j, guards, borrow)
 
 
 def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:

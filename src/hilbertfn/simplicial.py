@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ResourceCapError
-from .monomial import Monomial, MonomialIdeal
+from .monomial import MonomialIdeal, _unchecked_monomial
 
 VERTEX_CAP = 24
 
@@ -112,7 +112,8 @@ def nonface_ideal(
     vertices: Sequence[str], nonfaces: Iterable[tuple[str, ...]]
 ) -> MonomialIdeal:
     """Squarefree monomial ideal on the vertex variables, one generator per
-    non-face, in the given order."""
+    non-face, in the given order.  Its exponents are 0 and 1, so the
+    generators skip ``Monomial``'s check."""
     index = {v: i for i, v in enumerate(vertices)}
     arity = len(vertices)
     gens = []
@@ -120,7 +121,7 @@ def nonface_ideal(
         exps = [0] * arity
         for v in nonface:
             exps[index[v]] = 1
-        gens.append(Monomial(tuple(exps)))
+        gens.append(_unchecked_monomial(tuple(exps)))
     return MonomialIdeal(arity, tuple(gens))
 
 

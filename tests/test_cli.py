@@ -436,7 +436,7 @@ class TestBench:
 
     def test_text_format_reports_capped_cases(self):
         # the default format: one line per case and method, lcm refused past
-        # the lattice cap, syzygy timed with its memo size and hits
+        # the lattice cap, syzygy timed with its memo size, hits and nodes
         code, text = run("bench", "--seed", "1", "--max-degree", "2", "--lattice-cap", "3")
         assert code == 0
         line_re = re.compile(r"case (\d+) arity=(\d+) gens=(\d+) (lcm|syzygy|table): (.*)")
@@ -449,7 +449,7 @@ class TestBench:
                 assert rest == f"capped ({gens} generators exceed lattice cap 3)", line
                 capped += 1
             elif method == "syzygy":
-                assert re.fullmatch(r"\d+\.\d{4}s memo=\d+ hits=\d+", rest), line
+                assert re.fullmatch(r"\d+\.\d{4}s memo=\d+ hits=\d+ nodes=\d+", rest), line
             else:
                 assert re.fullmatch(r"\d+\.\d{4}s", rest), line
         assert capped == 16

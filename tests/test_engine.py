@@ -296,7 +296,7 @@ class TestSyzygy:
         assert first["misses"] == size > 1
         # the root is in the memo: no node opens and nothing is added
         assert shared_coefficients(I, again, memo) == expected
-        assert again == {"hits": 1, "misses": 0, "memo_size": size}
+        assert again == {"hits": 1, "misses": 0, "memo_size": size, "nodes": 0}
         # a sub-ideal already in the memo is not computed again
         sub = parse_ideal("x*z^3, x^2*z^2, y^5", XYZ)
         fresh: dict = {}
@@ -323,7 +323,7 @@ class TestSyzygy:
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
         stats: dict = {}
         hf_syzygy(I, 10, stats=stats)
-        assert stats == {"hits": 1, "misses": 10, "memo_size": 10}
+        assert stats == {"hits": 1, "misses": 10, "memo_size": 10, "nodes": 2}
         # a squarefree ideal shaped like a Stanley-Reisner ideal: 24 minimal
         # generators of degree 3 and 4 on 15 variables
         rng = random.Random(15)
@@ -336,12 +336,12 @@ class TestSyzygy:
         J = ideal(15, *gens)
         assert len(minimalize(J).generators) == 24
         hf_syzygy(J, 6, stats=stats)
-        assert stats == {"hits": 323, "misses": 275, "memo_size": 275}
+        assert stats == {"hits": 323, "misses": 275, "memo_size": 275, "nodes": 98}
         # the staircase x^12, x^11*y, ..., y^12: every S_j is (y), a
         # principal sub-ideal computed once and then found in the memo
         S = ideal(2, *[(12 - i, i) for i in range(13)])
         hf_syzygy(S, 20, stats=stats)
-        assert stats == {"hits": 11, "misses": 2, "memo_size": 2}
+        assert stats == {"hits": 11, "misses": 2, "memo_size": 2, "nodes": 1}
         # an equal-degree antichain drawn as the many-generators workload
         # draws them (degree 5 in 4 variables), with 16 generators
         rng = random.Random(24)
@@ -353,7 +353,7 @@ class TestSyzygy:
             pool.add(tuple(e))
         A = ideal(4, *sorted(pool))
         hf_syzygy(A, 12, stats=stats)
-        assert stats == {"hits": 11, "misses": 19, "memo_size": 19}
+        assert stats == {"hits": 11, "misses": 19, "memo_size": 19, "nodes": 6}
         for K in (S, A):
             assert series_numerator(K) == lattice_numerator(K)
         # the edge ideal of a seeded graph on 24 vertices with 51 edges: its
@@ -364,7 +364,7 @@ class TestSyzygy:
             edges.add(tuple(sorted(rng.sample(range(24), 2))))
         E = ideal(24, *[tuple(int(v in e) for v in range(24)) for e in sorted(edges)])
         assert hf_syzygy(E, 4, stats=stats) == hf(E, 4, method="oracle")
-        assert stats["misses"] == 749
+        assert (stats["misses"], stats["nodes"]) == (749, 218)
 
     def test_variables_split_off_colon_ideals(self):
         # K(S) = (1 - t)^k K(S') for a colon ideal S with k variables among
@@ -433,18 +433,19 @@ class TestSyzygy:
         # the root is minimalized and then takes the memo, the closed form
         # and the variable split as every colon ideal does: the stats pin
         # that no node opens for a root whose rest is closed
-        def check(arity, gens, hits, misses):
+        def check(arity, gens, hits, misses, nodes):
             stats: dict = {}
             coeffs = syzygy_coefficients(gens, stats)
             assert coeffs == lattice_numerator(minimalize(ideal(arity, *gens))).coefficients
-            assert stats == {"hits": hits, "misses": misses, "memo_size": misses}, gens
+            expected = {"hits": hits, "misses": misses, "memo_size": misses, "nodes": nodes}
+            assert stats == expected, gens
 
         # six variables: the rest is the zero ideal, K = (1 - t)^6
-        check(6, [tuple(int(v == u) for v in range(6)) for u in range(6)], 0, 2)
+        check(6, [tuple(int(v == u) for v in range(6)) for u in range(6)], 0, 2, 0)
         # (x, y, z^2*w, z*w^2): one node for the rest, whose S_2 is principal
-        check(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)], 0, 3)
+        check(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)], 0, 3, 1)
         # (x, y^8, x*y^3): x*y^3 goes, then x splits off the principal (y^8)
-        check(2, [(1, 0), (0, 8), (1, 3)], 0, 2)
+        check(2, [(1, 0), (0, 8), (1, 3)], 0, 2, 0)
         # an annihilator term of variables alone adds its rest and itself to
         # a shared memo; (x^2, y^3) packs at another width and shares neither
         memo: dict = {}
@@ -455,6 +456,85 @@ class TestSyzygy:
         dec = AnnihilatorDecomposition(3, 0, 0, ((((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2),))
         assert annihilator_hf(dec, 5, memo) == [0, 0, 1, 0, 0, 0]
         assert len(memo) == known + 2
+
+    def test_colon_step_sets_variables_aside(self):
+        # the colon step returns (variables, rest): the variables' bits ORed,
+        # then the other minimal quotients, ascending, none a multiple of a
+        # variable; together they are the minimal quotients, checked here on
+        # exponent tuples, apart from the packing
+        rng = random.Random(25)
+
+        def variable(arity, i):
+            return tuple(int(v == i) for v in range(arity))
+
+        def plus(*vectors):
+            return tuple(map(sum, zip(*vectors)))
+
+        def check(arity, earlier, g):
+            width = max(map(sum, [*earlier, g])).bit_length() + 1
+            offsets, guards, ones, _ = series._fields(arity, width)
+            mask = (1 << width) - 1
+
+            def pack(e):
+                return sum(x << s for x, s in zip(e, offsets))
+
+            def unpack(v):
+                return tuple((v >> s) & mask for s in offsets)
+
+            packed = [pack(h) for h in earlier]
+            variables, rest = series._colon([*packed, pack(g)], len(packed), guards, width - 1)
+            quotients = [tuple(max(a, b) - b for a, b in zip(h, g)) for h in earlier]
+            expected = sorted(minimal_exponents(quotients))
+            split = [variable(arity, i) for i, s in enumerate(offsets) if variables >> s & 1]
+            got = sorted([*map(unpack, rest), *split])
+            assert got == expected, (earlier, g)
+            assert variables & ~ones == 0, (earlier, g)
+            assert list(rest) == sorted(set(rest)), (earlier, g)
+            if (0,) * arity in quotients:
+                assert (variables, rest) == (0, (0,)), (earlier, g)
+            else:
+                for v in rest:
+                    assert sum(unpack(v)) > 1 and not v & (variables * (mask >> 1)), (earlier, g)
+            # with g = 1 the colon is the ideal itself, as the root's pass gives it
+            if g == (0,) * arity:
+                assert series._minimal(sorted(packed), guards, width - 1) == (variables, rest)
+
+        for _ in range(600):
+            arity = rng.randint(0, 7)
+            g = tuple(rng.randint(0, 3) if rng.random() < 0.8 else 0 for _ in range(arity))
+            if rng.random() < 0.2:
+                g = (0,) * arity
+            earlier = [
+                tuple(rng.randint(0, 4) for _ in range(arity)) for _ in range(rng.randint(1, 6))
+            ]
+            for _ in range(rng.randint(0, 4) if arity else 0):
+                x = variable(arity, rng.randrange(arity))
+                kind = rng.randrange(4)
+                if kind == 0:  # a variable quotient and x^2 beside it
+                    earlier += [plus(g, x), plus(g, x, x)]
+                elif kind == 1:  # a multiple of a variable quotient
+                    earlier += [plus(g, x), plus(g, x, variable(arity, rng.randrange(arity)))]
+                elif kind == 2:  # a divisor of g: the unit quotient
+                    earlier.append(tuple(rng.randint(0, e) for e in g))
+                else:  # a repeated quotient
+                    earlier.append(rng.choice(earlier))
+            rng.shuffle(earlier)
+            check(arity, earlier, g)
+        # the unit wins over variables beside it
+        check(3, [(1, 0, 0), (0, 0, 0), (0, 1, 0)], (0, 0, 0))
+        check(3, [(2, 1, 0), (1, 2, 0), (1, 0, 0)], (1, 0, 0))
+        # the cached row of (1 - t)^k is K of (x_1, ..., x_k), and K(S') = 1
+        # gives the row itself
+        for k in range(13):
+            gens = [variable(k, i) for i in range(k)]
+            expected = lattice_numerator(ideal(max(k, 1), *gens)).coefficients
+            assert series._row(k) == expected == series._times_row(((0, 1),), k), k
+        # a nontrivial K(S'): (y^2*z, y*z^3) beside the variables u, v, w
+        rest = [(0, 0, 0, 2, 1), (0, 0, 0, 1, 3)]
+        uvw = [variable(5, i) for i in range(3)]
+        K = lattice_numerator(ideal(5, *rest)).coefficients
+        expected = lattice_numerator(ideal(5, *rest, *uvw)).coefficients
+        assert series._times_row(K, 3) == expected == syzygy_coefficients([*rest, *uvw])
 
     def test_recursion_owns_its_minimalization(self, monkeypatch):
         # the recursion minimalizes packed ints; only the lcm route still
