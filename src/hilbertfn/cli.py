@@ -7,23 +7,26 @@ range: ``--max-degree`` and ``--expand-to`` 0..``MAX_DEGREE``,
 ``--max-row`` 1..``MAX_ROW``, ``--enum-cap`` and ``--lattice-cap`` >= 0,
 ``--repetitions`` >= 1.  argparse refuses a value outside it, like any other
 bad flag value, with exit code 2 before any work.
+
+``json``, ``csv`` and ``random`` are imported where they are used, by
+``--format json|csv`` and ``bench``, so other commands never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
-import random
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import engine, parser, series, simplicial
 from .errors import ResourceCapError
 from .monomial import Monomial, MonomialIdeal, VariableOrder
 from .parser import ParseError
+
+if TYPE_CHECKING:
+    import random
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -39,12 +42,16 @@ MAX_ROW = 1000
 
 def _print_values(values: Sequence[int], fmt: str, meta: dict, out) -> None:
     if fmt == "json":
+        import json
+
         doc = dict(meta)
         doc["values"] = [
             {"degree": b, "value": str(v)} for b, v in enumerate(values)
         ]
         print(json.dumps(doc), file=out)
     elif fmt == "csv":
+        import csv
+
         w = csv.writer(out)
         w.writerow(["degree", "value"])
         for b, v in enumerate(values):
@@ -99,6 +106,8 @@ def cmd_table(args, out) -> int:
     order = _variable_order(args, ring)
     table = engine.hf_table(I, order=order, a_max=args.max_row, b_max=args.max_degree)
     if args.format == "json":
+        import json
+
         doc = {
             "ring": ring,
             "ideal": [parser.render_monomial(g, ring) for g in I.generators],
@@ -109,6 +118,8 @@ def cmd_table(args, out) -> int:
         }
         print(json.dumps(doc), file=out)
     elif args.format == "csv":
+        import csv
+
         w = csv.writer(out)
         for a, row in enumerate(table.rows, start=1):
             w.writerow([a, *row])
@@ -124,6 +135,8 @@ def cmd_series(args, out) -> int:
     num = series.series_numerator(I)
     values = None if args.expand_to is None else series.expand_series(num, args.expand_to)
     if args.format == "json":
+        import json
+
         doc = {
             "ring": ring,
             "ideal": [parser.render_monomial(g, ring) for g in I.generators],
@@ -136,6 +149,8 @@ def cmd_series(args, out) -> int:
             doc["values"] = [{"degree": b, "value": str(v)} for b, v in enumerate(values)]
         print(json.dumps(doc), file=out)
     elif args.format == "csv":
+        import csv
+
         w = csv.writer(out)
         w.writerow(["part", "degree", "value"])
         w.writerows(("numerator", d, c) for d, c in num.coefficients)
@@ -182,6 +197,8 @@ def _random_ideal(rng: random.Random, arity: int, n_gens: int, max_exp: int = 6)
 
 
 def _bench_cases(seed: int) -> list[tuple[int, MonomialIdeal]]:
+    import random
+
     rng = random.Random(seed)
     cases = []
     for arity in (3, 4, 5, 6):
@@ -227,8 +244,12 @@ def cmd_bench(args, out) -> int:
             records.append(entry)
     report = {"seed": args.seed, "max_degree": b_max, "cases": records}
     if args.format == "json":
+        import json
+
         print(json.dumps(report), file=out)
     elif args.format == "csv":
+        import csv
+
         w = csv.writer(out)
         w.writerow(["case", "repetition", "arity", "generators", "method", "seconds", "ok"])
         for entry in records:

@@ -42,7 +42,6 @@ cross-checks them against each other on randomized ideals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Literal, Optional
 
@@ -53,6 +52,8 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
+    _set,
+    _Value,
     minimalize,
 )
 from .pascal import pascal_F
@@ -96,8 +97,7 @@ def _check_lattice_cap(I: MonomialIdeal, lattice_cap: int) -> None:
         raise ResourceCapError(f"{n} generators exceed lattice cap {lattice_cap}")
 
 
-@dataclass(frozen=True)
-class LcmLattice:
+class LcmLattice(_Value):
     """All nonempty-subset lcms of an ideal's generators, grouped by subset size.
 
     ``layers[r - 1]`` holds the lcm of every r-subset, so layer r has
@@ -105,7 +105,10 @@ class LcmLattice:
     zero ideal's lattice is empty, with no layers, and its K is 1.
     """
 
-    layers: tuple[tuple[Monomial, ...], ...]
+    __slots__ = ("layers",)
+
+    def __init__(self, layers: tuple[tuple[Monomial, ...], ...]) -> None:
+        _set(self, "layers", layers)
 
 
 def build_lcm_lattice(I: MonomialIdeal, lattice_cap: int = LATTICE_CAP_DEFAULT) -> LcmLattice:
@@ -191,8 +194,7 @@ def hf_syzygy(
     return expand_series(series_numerator(I, stats), b_max)
 
 
-@dataclass(frozen=True)
-class AnnihilatorDecomposition:
+class AnnihilatorDecomposition(_Value):
     """HF decomposition of the stage-a annihilator (0 : x_a).
 
     The annihilator's HF at degree b is
@@ -208,10 +210,19 @@ class AnnihilatorDecomposition:
     unit ideal.
     """
 
-    free_arity: int
-    delta: int
-    delta_shift: int
-    terms: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
+    __slots__ = ("free_arity", "delta", "delta_shift", "terms")
+
+    def __init__(
+        self,
+        free_arity: int,
+        delta: int,
+        delta_shift: int,
+        terms: tuple[tuple[tuple[tuple[int, ...], ...], int], ...],
+    ) -> None:
+        _set(self, "free_arity", free_arity)
+        _set(self, "delta", delta)
+        _set(self, "delta_shift", delta_shift)
+        _set(self, "terms", terms)
 
 
 def annihilator_decomposition(
@@ -284,8 +295,7 @@ def annihilator_hf(
     return expand_series(SeriesNumerator.from_degrees(dec.free_arity, coeffs), b_max)
 
 
-@dataclass(frozen=True)
-class HilbertTable:
+class HilbertTable(_Value):
     """Rows a = 1..a_max of HF values for the chain of stage quotients.
 
     ``rows[a - 1][b]`` is HF(k[first a variables]/I_a, b), where I_a is
@@ -295,8 +305,13 @@ class HilbertTable:
     generator and for rows past the arity).
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    annihilator_hfs: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "annihilator_hfs")
+
+    def __init__(
+        self, rows: tuple[tuple[int, ...], ...], annihilator_hfs: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _set(self, "rows", rows)
+        _set(self, "annihilator_hfs", annihilator_hfs)
 
 
 def hf_table(

@@ -11,7 +11,6 @@ generators themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, le
 from typing import Iterable, Sequence
 
@@ -22,24 +21,68 @@ class ArityMismatchError(ValueError):
 
 MAX_EXPONENT = 10**6
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Monomial:
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``.  Equality holds only within
+    one class, the hash is that of the field tuple, the repr lists the fields
+    by name, and ``copy`` and ``pickle`` rebuild the value through ``__init__``
+    from its fields, positionally.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+def _is_int(x: object) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Monomial(_Value):
     """A monomial stored as its exponent vector.
 
     ``exponents[i]`` is the power of the i-th ring variable; the degree is the
     sum of all exponents (standard grading).
     """
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        for e in self.exponents:
-            if not isinstance(e, int) or e < 0:
+    def __init__(self, exponents: Iterable[int]) -> None:
+        exponents = tuple(exponents)
+        for e in exponents:
+            if (e.__class__ is not int and not _is_int(e)) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
             if e > MAX_EXPONENT:
                 raise OverflowError(f"exponent {e} exceeds supported bound {MAX_EXPONENT}")
+        _set(self, "exponents", exponents)
 
     @property
     def arity(self) -> int:
@@ -60,9 +103,9 @@ class Monomial:
 def _unchecked_monomial(exponents: tuple[int, ...]) -> Monomial:
     """A Monomial on exponents the caller has already bounded (the parser,
     and ``simplicial.nonface_ideal``'s 0/1 vectors), built without the
-    second pass of ``Monomial.__post_init__``."""
+    checks of ``Monomial.__init__``."""
     m = object.__new__(Monomial)
-    object.__setattr__(m, "exponents", exponents)
+    _set(m, "exponents", exponents)
     return m
 
 
@@ -91,26 +134,26 @@ def syzygy_quotient(p_i: Monomial, p_j: Monomial) -> Monomial:
     )
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """A monomial ideal given by an ordered generator list.
 
     The zero ideal has no generators; the unit ideal is flagged by a
     constant generator (all exponents zero).
     """
 
-    arity: int
-    generators: tuple[Monomial, ...] = ()
+    __slots__ = ("arity", "generators")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(self, arity: int, generators: Iterable[Monomial] = ()) -> None:
+        if not _is_int(arity):
+            raise ValueError(f"arity must be an integer, got {arity!r}")
+        if arity < 1:
             raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.arity != self.arity:
-                raise ArityMismatchError(
-                    f"generator arity {g.arity} != ideal arity {self.arity}"
-                )
+        generators = tuple(generators)
+        for g in generators:
+            if g.arity != arity:
+                raise ArityMismatchError(f"generator arity {g.arity} != ideal arity {arity}")
+        _set(self, "arity", arity)
+        _set(self, "generators", generators)
 
     @property
     def is_zero(self) -> bool:
@@ -181,19 +224,19 @@ def minimalize(I: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.arity, tuple(first[v] for v in kept))
 
 
-@dataclass(frozen=True)
-class VariableOrder:
+class VariableOrder(_Value):
     """The order in which variables are introduced when building HF tables.
 
     ``perm[i]`` is the ring index of the variable introduced at stage i+1.
     """
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"not a permutation of 0..{len(self.perm) - 1}: {self.perm}")
+    def __init__(self, perm: Iterable[int]) -> None:
+        perm = tuple(perm)
+        if not all(map(_is_int, perm)) or sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
+        _set(self, "perm", perm)
 
     @classmethod
     def identity(cls, arity: int) -> VariableOrder:

@@ -16,10 +16,9 @@ function that explains the error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
-from .monomial import MAX_EXPONENT, Monomial, MonomialIdeal, _unchecked_monomial
+from .monomial import MAX_EXPONENT, Monomial, MonomialIdeal, _set, _unchecked_monomial, _Value
 from .simplicial import SimplicialComplex
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
@@ -33,10 +32,12 @@ EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 ErrorKind = str  # unknown-variable | bad-exponent | empty-generator | syntax | duplicate-variable
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
+class SourceSpan(_Value):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 class ParseError(ValueError):

@@ -42,26 +42,27 @@ packing.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import lshift, or_
 from typing import Mapping, Optional, Sequence
 
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, _set, _Value
 
 
-@dataclass(frozen=True)
-class SeriesNumerator:
+class SeriesNumerator(_Value):
     """Finitely supported numerator polynomial with denominator (1 - t)^arity.
 
     ``coefficients`` is a tuple of ``(degree, coefficient)`` pairs in
     ascending degree; zero coefficients are not stored.
     """
 
-    arity: int
-    coefficients: tuple[tuple[int, int], ...]  # (degree, coefficient), ascending
+    __slots__ = ("arity", "coefficients")
+
+    def __init__(self, arity: int, coefficients: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "arity", arity)
+        _set(self, "coefficients", coefficients)
 
     @classmethod
     def from_degrees(cls, arity: int, coeffs: Mapping[int, int]) -> SeriesNumerator:

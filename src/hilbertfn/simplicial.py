@@ -8,11 +8,10 @@ ideal is generated by the squarefree monomials of the minimal non-faces.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ResourceCapError
-from .monomial import MonomialIdeal, _unchecked_monomial
+from .monomial import MonomialIdeal, _set, _unchecked_monomial, _Value
 
 VERTEX_CAP = 24
 
@@ -26,10 +25,12 @@ class InvalidComplexError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: tuple[str, ...]
-    facets: tuple[tuple[str, ...], ...]
+class SimplicialComplex(_Value):
+    __slots__ = ("vertices", "facets")
+
+    def __init__(self, vertices: tuple[str, ...], facets: tuple[tuple[str, ...], ...]) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "facets", facets)
 
 
 def validate_complex(c: SimplicialComplex) -> list[str]:

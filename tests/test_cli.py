@@ -7,6 +7,8 @@ import json
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -612,6 +614,25 @@ def test_entry_point_main(monkeypatch, capsys):
         cli.main()
     assert e.value.code == 0
     assert "HF 1 1 0 0" in capsys.readouterr().out
+
+
+def test_set_up_imports_every_submodule_and_no_deferred_module():
+    # a fresh interpreter's `import hilbertfn, hilbertfn.cli` and parser
+    # build load every hilbertfn submodule, so no query pays for one later,
+    # and none of the standard modules that only some paths use
+    probe = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]);"
+        "import hilbertfn, hilbertfn.cli; hilbertfn.cli.build_arg_parser();"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    added = set(proc.stdout.split())
+    assert not added & {"dataclasses", "inspect", "json", "csv", "random"}
+    submodules = "cli engine errors kernels monomial parser pascal series simplicial".split()
+    assert {"hilbertfn", *(f"hilbertfn.{m}" for m in submodules)} <= added
 
 
 def _readme_block(section: str, language: str) -> str:

@@ -32,6 +32,23 @@ def test_degree_rejects_negative():
         Monomial((1, -1))
 
 
+def test_monomial_rejects_bool_and_float_exponents():
+    # True == 1, but a bool is no exponent: Monomial((True, 2)) used to equal
+    # Monomial((1, 2))
+    for bad in (True, False, 1.0):
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            Monomial((bad, 2))
+
+
+def test_ideal_rejects_a_non_int_arity():
+    # a float arity used to be accepted and fail later, deep in every method
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="arity must be an integer"):
+            MonomialIdeal(bad, (Monomial((1, 1)),))
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        MonomialIdeal(0)
+
+
 def test_divides():
     assert divides(Monomial((2, 1, 0)), Monomial((2, 1, 2)))
     m = Monomial((1, 2, 3))
@@ -132,6 +149,10 @@ def test_minimal_exponents_is_the_first_copy_of_each_undivided_vector(vectors):
 def test_variable_order_validation():
     with pytest.raises(ValueError):
         VariableOrder((0, 0, 1))
+    # 0.0 == 0 == False, so sorting alone took these for permutations
+    for bad in ((0.0, 1), (True, 0), (1, False)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            VariableOrder(bad)
     assert VariableOrder.identity(3).perm == (0, 1, 2)
 
 
