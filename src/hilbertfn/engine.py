@@ -21,16 +21,19 @@ recursion on the survivors, whatever their number.  The table reads row 1,
 k[x]/(x^m), off the least power of its first variable, builds its
 annihilator decompositions from the generators that can reach them (degree
 <= b_max + 1), in any order, and evaluates each stage's annihilator as one
-numerator.  Each term of a decomposition is the minimal exponent tuples of
-its colon ideal in the first a - 1 table variables.
-:func:`annihilator_decomposition` picks the stage's generators, orders them
-as the paper's re-indexing does and projects them; the colon ideals come from
-:func:`series.colon_ideals`, the recursion's own colon step on packed ints,
-so this module builds no tuple per syzygy quotient and knows nothing of
-the packing.  A term's K(S) is read only up to the degree it can reach, by
-:func:`series.syzygy_coefficients`, the recursion's tuple entry, on those
-tuples over one memo per table, with no Monomial or MonomialIdeal built
-per term.  The ``syzygy``, ``oracle`` and ``lcm`` methods and
+numerator.  :func:`annihilator_decomposition` keeps only the table's logic:
+it picks the stage's generators, orders them as the paper's re-indexing
+does, projects them onto the first a - 1 table variables and names the
+targets with their shifts.  :func:`annihilator_hf` hands those to
+:func:`series.colon_coefficients`, the recursion's stage entry, which packs
+them once, takes each target's colon ideal from the recursion's own colon
+step, reads it only up to the degree it can reach and resolves it over one
+memo per table, so this module knows nothing of the packing and builds no
+tuple, Monomial or MonomialIdeal per term.  Only
+:attr:`AnnihilatorDecomposition.terms`, for the API and the tests, builds
+the colon ideals as exponent tuples, from the syzygy quotients and
+:func:`monomial.minimal_exponents`, apart from the packing.  The
+``syzygy``, ``oracle`` and ``lcm`` methods and
 :func:`series.series_numerator` read every generator, so cross-checks pit
 the degree-bounded routes against full ones.  The recursion is the default
 route to K(t); only ``method="lcm"`` takes the lcm lattice, and only
@@ -42,7 +45,7 @@ cross-checks them against each other on randomized ideals.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Literal, Optional
 
 from . import kernels
@@ -54,16 +57,16 @@ from .monomial import (
     VariableOrder,
     _set,
     _Value,
+    minimal_exponents,
     minimalize,
 )
 from .pascal import pascal_F
 from .series import (
     SeriesNumerator,
-    colon_ideals,
+    colon_coefficients,
     expand_series,
     lattice_numerator,
     series_numerator,
-    syzygy_coefficients,
 )
 
 MethodKind = Literal["oracle", "lcm", "syzygy", "table", "auto"]
@@ -200,29 +203,52 @@ class AnnihilatorDecomposition(_Value):
     The annihilator's HF at degree b is
 
         delta * F(free_arity, b - delta_shift)
-        + sum over terms of HF(k[first a - 1 variables] / S, b - shift)
+        + sum over targets j of HF(k[first a - 1 variables] / S_j, b - shift_j)
 
-    Each term is a pair ``(exponents, shift)``: ``exponents`` holds the
-    minimal generators of the sub-ideal S as exponent tuples in the first
-    ``free_arity`` = a - 1 table variables (coordinate i is the exponent of
-    ``order.perm[i]``); S carries no occurrence of the stage variable.  At
-    stage 1 a term lives in no variables, and its only tuple is ``()``, the
-    unit ideal.
+    ``generators`` are the stage's generators in table order, as exponent
+    tuples projected onto the first ``free_arity`` = a - 1 table variables
+    (coordinate i is the exponent of ``order.perm[i]``); the targets are the
+    last ``len(shifts)`` of them, one shift each, and S_j is the colon ideal
+    (p_0, ..., p_{j-1}) : p_j of the projected generators p_i.  S_j carries
+    no occurrence of the stage variable.  At stage 1 the generators live in
+    no variables, and every S_j is the unit ideal.  A generator of another
+    length than ``free_arity``, or more shifts than generators, raise
+    ``ValueError``.
     """
 
-    __slots__ = ("free_arity", "delta", "delta_shift", "terms")
+    __slots__ = ("free_arity", "delta", "delta_shift", "generators", "shifts")
 
     def __init__(
         self,
         free_arity: int,
         delta: int,
         delta_shift: int,
-        terms: tuple[tuple[tuple[tuple[int, ...], ...], int], ...],
+        generators: tuple[tuple[int, ...], ...],
+        shifts: tuple[int, ...],
     ) -> None:
+        if bad := [g for g in generators if len(g) != free_arity]:
+            raise ValueError(f"generator {bad[0]} does not have free_arity {free_arity}")
+        if len(shifts) > len(generators):
+            raise ValueError(f"{len(shifts)} shifts for {len(generators)} generators")
         _set(self, "free_arity", free_arity)
         _set(self, "delta", delta)
         _set(self, "delta_shift", delta_shift)
-        _set(self, "terms", terms)
+        _set(self, "generators", generators)
+        _set(self, "shifts", shifts)
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """Each target's pair ``(exponents, shift)``: ``exponents`` holds the
+        minimal generators of S_j as exponent tuples in ascending
+        lexicographic order, built from the syzygy quotients on exponent
+        tuples, apart from the packed colon step that :func:`annihilator_hf`
+        takes.  At stage 1 the only tuple is ``()``, the unit ideal."""
+        gens = self.generators
+        terms = []
+        for j, shift in enumerate(self.shifts, len(gens) - len(self.shifts)):
+            quotients = [tuple(map(sub, map(max, h, gens[j]), gens[j])) for h in gens[:j]]
+            terms.append((tuple(sorted(minimal_exponents(quotients))), shift))
+        return tuple(terms)
 
 
 def annihilator_decomposition(
@@ -235,11 +261,14 @@ def annihilator_decomposition(
     The stage-a generators are ordered by ascending x_a exponent (stably)
     after those of earlier stages, as :func:`reindex_for_table` orders them,
     so that no syzygy of an earlier generator against a later one involves
-    x_a.  With no earlier-stage generator the first stage-a one gives
-    ``delta``.  The generators are projected onto the first a - 1 table
-    variables, and :func:`series.colon_ideals` returns each term's minimal
-    generators from them, in ascending lexicographic order: projection
-    commutes with the syzygy quotient, which is taken variable by variable.
+    x_a.  No colon ideal depends on the order among the earlier-stage
+    generators, so they are sorted, and any two orders of the same
+    generators that tie alike give equal decompositions.  With no
+    earlier-stage generator the first stage-a one gives ``delta``, and every
+    other stage-a generator is a target, shifted by its degree less 1.  The
+    generators are projected onto the first a - 1 table variables:
+    projection commutes with the syzygy quotient, which is taken variable by
+    variable.  A stage with no target keeps no generator.
     """
     if not 1 <= a <= order.arity:
         raise ValueError(f"stage {a} out of range 1..{order.arity}")
@@ -247,28 +276,16 @@ def annihilator_decomposition(
         raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
     x_a = order.perm[a - 1]
     later = order.perm[a:]
-    earlier = []
-    staged = []
-    for g in I.generators:
-        q = g.exponents
-        if not any(map(q.__getitem__, later)):
-            (staged if q[x_a] else earlier).append(q)
-    staged.sort(key=itemgetter(x_a))
+    gens = [q for q in (g.exponents for g in I.generators) if not any(map(q.__getitem__, later))]
+    earlier = sorted([q for q in gens if not q[x_a]])
+    staged = sorted([q for q in gens if q[x_a]], key=itemgetter(x_a))
 
-    delta = 0
-    delta_shift = 0
-    if staged and not earlier:
-        delta = 1
-        delta_shift = sum(staged[0]) - 1
-    gens = earlier + staged
-    targets = range(len(earlier) + delta, len(gens))
-    if not targets:
-        return AnnihilatorDecomposition(a - 1, delta, delta_shift, ())
+    delta = int(bool(staged) and not earlier)
+    delta_shift = sum(staged[0]) - 1 if delta else 0
+    shifts = tuple([sum(q) - 1 for q in staged[delta:]])
     project = order.perm[: a - 1]
-    projected = [tuple([q[v] for v in project]) for q in gens]
-    shifts = [sum(gens[j]) - 1 for j in targets]
-    terms = tuple(zip(colon_ideals(projected, targets), shifts))
-    return AnnihilatorDecomposition(a - 1, delta, delta_shift, terms)
+    projected = tuple([tuple([q[v] for v in project]) for q in earlier + staged]) if shifts else ()
+    return AnnihilatorDecomposition(a - 1, delta, delta_shift, projected, shifts)
 
 
 def annihilator_hf(
@@ -278,20 +295,17 @@ def annihilator_hf(
 
     The annihilator's Hilbert series is
 
-        (delta * t^delta_shift + sum over terms of t^shift * K(S)) / (1 - t)^(a - 1),
+        (delta * t^delta_shift + sum over targets of t^shift * K(S)) / (1 - t)^(a - 1),
 
-    expanded once.  A term reaches degree b_max only through the generators
-    of S of degree <= b_max - shift, so each K(S) comes from
-    :func:`syzygy_coefficients` on those of the term's tuples alone.
-    ``memo`` is handed to every one of those recursions; pass the same dict
-    to share sub-ideals across calls.
+    expanded once.  A target reaches degree b_max only through the
+    generators of S of degree <= b_max - shift, so
+    :func:`series.colon_coefficients` resolves each S on those alone,
+    straight from the packed colon step on the stage's generators, packed
+    once.  ``memo`` is handed to every one of those recursions; pass the
+    same dict to share sub-ideals across calls.
     """
-    memo = {} if memo is None else memo
-    coeffs = Counter({dec.delta_shift: dec.delta})
-    for exponents, shift in dec.terms:
-        reach = b_max - shift
-        for d, c in syzygy_coefficients([e for e in exponents if sum(e) <= reach], memo=memo):
-            coeffs[d + shift] += c
+    coeffs = colon_coefficients(dec.generators, dec.shifts, b_max, {} if memo is None else memo)
+    coeffs[dec.delta_shift] += dec.delta
     return expand_series(SeriesNumerator.from_degrees(dec.free_arity, coeffs), b_max)
 
 

@@ -150,6 +150,8 @@ class MonomialIdeal(_Value):
             raise ValueError("arity must be >= 1")
         generators = tuple(generators)
         for g in generators:
+            if not isinstance(g, Monomial):
+                raise ValueError(f"generators must be Monomial values, got {g!r}")
             if g.arity != arity:
                 raise ArityMismatchError(f"generator arity {g.arity} != ideal arity {arity}")
         _set(self, "arity", arity)

@@ -5,20 +5,22 @@ HS(R/I, t) = K(t) / (1 - t)^a; expanding it against the free-ring counts
 F(a, b) recovers the Hilbert function values.  Two independent routes compute
 K(t):
 
-* the Bayer-Stillman recursion over syzygy sub-ideals, with one entry per
-  input kind.  :func:`syzygy_coefficients` is the tuple entry: it takes
-  exponent tuples of one arity, minimal or not, and the table's annihilator
-  terms call it directly.  :func:`series_numerator` is the ideal entry: it
-  hands a :class:`MonomialIdeal`'s exponent tuples to the tuple entry; the
-  syzygy method, ``auto`` and ``series`` take it.  The recursion packs each
-  monomial into one int, a field of W bits per variable whose top bit is a
-  guard that stays 0, so quotients, divisibility and degrees are a few int
-  operations.  It minimalizes the ideal once, packed, and then resolves it
-  as it resolves every colon ideal: a principal one is closed where it is
-  found, with no node opened for it, and the variables among the minimal
-  generators are split off, K(S) = (1 - t)^k K(S'), (1 - t)^k a cached
-  binomial row.  The memo keys are opaque: they carry W and do not depend
-  on the ring's arity;
+* the Bayer-Stillman recursion over syzygy sub-ideals, one loop,
+  :func:`_resolve`, with two entries.  :func:`syzygy_coefficients` is the
+  tuple entry: it takes exponent tuples of one arity, minimal or not, and
+  :func:`series_numerator` hands it a :class:`MonomialIdeal`'s exponent
+  tuples; the syzygy method, ``auto`` and ``series`` take it.
+  :func:`colon_coefficients` is the stage entry, the table's: it resolves
+  each target's colon ideal straight from the colon step, over one memo per
+  table.  The recursion packs each monomial into one int, a field of W bits
+  per variable whose top bit is a guard that stays 0, so quotients,
+  divisibility and degrees are a few int operations.  Each entry packs its
+  tuples once; the tuple entry minimalizes them, packed, and the loop then
+  resolves that ideal as it resolves every colon ideal: a principal one is
+  closed where it is found, with no node opened for it, and the variables
+  among the minimal generators are split off, K(S) = (1 - t)^k K(S'),
+  (1 - t)^k a cached binomial row.  The memo keys are opaque: they carry W
+  and do not depend on the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
@@ -28,15 +30,15 @@ This module alone knows the packed layout.  Its one minimal pass,
 as ``(variables, rest)``: the variables ORed into one mask, and the other
 minimal generators, none a multiple of a variable, ascending.  Its one
 colon step, :func:`_colon`, gives those of (g_1, ..., g_{j-1}) : g_j from
-packed ints through it.  The recursion runs the pass on the ideal and the
-colon step for every S_j, and :func:`colon_ideals`, the colon step's tuple
-entry, packs exponent tuples once, calls it for each target index, merges
-the variables back in ascending order and unpacks only the minimal
-quotients; the table's ``engine.annihilator_decomposition`` builds its
-terms through it.  :func:`lattice_numerator` stays on exponent tuples, as
-do :func:`monomial.minimal_exponents`, which the ``lcm`` method's
-``minimalize`` calls, and the oracle, so the cross-checks do not share the
-packing.
+packed ints through it.  The recursion runs the pass on the tuple entry's
+ideal and the colon step for every S_j; the stage entry runs the colon step
+on the stage's generators for each target, keeps the generators that can
+reach the table's last degree on their packed degrees, and hands the
+survivors to the loop, so no colon ideal is unpacked.
+:func:`lattice_numerator` stays on exponent tuples, as do
+:func:`monomial.minimal_exponents`, which the ``lcm`` method's
+``minimalize`` and ``engine.AnnihilatorDecomposition.terms`` call, and the
+oracle, so the cross-checks do not share the packing.
 """
 
 from __future__ import annotations
@@ -101,19 +103,23 @@ def lattice_numerator(I: MonomialIdeal) -> SeriesNumerator:
     return SeriesNumerator.from_degrees(I.arity, coeffs)
 
 
-@lru_cache(maxsize=64)
-def _fields(arity: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
-    """Constants of the packed layout with ``arity`` fields of ``width`` bits.
+def _pack(exponents: Sequence[tuple[int, ...]]) -> tuple[list[int], tuple[int, ...]]:
+    """The exponent tuples, all of one arity a, packed into ints, and their
+    layout ``(width, guards, ones, top, mask)``.
 
-    Variable i sits at bit offset (arity - 1 - i) * width, so comparing two
-    packed ints compares their exponent tuples lexicographically.  Returns
-    the offset of each variable, the guard bits (the top bit of every
-    field), one 1 at the bottom of every field, and the offset of the top
-    field, where ``v * ones`` collects the sum of v's fields.
+    Each variable gets a field of W = ``width`` bits, one more than the bit
+    length of the largest degree, and variable i sits at bit offset
+    (a - 1 - i) * W, so comparing two packed ints compares their exponent
+    tuples lexicographically.  ``guards`` holds the top bit of every field,
+    ``ones`` a 1 at the bottom of every field, ``top`` the offset of the
+    top field, where ``v * ones`` collects the sum of v's fields, and
+    ``mask`` the W low bits.
     """
-    offsets = tuple(range((arity - 1) * width, -1, -width))
+    width = max(map(sum, exponents), default=0).bit_length() + 1
+    offsets = range(((len(exponents[0]) if exponents else 0) - 1) * width, -1, -width)
     ones = sum(1 << s for s in offsets)
-    return offsets, ones << (width - 1), ones, offsets[0] if offsets else 0
+    layout = (width, ones << (width - 1), ones, offsets[0] if offsets else 0, (1 << width) - 1)
+    return [sum(map(lshift, e, offsets)) for e in exponents], layout
 
 
 def _minimal(ascending: Sequence[int], guards: int, borrow: int) -> tuple[int, tuple[int, ...]]:
@@ -201,31 +207,6 @@ def _times_row(coeffs: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, 
     return tuple(sorted([(d, c) for d, c in product.items() if c]))
 
 
-def colon_ideals(
-    exponents: Sequence[tuple[int, ...]], targets: Sequence[int]
-) -> list[tuple[tuple[int, ...], ...]]:
-    """For each index j in ``targets`` (each >= 1), the minimal generators
-    of the colon ideal (e_0, ..., e_{j-1}) : e_j, where e_i = exponents[i].
-
-    The tuples share one arity, which may be 0.  Each colon comes back as
-    exponent tuples in ascending lexicographic order, from the recursion's
-    own colon step: the tuples are packed once, at the recursion's width
-    for their largest degree, and only the minimal quotients are unpacked.
-    """
-    width = max(map(sum, exponents)).bit_length() + 1
-    offsets, guards, _, _ = _fields(len(exponents[0]), width)
-    packed = [sum(map(lshift, e, offsets)) for e in exponents]
-    mask = (1 << width) - 1
-    borrow = width - 1
-    colons = []
-    for j in targets:
-        variables, rest = _colon(packed, j, guards, borrow)
-        if variables:
-            rest = sorted([*rest, *[1 << s for s in offsets if variables >> s & 1]])
-        colons.append(tuple([tuple([(v >> s) & mask for s in offsets]) for v in rest]))
-    return colons
-
-
 def syzygy_coefficients(
     exponents: Sequence[tuple[int, ...]],
     stats: Optional[dict] = None,
@@ -243,13 +224,74 @@ def syzygy_coefficients(
 
     where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
     i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
-    1, the unit ideal 0 and a principal ideal 1 - t^d.  An explicit stack of
-    suspended nodes replaces Python recursion.
+    1, the unit ideal 0 and a principal ideal 1 - t^d.
 
-    The ideal itself and every S_j, each given by its minimal generators
-    as ``(variables, rest)``, are resolved alike: from the memo; by the
-    closed form when principal (every S_2 is), with no node opened; and
-    otherwise, with k > 0 variables among the generators, by
+    Each generator is packed once into one int: variable i gets a field of
+    W bits, the earlier variables in the higher fields, where W is one more
+    than the bit length of the largest generator degree.  The top bit of
+    every field is a guard and stays 0 in a packed value, since no exponent
+    or degree needs more than W - 1 bits and quotients never exceed their
+    generators.  Ascending ints are then the generators in lexicographic
+    order of their exponent tuples.  :func:`_minimal` gives the variables
+    and the rest of the minimal generators in one ascending pass, and
+    :func:`_resolve` runs the recursion on them.
+
+    ``memo``, when given, maps the recursion's keys to coefficient tuples
+    and is read and filled in place, so calls that pass the same dict share
+    their sub-ideals; an ideal already in it opens no node.  ``stats``, when
+    given, receives ``misses`` (the entries this call adds to the memo: the
+    ideal, the principal sub-ideals, and both S and S' of a split),
+    ``hits`` (sub-ideals found in the memo), ``memo_size`` and ``nodes``
+    (the nodes opened: sub-ideals whose K(t) is summed over their own S_j;
+    a split S opens at most one, for S').
+    """
+    packed, layout = _pack(exponents)
+    variables, rest = _minimal(sorted(packed), layout[1], layout[0] - 1)
+    return _resolve(variables, rest, layout, {} if memo is None else memo, stats)
+
+
+def colon_coefficients(
+    exponents: Sequence[tuple[int, ...]], shifts: Sequence[int], b_max: int, memo: dict
+) -> Counter:
+    """The sum over the targets j of t^shift_j K(S_j), S_j read up to degree
+    b_max - shift_j, as a ``Counter`` of degree -> coefficient.
+
+    The targets are the last ``len(shifts)`` of the exponent tuples, which
+    share one arity, may be 0, and S_j is the colon ideal
+    (e_0, ..., e_{j-1}) : e_j, e_i = exponents[i].  The tuples are packed
+    once, at the width for their largest degree, and each S_j comes from
+    the colon step :func:`_colon` as ``(variables, rest)``.  Only its
+    generators of degree <= b_max - shift_j can reach degree b_max once
+    shifted, so the others are dropped on their packed degrees (the
+    variables when that reach is below 1), and :func:`_resolve` runs the
+    recursion on the survivors over ``memo``, read and filled in place.
+    """
+    coeffs: Counter = Counter()
+    packed, layout = _pack(exponents)
+    width, guards, ones, top, mask = layout
+    for j, shift in enumerate(shifts, len(packed) - len(shifts)):
+        reach = b_max - shift
+        variables, rest = _colon(packed, j, guards, width - 1)
+        rest = tuple([v for v in rest if (v * ones >> top) & mask <= reach])
+        for d, c in _resolve(variables if reach > 0 else 0, rest, layout, memo):
+            coeffs[d + shift] += c
+    return coeffs
+
+
+def _resolve(
+    variables: int, rest: tuple[int, ...], layout: tuple, memo: dict, stats: Optional[dict] = None
+) -> tuple[tuple[int, int], ...]:
+    """The ``(degree, coefficient)`` pairs of K(t) for the ideal with minimal
+    generators ``(variables, rest)``, packed in ``layout``: the one
+    recursion loop, for :func:`syzygy_coefficients` and
+    :func:`colon_coefficients` alike.
+
+    The fields of trailing variables that no generator uses are dropped
+    first, so an ideal's key does not depend on how many such variables its
+    ring has.  The ideal and every S_j, each given by its minimal
+    generators as ``(variables, rest)``, are then resolved alike: from the
+    memo; by the closed form when principal (every S_2 is), with no node
+    opened; and otherwise, with k > 0 variables among the generators, by
     K(S) = (1 - t)^k K(S'), S' the rest: a variable divides no other
     minimal generator, so it is a nonzerodivisor on the quotient by the
     others.  K(S') comes from the memo, the closed forms or a node of its
@@ -258,55 +300,28 @@ def syzygy_coefficients(
     when S' is the zero ideal, as it is when S holds only variables.  A
     variable packs to one bit at the bottom of a field; 0, the unit ideal,
     and x^2, one bit higher up, are not variables, and the unit ideal has no
-    variables.  A node runs on through its S_j until one must open a child.
-
-    Each generator is packed once into one int: variable i gets a field of
-    W bits, the earlier variables in the higher fields, where W is one more
-    than the bit length of the largest generator degree.  The top bit of
-    every field is a guard and stays 0 in a packed value, since no exponent
-    or degree needs more than W - 1 bits and quotients never exceed their
-    generators.  The fields of trailing variables that no generator uses
-    are dropped.  Ascending ints are then the generators in lexicographic
-    order of their exponent tuples, and the primitives are a few int
-    operations each: :func:`_minimal` gives the variables and the rest of
-    the ideal's minimal generators in one ascending pass, the colon step
-    :func:`_colon` gives those of each S_j the same way, the variables'
-    count is the mask's bit count, and ``v * ones`` sums all fields of v
-    into the top one, its degree.
+    variables.  A node runs on through its S_j, from the colon step
+    :func:`_colon`, until one must open a child; an explicit stack of
+    suspended nodes replaces Python recursion.  The variables' count is the
+    mask's bit count, and ``v * ones`` sums all fields of v into the top
+    one, its degree.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
-    memoized on W, its variables' mask and the rest, sorted and packed (S'
-    under a mask of 0).  Equal keys
-    mean equal K(t): a key fixes the exponents field by field, and K(t) is
-    the same under a renaming of the variables and whatever trailing
-    variables no generator uses, so the key does not depend on the ring's
-    arity.  It carries W because ideals packed at different widths can give
-    equal ints.  Keys are opaque.
-
-    ``memo``, when given, maps those keys to coefficient tuples and is read
-    and filled in place, so calls that pass the same dict share their
-    sub-ideals; an ideal already in it opens no node.  ``stats``, when
-    given, receives ``misses`` (the entries this call adds to the memo: the
-    ideal, the principal sub-ideals, and both S and S' of a split),
-    ``hits`` (sub-ideals found in the memo), ``memo_size`` and ``nodes``
-    (the nodes opened: sub-ideals whose K(t) is summed over their own S_j;
-    a split S opens at most one, for S').
+    memoized on W, its variables' mask and the rest (S' under a mask of 0).
+    Equal keys mean equal K(t): a key fixes the exponents field by field,
+    and K(t) is the same under a renaming of the variables and whatever
+    trailing variables no generator uses, so the key does not depend on the
+    ring's arity.  It carries W because ideals packed at different widths
+    can give equal ints.  Keys are opaque.  ``stats`` is filled as
+    :func:`syzygy_coefficients` describes.
     """
-    memo = {} if memo is None else memo
     known_before = len(memo)
-    width = max(map(sum, exponents), default=0).bit_length() + 1
-    offsets, guards, ones, top = _fields(len(exponents[0]) if exponents else 0, width)
-    packed = sorted([sum(map(lshift, e, offsets)) for e in exponents])
-    used = reduce(or_, packed, 0)
-    unused = ((used & -used).bit_length() - 1) // width * width if used else 0
-    if unused:
-        packed = [v >> unused for v in packed]
-        guards >>= unused
-        ones >>= unused
-        top -= unused
-    mask = (1 << width) - 1
-    borrow = width - 1
-    variables, rest = _minimal(packed, guards, borrow)
+    width, guards, ones, top, mask = layout
+    used = reduce(or_, rest, variables)
+    if (unused := ((used & -used).bit_length() - 1) // width * width) > 0:
+        variables >>= unused
+        rest = tuple([v >> unused for v in rest])
+        guards, ones, top = guards >> unused, ones >> unused, top - unused
 
     hits = nodes = 0
     # the ideal's parent is a virtual node with no coefficients of its own
@@ -356,7 +371,7 @@ def syzygy_coefficients(
             sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
             key, gens, j, coeffs, shift, sub_key, split = stack.pop()
         shift = (gens[j] * ones >> top) & mask
-        variables, rest = _colon(gens, j, guards, borrow)
+        variables, rest = _colon(gens, j, guards, width - 1)
 
 
 def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:

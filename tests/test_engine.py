@@ -42,7 +42,6 @@ from hilbertfn.parser import parse_ideal
 from hilbertfn.pascal import hf_principal, hf_two_generators, pascal_F
 from hilbertfn.series import (
     SeriesNumerator,
-    colon_ideals,
     expand_series,
     lattice_numerator,
     series_numerator,
@@ -378,13 +377,18 @@ class TestSyzygy:
             assert values == hf(I, b_max, method="oracle"), gens
 
         # x-colon (w^D, z, y^e), e = 2^i: y^e is one packed bit above its
-        # field's bottom, not a variable, at every width 3..8
+        # field's bottom, not a variable, at every width 3..8; the colon
+        # step on the generators packed at the width of their largest
+        # degree sets z aside and keeps w^D < y^e as the rest
         for width in range(3, 9):
             D = 2 ** (width - 2)
             for i in range(1, width - 1):
                 gens = [(1, 0, 0, 0), (0, 2**i, 0, 0), (0, 0, 1, 0), (0, 0, 0, D)]
-                colon = ((0, 0, 0, D), (0, 0, 1, 0), (0, 2**i, 0, 0))
-                assert colon_ideals(sorted(gens), [3]) == [colon]
+                packed, (W, guards, _, _, _) = series._pack(sorted(gens))
+                w_D, z, y_e, _ = packed
+                assert W == width and z == 1 << width
+                colon = series._colon(packed, 3, guards, width - 1)
+                assert colon == (z, (w_D, y_e))
                 check(4, gens)
                 check(4, [(1, 0, 0, 0), (0, 2**i, 0, 0), (0, 1, 1, 0), (0, 0, 0, D)])
         # every variable: each S_j holds only variables, and K = (1 - t)^k
@@ -447,13 +451,17 @@ class TestSyzygy:
         # (x, y^8, x*y^3): x*y^3 goes, then x splits off the principal (y^8)
         check(2, [(1, 0), (0, 8), (1, 3)], 0, 2, 0)
         # an annihilator term of variables alone adds its rest and itself to
-        # a shared memo; (x^2, y^3) packs at another width and shares neither
+        # a shared memo; (x^2, y^3) packs at another width and shares neither.
+        # Each target is 1, so every earlier generator is its own quotient
         memo: dict = {}
         J = ideal(3, (2, 0, 0), (0, 3, 0))
-        other = AnnihilatorDecomposition(3, 0, 0, ((((2, 0, 0), (0, 3, 0)), 1),))
+        other = AnnihilatorDecomposition(3, 0, 0, ((2, 0, 0), (0, 3, 0), (0, 0, 0)), (1,))
+        assert other.terms == ((((0, 3, 0), (2, 0, 0)), 1),)
         assert annihilator_hf(other, 5, memo) == [0] + hf(J, 4, method="oracle")
         known = len(memo)
-        dec = AnnihilatorDecomposition(3, 0, 0, ((((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2),))
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        dec = AnnihilatorDecomposition(3, 0, 0, (*units, (0, 0, 0)), (2,))
+        assert dec.terms == (((units[2], units[1], units[0]), 2),)
         assert annihilator_hf(dec, 5, memo) == [0, 0, 1, 0, 0, 0]
         assert len(memo) == known + 2
 
@@ -471,18 +479,15 @@ class TestSyzygy:
             return tuple(map(sum, zip(*vectors)))
 
         def check(arity, earlier, g):
-            width = max(map(sum, [*earlier, g])).bit_length() + 1
-            offsets, guards, ones, _ = series._fields(arity, width)
-            mask = (1 << width) - 1
-
-            def pack(e):
-                return sum(x << s for x, s in zip(e, offsets))
+            packed, (width, guards, ones, _, mask) = series._pack([*earlier, g])
+            assert width == max(map(sum, [*earlier, g])).bit_length() + 1
+            offsets = range((arity - 1) * width, -1, -width)
 
             def unpack(v):
                 return tuple((v >> s) & mask for s in offsets)
 
-            packed = [pack(h) for h in earlier]
-            variables, rest = series._colon([*packed, pack(g)], len(packed), guards, width - 1)
+            assert list(map(unpack, packed)) == [*earlier, g]
+            variables, rest = series._colon(packed, len(earlier), guards, width - 1)
             quotients = [tuple(max(a, b) - b for a, b in zip(h, g)) for h in earlier]
             expected = sorted(minimal_exponents(quotients))
             split = [variable(arity, i) for i, s in enumerate(offsets) if variables >> s & 1]
@@ -497,7 +502,7 @@ class TestSyzygy:
                     assert sum(unpack(v)) > 1 and not v & (variables * (mask >> 1)), (earlier, g)
             # with g = 1 the colon is the ideal itself, as the root's pass gives it
             if g == (0,) * arity:
-                assert series._minimal(sorted(packed), guards, width - 1) == (variables, rest)
+                assert series._minimal(sorted(packed[:-1]), guards, width - 1) == (variables, rest)
 
         for _ in range(600):
             arity = rng.randint(0, 7)
@@ -644,6 +649,21 @@ class TestAnnihilatorDecomposition:
         dec = annihilator_decomposition(I, order, 2)
         assert dec.delta == 0 and dec.terms == ()
 
+    def test_constructor_checks_generators_and_shifts(self):
+        # a generator of another length than free_arity used to be cut short
+        # by zip: (0, 0, 1) read as the unit, and the annihilator as zero
+        with pytest.raises(ValueError, match="does not have free_arity 2"):
+            AnnihilatorDecomposition(2, 0, 0, ((1, 0), (0, 0, 1)), (1,))
+        with pytest.raises(ValueError, match="does not have free_arity 2"):
+            AnnihilatorDecomposition(2, 0, 0, ((1,), (0, 1)), (1,))
+        with pytest.raises(ValueError, match="3 shifts for 2 generators"):
+            AnnihilatorDecomposition(2, 0, 0, ((1, 0), (0, 1)), (1, 2, 3))
+        # every generator a target: the first one's colon is the zero ideal
+        dec = AnnihilatorDecomposition(2, 0, 0, ((1, 0), (0, 1)), (1, 2))
+        assert dec.terms == (((), 1), (((1, 0),), 2))
+        # t * HF(k[x, y]) + t^2 * HF(k[x, y] / (x))
+        assert annihilator_hf(dec, 4) == [0, 1, 3, 4, 5] == _per_term_sum(dec, 4)
+
     def test_order_arity_must_match(self):
         # a wider order used to index past the ideal's exponents, a narrower
         # one to drop its last variables from every term; the table refuses
@@ -721,6 +741,13 @@ class TestAnnihilatorDecomposition:
         J = reindex_for_table(I, order)
         assert J.generators != I.generators
         assert annihilator_decomposition(I, order, 3) == annihilator_decomposition(J, order, 3)
+        # earlier-stage generators in any order: y, x and x*y before z, whose
+        # colon ideals do not depend on that order, give one decomposition
+        I = ideal(3, (0, 1, 0), (0, 0, 2), (1, 1, 0), (1, 0, 0), (0, 1, 1))
+        J = reindex_for_table(I, order)
+        assert J.generators != I.generators
+        for a in (1, 2, 3):
+            assert annihilator_decomposition(I, order, a) == annihilator_decomposition(J, order, a)
         # stages run 1..arity
         for a in (0, 4):
             with pytest.raises(ValueError, match=f"stage {a} out of range"):
@@ -1170,31 +1197,47 @@ class TestAnnihilatorNumerator:
         assert stages > 150 and termless > 10
 
     def test_terms_read_reachable_generators_over_one_memo(self, monkeypatch):
-        real_coefficients = engine.syzygy_coefficients
-        real_ann = engine.annihilator_hf
-        roots = []
+        # the stage entry resolves each target's packed colon on its
+        # generators of degree <= b_max - shift alone, over one memo per
+        # table: unpacked, those are the reachable tuples of the term
+        real_stage = engine.colon_coefficients
+        real_resolve = series._resolve
+        resolved = []
         memos = []
+        dropped = Counter()
 
-        def coefficients_spy(exponents, stats=None, memo=None):
-            roots.append(exponents)
-            return real_coefficients(exponents, stats, memo=memo)
+        def resolve_spy(variables, rest, layout, memo, stats=None):
+            resolved.append((variables, rest, layout, memo))
+            return real_resolve(variables, rest, layout, memo, stats)
 
-        def ann_spy(dec, b_max, memo=None):
+        def stage_spy(exponents, shifts, b_max, memo):
             memos.append(memo)
-            del roots[:]
-            values = real_ann(dec, b_max, memo=memo)
-            assert len(roots) == len(dec.terms)
-            for sub, (full, shift) in zip(roots, dec.terms):
-                assert sub == [e for e in full if sum(e) <= b_max - shift]
-            return values
+            del resolved[:]
+            coeffs = real_stage(exponents, shifts, b_max, memo)
+            arity = len(exponents[0]) if exponents else 0
+            dec = AnnihilatorDecomposition(arity, 0, 0, exponents, shifts)
+            assert len(resolved) == len(shifts)
+            for (variables, rest, layout, sub_memo), (full, shift) in zip(resolved, dec.terms):
+                assert sub_memo is memo
+                width, mask = layout[0], layout[4]
+                offsets = range((arity - 1) * width, -1, -width)
+                got = [tuple([(v >> s) & mask for s in offsets]) for v in rest]
+                split = [u for u in offsets if variables >> u & 1]
+                got += [tuple([int(s == u) for s in offsets]) for u in split]
+                assert all(sum(e) <= b_max - shift for e in got)
+                assert sorted(got) == [e for e in full if sum(e) <= b_max - shift]
+                dropped["generators"] += len(full) - len(got)
+                dropped["variables"] += b_max - shift < 1 and any(sum(e) == 1 for e in full)
+            return coeffs
 
-        monkeypatch.setattr(engine, "syzygy_coefficients", coefficients_spy)
-        monkeypatch.setattr(engine, "annihilator_hf", ann_spy)
+        monkeypatch.setattr(series, "_resolve", resolve_spy)
+        monkeypatch.setattr(engine, "colon_coefficients", stage_spy)
         for I, b in _boundary_ideals(15) + _many_generator_ideals(16):
             del memos[:]
             hf_table(I, b_max=b)
             assert len(memos) == I.arity - 1
             assert all(m is memos[0] and isinstance(m, dict) for m in memos)
+        assert dropped["generators"] > 100 and dropped["variables"] > 10
 
     def test_table_matches_pinned_values(self):
         # rows and annihilator HFs of the table method as computed by

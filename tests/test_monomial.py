@@ -49,6 +49,15 @@ def test_ideal_rejects_a_non_int_arity():
         MonomialIdeal(0)
 
 
+def test_ideal_rejects_generators_that_are_not_monomials():
+    # an exponent tuple used to fail with AttributeError on its missing arity
+    for bad in ((1, 0), [1, 0], None):
+        with pytest.raises(ValueError, match="generators must be Monomial values"):
+            MonomialIdeal(2, [bad])
+    with pytest.raises(ValueError, match="generators must be Monomial values"):
+        MonomialIdeal(2, [Monomial((1, 0)), (0, 1)])
+
+
 def test_divides():
     assert divides(Monomial((2, 1, 0)), Monomial((2, 1, 2)))
     m = Monomial((1, 2, 3))
