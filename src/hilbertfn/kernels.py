@@ -8,11 +8,13 @@ the penultimate exponent's range splits into runs over which the least last
 exponent ``low`` of the generators still dividing stays fixed: a monomial in
 a run is outside exactly while its last exponent is below ``low``, so each
 run adds four +-1 entries to a second-order difference array over the
-degree, and the runs stop at the first ``low`` of 0.  A prefix that no
-generator divides any more has only free completions, which are summed for
-all degrees together at the end.  The walk still closes the same
-F(a, b_max) prefixes of a - 1 variables, but each costs O(runs), not
-O(b_max).
+degree, and the runs stop at the first ``low`` of 0.  The extensions of one
+frame that the same generators divide have the same runs, shifted by their
+degree, so the walk steps from one dividing set to the next and adds each
+span of degrees as one box of a third-order array: a closing frame costs
+O(dividing sets x runs), not O(b_max x runs).  A prefix that no generator
+divides any more has only free completions, which are summed for all
+degrees together at the end.
 """
 
 from __future__ import annotations
@@ -73,15 +75,15 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
     pen = last - 1
     # Difference arrays over the degree.  ``free[k]`` marks the start degrees
     # of prefixes whose k later variables are free: k + 1 prefix sums turn
-    # the marks into the count of their completions per degree.  ``bounded``
-    # is ``free[1]``, second order like it: each closed prefix of total d
-    # adds its runs there, shifted by d.
+    # the marks into the count of their completions per degree.  The runs of
+    # a ring of two variables go into ``free[1]``, second order like them; a
+    # closing frame adds its runs to ``free[2]``, once for each span of
+    # extensions with one dividing set.
     free = [[0] * (top + 1) for _ in range(arity)]
-    bounded = free[1]
 
     if arity == 2:
         for off, sign in _runs(sorted(gen_list, key=itemgetter(pen)), pen, last, top):
-            bounded[off] += sign
+            free[1][off] += sign
 
     # Each frame extends a prefix of total ``s`` that ``active`` divide by the
     # exponent of variable ``pos`` < pen.  Frames only add into the
@@ -108,18 +110,22 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
                 stack.append((pos + 1, d, active[:n]))
             continue
         # Close the last two variables of each extension of total d: its
-        # runs only shift with d until another generator divides it.
+        # runs only shift with d until another generator divides it, so the
+        # span [d, end) of one dividing set adds each run entry once per
+        # degree of the span, a box that two marks in ``spans`` make.
+        spans = free[2]
         by_pen = sorted(active, key=itemgetter(pen))
-        for d in range(s + first, top):
+        d = s + first
+        while d < top:
             e = d - s
-            room = top - d
-            if n < count and active[n][pos] <= e:
-                while n < count and active[n][pos] <= e:
-                    n += 1
-                entries = _runs([g for g in by_pen if g[pos] <= e], pen, last, room)
-            for off, sign in entries:
-                if off < room:
-                    bounded[d + off] += sign
+            while n < count and active[n][pos] <= e:
+                n += 1
+            end = s + active[n][pos] if n < count else top
+            for off, sign in _runs([g for g in by_pen if g[pos] <= e], pen, last, top - d):
+                spans[d + off] += sign
+                if end + off < top:
+                    spans[end + off] -= sign
+            d = end
 
     acc = free[last]
     for k in range(last - 1, 0, -1):

@@ -8,9 +8,12 @@ of the offending token as character offsets into the text.
 
 Each list is walked once, by ``str.split`` on its one-character separator
 and a running offset that grows by each piece's length plus one.  A span is
-built only where an error is raised: a valid factor costs one compiled
-match, and only a factor that match rejects is parsed again, by the
-function that explains the error.
+built only where an error is raised.  A valid factor costs one compiled
+match per distinct text in the ideal: ``parse_ideal`` keeps, for its call
+only, a dict from each factor text it has accepted to its (variable,
+exponent), and a repeated text is one dict lookup.  The exponent bound is
+still checked on every occurrence, and only a factor that is rejected or
+overflows is parsed again, by the function that explains the error.
 """
 
 from __future__ import annotations
@@ -115,13 +118,23 @@ def _parse_factor(piece: str, offset: int, index: dict[str, int], exps: list[int
         )
 
 
-def _parse_generator(piece: str, offset: int, index: dict[str, int], arity: int) -> Monomial:
+def _parse_generator(
+    piece: str,
+    offset: int,
+    index: dict[str, int],
+    arity: int,
+    factors: dict[str, tuple[int, int]],
+) -> Monomial:
     """One generator whose text starts at ``offset``.
 
-    A factor that ``FACTOR_RE`` matches with a known name and an exponent
-    in bounds is added with no span built.  Any other factor is left to
-    :func:`_parse_factor`, which raises the error for it, or accepts an
-    exponent padded with zeros past ``EXPONENT_DIGITS`` digits.
+    ``factors`` maps each valid factor text already met in this ideal,
+    surrounding whitespace included, to its (variable, exponent).  A text
+    not in it is matched by ``FACTOR_RE`` and stored if the match gives a
+    known name and an exponent of at most ``EXPONENT_DIGITS`` digits.  A
+    stored factor whose exponent keeps the running sum in bounds is added
+    with no span built.  Any other factor is left to :func:`_parse_factor`,
+    which raises the error for it, or accepts an exponent padded with zeros
+    past ``EXPONENT_DIGITS`` digits.
     """
     text = piece.strip()
     if not text:
@@ -131,15 +144,19 @@ def _parse_generator(piece: str, offset: int, index: dict[str, int], arity: int)
     exps = [0] * arity
     offset += len(piece) - len(piece.lstrip())
     for factor in text.split("*"):
-        m = FACTOR_RE.fullmatch(factor)
-        # a factor the match rejects has no name, so ``var`` is None
-        name, digits = m.groups() if m else (None, None)
-        var = index.get(name)
-        exp = 1 if digits is None else int(digits) if len(digits) <= EXPONENT_DIGITS else 0
-        if var is None or exp < 1 or exps[var] + exp > MAX_EXPONENT:
+        known = factors.get(factor)
+        if known is None:
+            m = FACTOR_RE.fullmatch(factor)
+            # a factor the match rejects has no name, so ``var`` is None
+            name, digits = m.groups() if m else (None, None)
+            var = index.get(name)
+            exp = 1 if digits is None else int(digits) if len(digits) <= EXPONENT_DIGITS else 0
+            if var is not None and exp > 0:
+                factors[factor] = known = (var, exp)
+        if known is None or exps[known[0]] + known[1] > MAX_EXPONENT:
             _parse_factor(factor, offset, index, exps)
         else:
-            exps[var] += exp
+            exps[known[0]] += known[1]
         offset += len(factor) + 1
     return _unchecked_monomial(tuple(exps))
 
@@ -155,9 +172,11 @@ def parse_ideal(text: str, ring: Sequence[str]) -> MonomialIdeal:
     if text.strip() == "0":
         return MonomialIdeal(arity, ())
     gens: list[Monomial] = []
+    # factor texts of this call only: a valid one is matched once per ideal
+    factors: dict[str, tuple[int, int]] = {}
     offset = 0
     for piece in text.split(","):
-        gens.append(_parse_generator(piece, offset, index, arity))
+        gens.append(_parse_generator(piece, offset, index, arity, factors))
         offset += len(piece) + 1
     return MonomialIdeal(arity, tuple(gens))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbertfn import parser
 from hilbertfn.monomial import MAX_EXPONENT, Monomial, MonomialIdeal, ideal
 from hilbertfn.parser import (
     FACTOR_RE,
@@ -207,6 +208,30 @@ def _ideal_text(rng):
     return text
 
 
+def _repeated_factors_text(rng):
+    """5 to 12 generators built from two to four factor texts, so that the
+    same text, surrounding whitespace included, recurs within the ideal and
+    across texts, and a stored factor can overflow on a later occurrence."""
+
+    def space():
+        return rng.choice(("", "", *SPACES))
+
+    pool = []
+    for _ in range(rng.randint(2, 4)):
+        factor = space() + (rng.choice(XYZ) if rng.random() < 0.9 else "w")
+        if rng.random() < 0.7:
+            exponent = rng.choice(EXPONENTS if rng.random() < 0.95 else ODD)
+            factor += space() + "^" + space() + exponent
+        pool.append(factor + space())
+    gens = []
+    for _ in range(rng.randint(5, 12)):
+        if rng.random() < 0.05:
+            gens.append("1")
+            continue
+        gens.append("*".join(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+    return ",".join(gens)
+
+
 # The names of a ring, an unknown name, names IDENT_RE rejects (the empty one
 # included), both separators and ASCII and non-ASCII whitespace.
 LIST_RING = (*XYZ, "x_1", "x'")
@@ -377,11 +402,57 @@ class TestIdeal:
         matched = [c for c in chars if FACTOR_RE.fullmatch(f"{c}x{c}^{c}2{c}")]
         assert matched == [c for c in chars if c.isspace()]
 
-    @settings(max_examples=2000, derandomize=True, deadline=None)
+    # one example in four from _repeated_factors_text, and still about 2 000
+    # from _ideal_text, each over a ring whose variable order varies
+    @settings(max_examples=2700, derandomize=True, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_matches_the_reference_parser(self, rng):
-        text = _ideal_text(rng)
-        assert _outcome(parse_ideal, text, XYZ) == _outcome(_ref_parse_ideal, text, XYZ), repr(text)
+        ring = rng.sample(XYZ, 3)
+        text = _repeated_factors_text(rng) if rng.random() < 0.25 else _ideal_text(rng)
+        expected = _outcome(_ref_parse_ideal, text, ring)
+        assert _outcome(parse_ideal, text, ring) == expected, (repr(text), ring)
+
+    def test_each_distinct_factor_text_is_matched_once_per_call(self, monkeypatch):
+        # six factor texts with no surrounding whitespace, so stripping a
+        # generator leaves each as it is, and their (variable, exponent)
+        factors = {"x": (0, 1), "y^2": (1, 2), "z ^ 3": (2, 3), "x^4": (0, 4), "y ^10": (1, 10), "z^ 5": (2, 5)}
+        texts = list(factors)
+        gens = [[texts[(i + k) % 6] for k in range(1 + i % 3)] for i in range(1000)]
+        expected = []
+        for gen in gens:
+            exps = [0, 0, 0]
+            for factor in gen:
+                var, exp = factors[factor]
+                exps[var] += exp
+            expected.append(tuple(exps))
+        text = ", ".join("*".join(gen) for gen in gens)
+
+        class CountingPattern:
+            def __init__(self, pattern):
+                self.pattern = pattern
+                self.matches = 0
+
+            def fullmatch(self, string):
+                self.matches += 1
+                return self.pattern.fullmatch(string)
+
+        counting = CountingPattern(FACTOR_RE)
+        monkeypatch.setattr(parser, "FACTOR_RE", counting)
+        assert [g.exponents for g in parse_ideal(text, XYZ).generators] == expected
+        assert counting.matches <= 6
+        # a new call over another ring matches again and reads its order
+        first = counting.matches
+        reversed_gens = parse_ideal(text, XYZ[::-1]).generators
+        assert [g.exponents for g in reversed_gens] == [e[::-1] for e in expected]
+        assert first < counting.matches <= first + 6
+
+    def test_stored_factor_overflowing_later_spans_that_occurrence(self):
+        text = "x^600000*y, y*x^600000*x^600000"
+        with pytest.raises(ParseError) as e:
+            parse_ideal(text, XYZ)
+        assert e.value.kind == "bad-exponent"
+        assert (e.value.span.start, e.value.span.end) == (23, 31)
+        assert _outcome(parse_ideal, text, XYZ) == _outcome(_ref_parse_ideal, text, XYZ)
 
     @pytest.mark.parametrize(
         "text",
