@@ -8,6 +8,10 @@ range: ``--max-degree`` and ``--expand-to`` 0..``MAX_DEGREE``,
 ``--repetitions`` >= 1.  argparse refuses a value outside it, like any other
 bad flag value, with exit code 2 before any work.
 
+argparse is the only grammar.  A subcommand followed only by its own flags
+is read by that subcommand's parser in one pass; any other argv goes through
+the full parser, so help, usage lines and error messages are argparse's own.
+
 ``json``, ``csv`` and ``random`` are imported where they are used, by
 ``--format json|csv`` and ``bench``, so other commands never load them.
 """
@@ -394,16 +398,40 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_arg_parser`'s ``parse_args`` would.
+
+    A subcommand followed only by its own flags is read by that subcommand's
+    parser alone, the one ``add_subparsers`` registered, starting from
+    ``Namespace(command=argv[0])``: the top-level parser would hand it the
+    same ``argv[1:]`` and add nothing. Every other argv (empty, no subcommand
+    first, a ``--``, or arguments the subcommand leaves over) goes through
+    the full parser, so its help, usage and error output are unchanged.
+    """
+    top = build_arg_parser()
+    if argv and "--" not in argv:
+        sub = top._subparsers._group_actions[0].choices.get(argv[0])
+        if sub is not None:
+            args, extras = sub.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0])
+            )
+            if not extras:
+                return args
+    return top.parse_args(argv)
+
+
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Run one command and return its exit code.
 
-    argparse reports a rejected argv (exit code 2) and ``--help`` (exit code
-    0) by raising ``SystemExit``; ``run`` returns that code instead, so an
-    in-process caller always gets a code and :func:`main` exits with it.
+    ``argv`` defaults to ``sys.argv[1:]`` and is parsed by
+    :func:`_parse_argv`. argparse reports a rejected argv (exit code 2) and
+    ``--help`` (exit code 0) by raising ``SystemExit``; ``run`` returns that
+    code instead, so an in-process caller always gets a code and
+    :func:`main` exits with it.
     """
     out = out if out is not None else sys.stdout
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code
     try:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import csv
 import io
 import itertools
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -545,6 +547,36 @@ class TestParser:
         assert run("eval", "--ring", "x,y", "--ideal", "x^2, q")[0] == cli.EXIT_INPUT
         assert run(*good) == first
 
+    WELL_FORMED = (
+        ["eval", "--ring", "x,y,z", "--ideal", "x^2,y^3", "--method", "lcm", "--format", "json"],
+        ["table", "--ring", "x,y", "--ideal", "x^2,y", "--max-row", "2", "--order", "y,x"],
+        ["series", "--ring", "x,y", "--ideal", "x*y", "--expand-to", "3", "--format", "csv"],
+        ["compare", "--ring", "x,y", "--ideal", "x^2,y^3", "--max-degree", "4"],
+        ["sr", "--ring", "x,y,z", "--facets", "x,y; y,z", "--max-degree", "3"],
+    )
+
+    def test_a_well_formed_query_takes_one_parser(self, monkeypatch, capsys):
+        # the subcommand's parser reads a well-formed argv alone; an argument
+        # it leaves over sends the argv through the top-level parser, which
+        # reports it under its own usage line
+        top = cli.build_arg_parser()
+        calls = []
+        full = top.parse_known_args
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(top, "parse_known_args", counted)
+        for argv in self.WELL_FORMED:
+            assert run(*argv)[0] == cli.EXIT_OK, argv
+        assert calls == []
+        assert run("eval", "--ring", "x", "--ideal", "x", "stray") == (cli.EXIT_INPUT, "")
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hilbertfn [-h]")
+        assert "unrecognized arguments: stray" in err
+
 
 RING_TEXTS = st.one_of(
     st.sampled_from(["x", "x,y,z", "z,y,x"]),
@@ -603,6 +635,73 @@ def argvs(draw):
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     code = cli.run(argv, out=io.StringIO())
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAP), argv
+
+
+COMMAND_NAMES = st.sampled_from(
+    ["eval", "table", "series", "compare", "sr", "evl", "e", "", "EVAL", "x", "-", "-h", "--help", "--ring"]
+)
+# the flags each subcommand requires, so that some draws get past argparse
+REQUIRED_FLAGS = {
+    "eval": ["--ring", "x,y,z", "--ideal", "x^2,y*z"],
+    "table": ["--ring", "x,y", "--ideal", "x^2,y", "--max-row", "2"],
+    "series": ["--ring", "x,y", "--ideal", "x*y"],
+    "compare": ["--ring", "x,y", "--ideal", "x^2,y^3"],
+    "sr": ["--ring", "x,y,z", "--facets", "x,y; y,z"],
+}
+# every flag of every subcommand but bench, and abbreviations of them: some
+# ambiguous (--m on eval, --f on sr), some of --help
+FLAG_NAMES = st.sampled_from(
+    "--ring --ideal --facets --max-degree --max-row --order --expand-to --enum-cap"
+    " --lattice-cap --method --format --seed --ri --id --fa --max --max-d --max-r --m"
+    " --e --en --l --o --ex --me --f --h --he".split()
+)
+FLAG_VALUES = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.integers(MAX_DEGREE + 1, 10**12).map(str),
+    st.sampled_from(
+        ["x", "x,y,z", "x^2,y^3", "x; y", "plain", "csv", "json", "xml", "oracle",
+         "lcm", "syzygy", "table", "auto", "nope", "1.5", "abc", "", "-x", "-0"]
+    ),
+)
+ARGV_PIECES = st.one_of(
+    st.tuples(FLAG_NAMES, FLAG_VALUES).map(list),
+    st.tuples(FLAG_NAMES, FLAG_VALUES).map(lambda pair: ["=".join(pair)]),
+    # a flag with its value missing, or a stray token
+    st.one_of(FLAG_NAMES, FLAG_VALUES).map(lambda token: [token]),
+    st.sampled_from(["--", "-h", "--help", "-x", "--bogus", "-3", "--=x"]).map(lambda t: [t]),
+)
+
+
+@st.composite
+def raw_argvs(draw):
+    command = draw(COMMAND_NAMES)
+    argv = [command]
+    if command in REQUIRED_FLAGS and draw(st.booleans()):
+        argv += REQUIRED_FLAGS[command]
+    for piece in draw(st.lists(ARGV_PIECES, max_size=6)):
+        argv += piece
+    return argv
+
+
+def _observed(argv):
+    out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(list(argv), out=out)
+    return code, out.getvalue(), stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(raw_argvs())
+@example(["eval", "--ring", "x", "--ideal", "x", "--", "--max-degree", "2"])
+@example(["eval", "--ring", "x", "--ideal", "x", "--max-degree", "2", "--bogus", "1"])
+@example(["eval", "-h"])
+@example([])
+def test_one_pass_parse_matches_the_full_parser(argv):
+    # cli.run gives the same exit code and output as parse_args of the full
+    # parser followed by args.func, on any argv
+    got = _observed(argv)
+    with mock.patch.object(cli, "_parse_argv", cli.build_arg_parser().parse_args):
+        assert got == _observed(argv), argv
 
 
 def test_entry_point_main(monkeypatch, capsys):
