@@ -12,8 +12,13 @@ argparse is the only grammar.  A subcommand followed only by its own flags
 is read by that subcommand's parser in one pass; any other argv goes through
 the full parser, so help, usage lines and error messages are argparse's own.
 
-``json``, ``csv`` and ``random`` are imported where they are used, by
-``--format json|csv`` and ``bench``, so other commands never load them.
+Every command but ``compare`` prints its result through one writer,
+:func:`_write`.  The command hands it one zero-argument builder per format:
+the JSON document, the csv rows or the plain lines; the writer calls only
+the builder for ``--format``, so a result is rendered in that format alone.
+Only the writer imports ``json`` and ``csv``, and only ``_bench_cases``
+imports ``random``, each where it is used, so other commands never load
+them.
 """
 
 from __future__ import annotations
@@ -22,15 +27,12 @@ import argparse
 import functools
 import sys
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import engine, parser, series, simplicial
 from .errors import ResourceCapError
 from .monomial import Monomial, MonomialIdeal, VariableOrder
 from .parser import ParseError
-
-if TYPE_CHECKING:
-    import random
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -44,25 +46,54 @@ MAX_DEGREE = 10**5
 MAX_ROW = 1000
 
 
-def _print_values(values: Sequence[int], fmt: str, meta: dict, out) -> None:
+def _write(fmt: str, out, *, json, csv, plain) -> None:
+    r"""Print one result to ``out`` in ``fmt``, built by that format's builder
+    alone: ``json()`` returns the document, printed on one line; ``csv()``
+    the rows, written by a ``csv.writer`` (``\r\n`` line ends); ``plain()``
+    the lines."""
     if fmt == "json":
-        import json
+        import json as json_module
 
-        doc = dict(meta)
-        doc["values"] = [
-            {"degree": b, "value": str(v)} for b, v in enumerate(values)
-        ]
-        print(json.dumps(doc), file=out)
+        print(json_module.dumps(json()), file=out)
     elif fmt == "csv":
-        import csv
+        import csv as csv_module
 
-        w = csv.writer(out)
-        w.writerow(["degree", "value"])
-        for b, v in enumerate(values):
-            w.writerow([b, v])
+        csv_module.writer(out).writerows(csv())
     else:
-        print("b  " + " ".join(str(b) for b in range(len(values))), file=out)
-        print("HF " + " ".join(str(v) for v in values), file=out)
+        for line in plain():
+            print(line, file=out)
+
+
+def _echo(ring: list[str], I: MonomialIdeal, **between) -> dict:
+    """The JSON head that echoes the input: ``"ring"``, then ``between``'s
+    keys, then ``"ideal"``, its generators rendered one by one."""
+    return {
+        "ring": ring,
+        **between,
+        "ideal": [parser.render_monomial(g, ring) for g in I.generators],
+    }
+
+
+def _value_docs(values: Sequence[int]) -> list[dict]:
+    """HF values for JSON, as decimal strings so that no consumer that reads
+    numbers as doubles rounds them."""
+    return [{"degree": b, "value": str(v)} for b, v in enumerate(values)]
+
+
+def _write_values(fmt: str, out, values: Sequence[int], head, lines=tuple) -> None:
+    """Print HF values: after ``head()``'s keys in JSON, as ``degree,value``
+    rows in csv, and as the ``b``/``HF`` lines after ``lines()`` in plain."""
+    _write(
+        fmt,
+        out,
+        json=lambda: {**head(), "values": _value_docs(values)},
+        csv=lambda: [("degree", "value"), *enumerate(values)],
+        plain=lambda: [
+            *lines(),
+            "b  " + " ".join(str(b) for b in range(len(values))),
+            "HF " + " ".join(str(v) for v in values),
+        ],
+    )
 
 
 def _parse_ring_and_ideal(args) -> tuple[list[str], MonomialIdeal]:
@@ -80,14 +111,7 @@ def cmd_eval(args, out) -> int:
         enum_cap=args.enum_cap,
         lattice_cap=args.lattice_cap,
     )
-    meta = {}
-    if args.format == "json":
-        meta = {
-            "ring": ring,
-            "ideal": [parser.render_monomial(g, ring) for g in I.generators],
-            "method": args.method,
-        }
-    _print_values(values, args.format, meta, out)
+    _write_values(args.format, out, values, lambda: {**_echo(ring, I), "method": args.method})
     return EXIT_OK
 
 
@@ -109,28 +133,21 @@ def cmd_table(args, out) -> int:
     ring, I = _parse_ring_and_ideal(args)
     order = _variable_order(args, ring)
     table = engine.hf_table(I, order=order, a_max=args.max_row, b_max=args.max_degree)
-    if args.format == "json":
-        import json
-
-        doc = {
-            "ring": ring,
-            "ideal": [parser.render_monomial(g, ring) for g in I.generators],
-            "rows": [
-                {"a": a, "values": [str(v) for v in row]}
-                for a, row in enumerate(table.rows, start=1)
-            ],
-        }
-        print(json.dumps(doc), file=out)
-    elif args.format == "csv":
-        import csv
-
-        w = csv.writer(out)
-        for a, row in enumerate(table.rows, start=1):
-            w.writerow([a, *row])
-    else:
-        print("a\\b " + " ".join(str(b) for b in range(args.max_degree + 1)), file=out)
-        for a, row in enumerate(table.rows, start=1):
-            print(f"{a}   " + " ".join(str(v) for v in row), file=out)
+    # read once, by the one builder that runs
+    rows = enumerate(table.rows, start=1)
+    _write(
+        args.format,
+        out,
+        json=lambda: {
+            **_echo(ring, I),
+            "rows": [{"a": a, "values": [str(v) for v in row]} for a, row in rows],
+        },
+        csv=lambda: ([a, *row] for a, row in rows),
+        plain=lambda: [
+            "a\\b " + " ".join(str(b) for b in range(args.max_degree + 1)),
+            *(f"{a}   " + " ".join(str(v) for v in row) for a, row in rows),
+        ],
+    )
     return EXIT_OK
 
 
@@ -138,31 +155,25 @@ def cmd_series(args, out) -> int:
     ring, I = _parse_ring_and_ideal(args)
     num = series.series_numerator(I)
     values = None if args.expand_to is None else series.expand_series(num, args.expand_to)
-    if args.format == "json":
-        import json
-
-        doc = {
-            "ring": ring,
-            "ideal": [parser.render_monomial(g, ring) for g in I.generators],
+    _write(
+        args.format,
+        out,
+        json=lambda: {
+            **_echo(ring, I),
             "series": series.render_series(num),
-            "numerator": [
-                {"degree": d, "coefficient": str(c)} for d, c in num.coefficients
-            ],
-        }
-        if values is not None:
-            doc["values"] = [{"degree": b, "value": str(v)} for b, v in enumerate(values)]
-        print(json.dumps(doc), file=out)
-    elif args.format == "csv":
-        import csv
-
-        w = csv.writer(out)
-        w.writerow(["part", "degree", "value"])
-        w.writerows(("numerator", d, c) for d, c in num.coefficients)
-        w.writerows(("hf", b, v) for b, v in enumerate(values or ()))
-    else:
-        print(series.render_series(num), file=out)
-        if values is not None:
-            print(" ".join(str(v) for v in values), file=out)
+            "numerator": [{"degree": d, "coefficient": str(c)} for d, c in num.coefficients],
+            **({} if values is None else {"values": _value_docs(values)}),
+        },
+        csv=lambda: [
+            ("part", "degree", "value"),
+            *(("numerator", d, c) for d, c in num.coefficients),
+            *(("hf", b, v) for b, v in enumerate(values or ())),
+        ],
+        plain=lambda: [
+            series.render_series(num),
+            *(() if values is None else [" ".join(str(v) for v in values)]),
+        ],
+    )
     return EXIT_OK
 
 
@@ -190,37 +201,46 @@ def cmd_compare(args, out) -> int:
     return EXIT_DISAGREE
 
 
-def _random_ideal(rng: random.Random, arity: int, n_gens: int, max_exp: int = 6) -> MonomialIdeal:
-    gens = []
-    while len(gens) < n_gens:
-        exps = tuple(rng.randint(0, max_exp) for _ in range(arity))
-        if sum(exps) == 0:
-            continue
-        gens.append(Monomial(exps))
-    return MonomialIdeal(arity, tuple(gens))
-
-
-def _bench_cases(seed: int) -> list[tuple[int, MonomialIdeal]]:
+def _bench_cases(seed: int) -> list[MonomialIdeal]:
+    """Five ideals for each arity 3..6, with 2, 4, 8, 12 and 16 generators
+    of exponents 0..6 drawn from ``random.Random(seed)``."""
     import random
 
     rng = random.Random(seed)
     cases = []
     for arity in (3, 4, 5, 6):
         for n_gens in (2, 4, 8, 12, 16):
-            cases.append((arity, _random_ideal(rng, arity, n_gens)))
+            gens = []
+            while len(gens) < n_gens:
+                exps = tuple(rng.randint(0, 6) for _ in range(arity))
+                if any(exps):
+                    gens.append(Monomial(exps))
+            cases.append(MonomialIdeal(arity, tuple(gens)))
     return cases
+
+
+def _bench_line(entry: dict, method: str, info: dict) -> str:
+    head = f"case {entry['case']} arity={entry['arity']} gens={entry['generators']} {method}"
+    if "error" in info:
+        return f"{head}: capped ({info['error']})"
+    extra = (
+        f" memo={info['memo_size']} hits={info['memo_hits']} nodes={info['memo_nodes']}"
+        if "memo_size" in info
+        else ""
+    )
+    return f"{head}: {info['seconds']:.4f}s{extra}"
 
 
 def cmd_bench(args, out) -> int:
     b_max = args.max_degree
     records = []
     for rep in range(args.repetitions):
-        for case_id, (arity, I) in enumerate(_bench_cases(args.seed)):
-            ring = [f"x{i + 1}" for i in range(arity)]
+        for case_id, I in enumerate(_bench_cases(args.seed)):
+            ring = [f"x{i + 1}" for i in range(I.arity)]
             entry = {
                 "case": case_id,
                 "repetition": rep,
-                "arity": arity,
+                "arity": I.arity,
                 "generators": len(I.generators),
                 "ideal": parser.render_ideal(I, ring),
                 "methods": {},
@@ -246,43 +266,23 @@ def cmd_bench(args, out) -> int:
                     info["error"] = str(exc)
                 entry["methods"][method] = info
             records.append(entry)
-    report = {"seed": args.seed, "max_degree": b_max, "cases": records}
-    if args.format == "json":
-        import json
-
-        print(json.dumps(report), file=out)
-    elif args.format == "csv":
-        import csv
-
-        w = csv.writer(out)
-        w.writerow(["case", "repetition", "arity", "generators", "method", "seconds", "ok"])
-        for entry in records:
-            for method, info in entry["methods"].items():
-                w.writerow(
-                    [
-                        entry["case"],
-                        entry["repetition"],
-                        entry["arity"],
-                        entry["generators"],
-                        method,
-                        info.get("seconds", ""),
-                        "error" not in info,
-                    ]
+    runs = [(e, m, info) for e in records for m, info in e["methods"].items()]
+    _write(
+        args.format,
+        out,
+        json=lambda: {"seed": args.seed, "max_degree": b_max, "cases": records},
+        csv=lambda: [
+            ("case", "repetition", "arity", "generators", "method", "seconds", "ok"),
+            *(
+                (
+                    e["case"], e["repetition"], e["arity"], e["generators"], m,
+                    info.get("seconds", ""), "error" not in info,
                 )
-    else:
-        for entry in records:
-            head = f"case {entry['case']} arity={entry['arity']} gens={entry['generators']}"
-            for method, info in entry["methods"].items():
-                if "error" in info:
-                    print(f"{head} {method}: capped ({info['error']})", file=out)
-                else:
-                    extra = (
-                        f" memo={info['memo_size']} hits={info['memo_hits']}"
-                        f" nodes={info['memo_nodes']}"
-                        if "memo_size" in info
-                        else ""
-                    )
-                    print(f"{head} {method}: {info['seconds']:.4f}s{extra}", file=out)
+                for e, m, info in runs
+            ),
+        ],
+        plain=lambda: (_bench_line(e, m, info) for e, m, info in runs),
+    )
     return EXIT_OK
 
 
@@ -297,21 +297,16 @@ def cmd_sr(args, out) -> int:
         return EXIT_INPUT
     I = simplicial.nonface_ideal(complex_.vertices, nonfaces)
     values = engine.hf(I, args.max_degree, method="auto")
-    meta = {}
-    if args.format == "json":
-        meta = {
-            "ring": ring,
-            "minimal_nonfaces": [list(nf) for nf in nonfaces],
-            "ideal": [parser.render_monomial(g, ring) for g in I.generators],
-        }
-    elif args.format == "plain":
-        print(
-            "minimal non-faces: "
-            + "; ".join(",".join(nf) for nf in nonfaces),
-            file=out,
-        )
-        print("ideal: " + parser.render_ideal(I, ring), file=out)
-    _print_values(values, args.format, meta, out)
+    _write_values(
+        args.format,
+        out,
+        values,
+        lambda: _echo(ring, I, minimal_nonfaces=[list(nf) for nf in nonfaces]),
+        lambda: [
+            "minimal non-faces: " + "; ".join(",".join(nf) for nf in nonfaces),
+            "ideal: " + parser.render_ideal(I, ring),
+        ],
+    )
     return EXIT_OK
 
 

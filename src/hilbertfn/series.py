@@ -53,6 +53,12 @@ from typing import Mapping, Optional, Sequence
 from .monomial import MonomialIdeal, _set, _Value
 
 
+def _terms(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """The ``(degree, coefficient)`` pairs of ``coeffs`` sorted by degree,
+    zero coefficients dropped: the form of every numerator."""
+    return tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
+
+
 class SeriesNumerator(_Value):
     """Finitely supported numerator polynomial with denominator (1 - t)^arity.
 
@@ -70,7 +76,7 @@ class SeriesNumerator(_Value):
     def from_degrees(cls, arity: int, coeffs: Mapping[int, int]) -> SeriesNumerator:
         """The numerator with coefficient ``coeffs[d]`` at degree d: sorted
         by degree, zero coefficients dropped."""
-        return cls(arity, tuple(sorted([(d, c) for d, c in coeffs.items() if c])))
+        return cls(arity, _terms(coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -204,7 +210,7 @@ def _times_row(coeffs: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, 
         for i, b in row:
             e = d + i
             product[e] = product.get(e, 0) + b * c
-    return tuple(sorted([(d, c) for d, c in product.items() if c]))
+    return _terms(product)
 
 
 def syzygy_coefficients(
@@ -368,7 +374,7 @@ def _resolve(
             j += 1
             if j < len(gens):
                 break
-            sub = memo[key] = tuple(sorted([(d, c) for d, c in coeffs.items() if c]))
+            sub = memo[key] = _terms(coeffs)
             key, gens, j, coeffs, shift, sub_key, split = stack.pop()
         shift = (gens[j] * ones >> top) & mask
         variables, rest = _colon(gens, j, guards, width - 1)

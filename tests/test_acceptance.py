@@ -242,3 +242,34 @@ def test_criterion_12_bench_determinism():
             assert e1["methods"][method].get("values") == (
                 e2["methods"][method].get("values")
             )
+    # the seed-to-ideal mapping itself: these cases and values were recorded
+    # from ``bench --seed 11 --max-degree 8``, and every method gives the values
+    pinned = {
+        0: (3, "x1^3*x2^6*x3^4, x1^6*x2^6*x3^3", "1 3 6 10 15 21 28 36 45"),
+        9: (
+            4,
+            "x1^5*x2^6*x3^4*x4^4, x2^2*x3*x4, x1^5*x4^2, x1^3*x2^3*x3, "
+            "x2*x3^2*x4^2, x1^4*x2^4*x3, x1^2*x2*x3^3*x4^2, x1^5*x2^5*x3^5*x4^4, "
+            "x1^4*x2*x3^4, x2^3*x3^2*x4^5, x1^2*x4^4, x1^5*x3^3, "
+            "x1^5*x2^2*x3^2*x4, x3^3*x4^4, x1^2*x2^5*x4^5, x1^5*x2^5*x3*x4^6",
+            "1 4 10 20 34 51 70 87 99",
+        ),
+        19: (
+            6,
+            "x1^3*x3^3*x4^5*x5^4, x1^6*x2^4*x3^4*x4^2*x5^5*x6, "
+            "x1^5*x2^4*x3^3*x5^3*x6^5, x1^3*x2^6*x3^4*x4^4*x5*x6^4, "
+            "x1*x2^6*x3^5*x4^4*x5^5*x6, x1^4*x2*x3^6*x4^4*x5^4*x6^4, "
+            "x1^6*x2*x3*x4^5*x5^5*x6^6, x1^2*x2*x3^2*x4^4*x5^2*x6, "
+            "x1*x2^6*x3*x5*x6, x1*x2^5*x4^2*x5^3, "
+            "x1^3*x2^6*x3^3*x4^4*x5^6*x6^5, x1*x2*x3^3*x4^5*x5^5*x6^6, "
+            "x3*x4^4*x5^5*x6^2, x1^6*x2^2*x4^5*x5^4*x6^5, "
+            "x1^6*x2^2*x3^4*x4^5*x5^6*x6, x1^6*x3^3",
+            "1 6 21 56 126 252 462 792 1287",
+        ),
+    }
+    for case, (arity, ideal_text, values) in pinned.items():
+        entry = doc1["cases"][case]
+        assert (entry["arity"], entry["ideal"]) == (arity, ideal_text), case
+        assert entry["generators"] == ideal_text.count(",") + 1, case
+        for method in ("lcm", "syzygy", "table"):
+            assert entry["methods"][method]["values"] == values.split(), (case, method)

@@ -536,6 +536,109 @@ class TestSr:
         ]
 
 
+# The exact stdout of each command on two small inputs, in plain, csv and
+# json, recorded from the program: the plain layout (the table's ``a\b``
+# header, sr's two head lines), the csv module's \r\n line ends and the JSON
+# key order are part of the output, not only the values.
+EXACT_OUTPUT = {
+    'eval --ring x,y,z --ideal "x*z, y*z, x^2*y" --max-degree 4': (
+        'b  0 1 2 3 4\nHF 1 3 4 4 4\n',
+        'degree,value\r\n0,1\r\n1,3\r\n2,4\r\n3,4\r\n4,4\r\n',
+        (
+            '{"ring": ["x", "y", "z"], "ideal": ["x*z", "y*z", "x^2*y"], '
+            '"method": "auto", "values": [{"degree": 0, "value": "1"}, '
+            '{"degree": 1, "value": "3"}, {"degree": 2, "value": "4"}, '
+            '{"degree": 3, "value": "4"}, {"degree": 4, "value": "4"}]}\n'
+        ),
+    ),
+    'eval --ring x,y --ideal "x^2, y^3" --method syzygy --max-degree 5': (
+        'b  0 1 2 3 4 5\nHF 1 2 2 1 0 0\n',
+        'degree,value\r\n0,1\r\n1,2\r\n2,2\r\n3,1\r\n4,0\r\n5,0\r\n',
+        (
+            '{"ring": ["x", "y"], "ideal": ["x^2", "y^3"], "method": "syzygy", '
+            '"values": [{"degree": 0, "value": "1"}, {"degree": 1, "value": "2"}, '
+            '{"degree": 2, "value": "2"}, {"degree": 3, "value": "1"}, '
+            '{"degree": 4, "value": "0"}, {"degree": 5, "value": "0"}]}\n'
+        ),
+    ),
+    'table --ring x,y,z --ideal "x^2, y*z" --max-row 3 --max-degree 4': (
+        'a\\b 0 1 2 3 4\n1   1 1 0 0 0\n2   1 2 2 2 2\n3   1 3 4 4 4\n',
+        '1,1,1,0,0,0\r\n2,1,2,2,2,2\r\n3,1,3,4,4,4\r\n',
+        (
+            '{"ring": ["x", "y", "z"], "ideal": ["x^2", "y*z"], "rows": [{"a": 1, '
+            '"values": ["1", "1", "0", "0", "0"]}, {"a": 2, "values": ["1", "2", '
+            '"2", "2", "2"]}, {"a": 3, "values": ["1", "3", "4", "4", "4"]}]}\n'
+        ),
+    ),
+    'table --ring x,y --ideal "x^2, x*y" --max-row 2 --max-degree 3 --order y,x': (
+        'a\\b 0 1 2 3\n1   1 1 1 1\n2   1 2 1 1\n',
+        '1,1,1,1,1\r\n2,1,2,1,1\r\n',
+        (
+            '{"ring": ["x", "y"], "ideal": ["x^2", "x*y"], "rows": [{"a": 1, '
+            '"values": ["1", "1", "1", "1"]}, {"a": 2, "values": ["1", "2", "1", '
+            '"1"]}]}\n'
+        ),
+    ),
+    'series --ring x,y,z --ideal "x^2, y^3" --expand-to 5': (
+        '(1 - t^2 - t^3 + t^5)/(1 - t)^3\n1 3 5 6 6 6\n',
+        (
+            'part,degree,value\r\nnumerator,0,1\r\nnumerator,2,-1\r\n'
+            'numerator,3,-1\r\nnumerator,5,1\r\nhf,0,1\r\nhf,1,3\r\nhf,2,5\r\n'
+            'hf,3,6\r\nhf,4,6\r\nhf,5,6\r\n'
+        ),
+        (
+            '{"ring": ["x", "y", "z"], "ideal": ["x^2", "y^3"], '
+            '"series": "(1 - t^2 - t^3 + t^5)/(1 - t)^3", '
+            '"numerator": [{"degree": 0, "coefficient": "1"}, {"degree": 2, '
+            '"coefficient": "-1"}, {"degree": 3, "coefficient": "-1"}, '
+            '{"degree": 5, "coefficient": "1"}], "values": [{"degree": 0, '
+            '"value": "1"}, {"degree": 1, "value": "3"}, {"degree": 2, '
+            '"value": "5"}, {"degree": 3, "value": "6"}, {"degree": 4, '
+            '"value": "6"}, {"degree": 5, "value": "6"}]}\n'
+        ),
+    ),
+    'series --ring x,y --ideal "x*y"': (
+        '(1 - t^2)/(1 - t)^2\n',
+        'part,degree,value\r\nnumerator,0,1\r\nnumerator,2,-1\r\n',
+        (
+            '{"ring": ["x", "y"], "ideal": ["x*y"], '
+            '"series": "(1 - t^2)/(1 - t)^2", "numerator": [{"degree": 0, '
+            '"coefficient": "1"}, {"degree": 2, "coefficient": "-1"}]}\n'
+        ),
+    ),
+    'sr --ring a,b,c --facets "a,b; b,c; a,c" --max-degree 3': (
+        'minimal non-faces: a,b,c\nideal: a*b*c\nb  0 1 2 3\nHF 1 3 6 9\n',
+        'degree,value\r\n0,1\r\n1,3\r\n2,6\r\n3,9\r\n',
+        (
+            '{"ring": ["a", "b", "c"], "minimal_nonfaces": [["a", "b", "c"]], '
+            '"ideal": ["a*b*c"], "values": [{"degree": 0, "value": "1"}, '
+            '{"degree": 1, "value": "3"}, {"degree": 2, "value": "6"}, '
+            '{"degree": 3, "value": "9"}]}\n'
+        ),
+    ),
+    'sr --ring x,xh,y,z,w --facets "x,y,z; xh,y,z; y,z,w" --max-degree 4': (
+        (
+            'minimal non-faces: x,xh; x,w; xh,w\nideal: x*xh, x*w, xh*w\n'
+            'b  0 1 2 3 4\nHF 1 5 12 22 35\n'
+        ),
+        'degree,value\r\n0,1\r\n1,5\r\n2,12\r\n3,22\r\n4,35\r\n',
+        (
+            '{"ring": ["x", "xh", "y", "z", "w"], "minimal_nonfaces": [["x", '
+            '"xh"], ["x", "w"], ["xh", "w"]], "ideal": ["x*xh", "x*w", "xh*w"], '
+            '"values": [{"degree": 0, "value": "1"}, {"degree": 1, "value": "5"}, '
+            '{"degree": 2, "value": "12"}, {"degree": 3, "value": "22"}, '
+            '{"degree": 4, "value": "35"}]}\n'
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", EXACT_OUTPUT)
+def test_exact_output_in_every_format(command):
+    for fmt, expected in zip(("plain", "csv", "json"), EXACT_OUTPUT[command]):
+        assert run(*shlex.split(command), "--format", fmt) == (cli.EXIT_OK, expected), fmt
+
+
 class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_arg_parser() is cli.build_arg_parser()
