@@ -23,13 +23,13 @@ annihilator decompositions from the generators that can reach them (degree
 <= b_max + 1), in any order, and evaluates each stage's annihilator as one
 numerator.  :func:`annihilator_decomposition` keeps only the table's logic:
 it picks the stage's generators, orders them as the paper's re-indexing
-does, projects them onto the first a - 1 table variables and names the
-targets with their shifts.  :func:`annihilator_hf` hands those to
-:func:`series.colon_coefficients`, the recursion's stage entry, which packs
-them once, takes each target's colon ideal from the recursion's own colon
-step, reads it only up to the degree it can reach and resolves it over one
-memo per table, so this module knows nothing of the packing and builds no
-tuple, Monomial or MonomialIdeal per term.  Only
+does, projects them onto the first a - 1 table variables and makes each
+of its own generators a target, with its shift.  :func:`annihilator_hf`
+hands those to :func:`series.colon_coefficients`, the recursion's stage
+entry, which packs them once, takes each target's colon ideal from the
+recursion's own colon step, reads it only up to the degree it can reach
+and resolves it over one memo per table, so this module knows nothing of
+the packing and builds no tuple, Monomial or MonomialIdeal per term.  Only
 :attr:`AnnihilatorDecomposition.terms`, for the API and the tests, builds
 the colon ideals as exponent tuples, from the syzygy quotients and
 :func:`monomial.minimal_exponents`, apart from the packing.  The
@@ -202,27 +202,25 @@ class AnnihilatorDecomposition(_Value):
 
     The annihilator's HF at degree b is
 
-        delta * F(free_arity, b - delta_shift)
-        + sum over targets j of HF(k[first a - 1 variables] / S_j, b - shift_j)
+        sum over targets j of HF(k[first a - 1 variables] / S_j, b - shift_j)
 
     ``generators`` are the stage's generators in table order, as exponent
     tuples projected onto the first ``free_arity`` = a - 1 table variables
     (coordinate i is the exponent of ``order.perm[i]``); the targets are the
     last ``len(shifts)`` of them, one shift each, and S_j is the colon ideal
     (p_0, ..., p_{j-1}) : p_j of the projected generators p_i.  S_j carries
-    no occurrence of the stage variable.  At stage 1 the generators live in
-    no variables, and every S_j is the unit ideal.  A generator of another
-    length than ``free_arity``, or more shifts than generators, raise
-    ``ValueError``.
+    no occurrence of the stage variable.  A target with no generator before
+    it has the zero ideal for S_j, so its term is a shifted free ring.  At
+    stage 1 the generators live in no variables, and every S_j with a
+    generator before it is the unit ideal.  A generator of another length than ``free_arity``, or more
+    shifts than generators, raise ``ValueError``.
     """
 
-    __slots__ = ("free_arity", "delta", "delta_shift", "generators", "shifts")
+    __slots__ = ("free_arity", "generators", "shifts")
 
     def __init__(
         self,
         free_arity: int,
-        delta: int,
-        delta_shift: int,
         generators: tuple[tuple[int, ...], ...],
         shifts: tuple[int, ...],
     ) -> None:
@@ -231,8 +229,6 @@ class AnnihilatorDecomposition(_Value):
         if len(shifts) > len(generators):
             raise ValueError(f"{len(shifts)} shifts for {len(generators)} generators")
         _set(self, "free_arity", free_arity)
-        _set(self, "delta", delta)
-        _set(self, "delta_shift", delta_shift)
         _set(self, "generators", generators)
         _set(self, "shifts", shifts)
 
@@ -242,7 +238,8 @@ class AnnihilatorDecomposition(_Value):
         minimal generators of S_j as exponent tuples in ascending
         lexicographic order, built from the syzygy quotients on exponent
         tuples, apart from the packed colon step that :func:`annihilator_hf`
-        takes.  At stage 1 the only tuple is ``()``, the unit ideal."""
+        takes.  The zero ideal gives ``()``; at stage 1 every other S_j
+        gives ``((),)``, the unit ideal in no variables."""
         gens = self.generators
         terms = []
         for j, shift in enumerate(self.shifts, len(gens) - len(self.shifts)):
@@ -263,10 +260,10 @@ def annihilator_decomposition(
     so that no syzygy of an earlier generator against a later one involves
     x_a.  No colon ideal depends on the order among the earlier-stage
     generators, so they are sorted, and any two orders of the same
-    generators that tie alike give equal decompositions.  With no
-    earlier-stage generator the first stage-a one gives ``delta``, and every
-    other stage-a generator is a target, shifted by its degree less 1.  The
-    generators are projected onto the first a - 1 table variables:
+    generators that tie alike give equal decompositions.  Every stage-a
+    generator is a target, shifted by its degree less 1; with no
+    earlier-stage generator, the first one's colon ideal is the zero ideal.
+    The generators are projected onto the first a - 1 table variables:
     projection commutes with the syzygy quotient, which is taken variable by
     variable.  A stage with no target keeps no generator.
     """
@@ -280,12 +277,10 @@ def annihilator_decomposition(
     earlier = sorted([q for q in gens if not q[x_a]])
     staged = sorted([q for q in gens if q[x_a]], key=itemgetter(x_a))
 
-    delta = int(bool(staged) and not earlier)
-    delta_shift = sum(staged[0]) - 1 if delta else 0
-    shifts = tuple([sum(q) - 1 for q in staged[delta:]])
+    shifts = tuple([sum(q) - 1 for q in staged])
     project = order.perm[: a - 1]
     projected = tuple([tuple([q[v] for v in project]) for q in earlier + staged]) if shifts else ()
-    return AnnihilatorDecomposition(a - 1, delta, delta_shift, projected, shifts)
+    return AnnihilatorDecomposition(a - 1, projected, shifts)
 
 
 def annihilator_hf(
@@ -295,17 +290,16 @@ def annihilator_hf(
 
     The annihilator's Hilbert series is
 
-        (delta * t^delta_shift + sum over targets of t^shift * K(S)) / (1 - t)^(a - 1),
+        (sum over targets of t^shift * K(S)) / (1 - t)^(a - 1),
 
-    expanded once.  A target reaches degree b_max only through the
-    generators of S of degree <= b_max - shift, so
-    :func:`series.colon_coefficients` resolves each S on those alone,
-    straight from the packed colon step on the stage's generators, packed
-    once.  ``memo`` is handed to every one of those recursions; pass the
+    expanded once; a target whose S is the zero ideal adds t^shift.  A
+    target reaches degree b_max only through the generators of S of degree
+    <= b_max - shift, so :func:`series.colon_coefficients` resolves each S
+    on those alone, straight from the packed colon step on the stage's
+    generators, packed once.  ``memo`` is handed to every one of those recursions; pass the
     same dict to share sub-ideals across calls.
     """
     coeffs = colon_coefficients(dec.generators, dec.shifts, b_max, {} if memo is None else memo)
-    coeffs[dec.delta_shift] += dec.delta
     return expand_series(SeriesNumerator.from_degrees(dec.free_arity, coeffs), b_max)
 
 

@@ -264,9 +264,9 @@ def colon_coefficients(
 
     The targets are the last ``len(shifts)`` of the exponent tuples, which
     share one arity, may be 0, and S_j is the colon ideal
-    (e_0, ..., e_{j-1}) : e_j, e_i = exponents[i].  The tuples are packed
-    once, at the width for their largest degree, and each S_j comes from
-    the colon step :func:`_colon` as ``(variables, rest)``.  Only its
+    (e_0, ..., e_{j-1}) : e_j, e_i = exponents[i]: the zero ideal, with
+    K = 1, for j = 0.  The tuples are packed once, at the width for their
+    largest degree, and each S_j comes from the colon step :func:`_colon` as ``(variables, rest)``.  Only its
     generators of degree <= b_max - shift_j can reach degree b_max once
     shifted, so the others are dropped on their packed degrees (the
     variables when that reach is below 1), and :func:`_resolve` runs the

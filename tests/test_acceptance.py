@@ -110,7 +110,6 @@ def test_criterion_08_stanley_reisner_table():
     # the final stage's annihilator is the row-4 module shifted by 2
     order = VariableOrder.identity(5)
     dec = annihilator_decomposition(reindex_for_table(I, order), order, 5)
-    assert dec.delta == 0
     ((sub, shift),) = dec.terms
     assert shift == 2
     assert sub == ((1, 1, 0, 0),)
@@ -125,17 +124,16 @@ def test_criterion_09_annihilator_decomposition():
     J = reindex_for_table(I, order)
 
     dec1 = annihilator_decomposition(J, order, 1)
-    assert (dec1.delta, dec1.delta_shift, dec1.terms) == (1, 5, ())
+    # y^6 has no generator before it: its colon ideal is the zero ideal
+    assert dec1.terms == (((), 5),)
 
     dec2 = annihilator_decomposition(J, order, 2)
-    assert dec2.delta == 0
     ((sub, shift),) = dec2.terms
     assert shift == 7 and sub == ((1,),)
     # quotient by <y> in one variable is the field k, so the term is HF{k(-7)}
     assert annihilator_hf(dec2, 9) == [0] * 7 + [1, 0, 0]
 
     dec3 = annihilator_decomposition(J, order, 3)
-    assert dec3.delta == 0
     assert [(sorted(sub), shift) for sub, shift in dec3.terms] == [
         ([(5, 0)], 3),
         ([(0, 1), (4, 0)], 5),

@@ -1,0 +1,131 @@
+"""Every input ends in a documented exit code after bounded work.
+
+Each case runs ``python -m hilbertfn.cli`` in a child process that sets its
+own CPU-time and address-space limits before it starts, so a runaway case is
+killed by its own limits and not by the suite's.  A case passes when the
+child exits with the code documented for it (0 success, 1 disagreement, 2
+input error, 3 resource cap), prints no traceback, and ends within
+``WALL_SECONDS``.  The inputs sit just past each cap, with a few at the cap
+for contrast.  The known failures are strict xfails: the change that bounds
+their work must flip the marker.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import hilbertfn
+
+CPU_SECONDS = 2
+ADDRESS_SPACE = 1 << 30
+WALL_SECONDS = 6
+SRC = str(Path(hilbertfn.__file__).resolve().parents[1])
+
+
+def _limit_child() -> None:
+    resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS + 1))
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _ideal(ring: list[str], gens: str) -> list[str]:
+    return ["--ring", ",".join(ring), "--ideal", gens]
+
+
+def _edge_ideal(n_vertices: int, n_edges: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < n_edges:
+        edges.add(tuple(sorted(rng.sample(range(n_vertices), 2))))
+    return _ideal(_names("v", n_vertices), ", ".join(f"v{a}*v{b}" for a, b in sorted(edges)))
+
+
+def _case(name: str, argv: list[str], code: int, xfail: str = ""):
+    marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
+    return pytest.param(argv, code, id=name, marks=marks)
+
+
+def _sr(n_vertices: int) -> list[str]:
+    # two facets that overlap and cover every vertex
+    names = _names("v", n_vertices)
+    facets = ",".join(names[: n_vertices - 5]) + "; " + ",".join(names[5:])
+    return ["sr", "--ring", ",".join(names), "--facets", facets, "--max-degree", "3"]
+
+
+XYZ = ["x", "y", "z"]
+WIDE = _names("x", 3000)
+PATH = _names("x", 300)
+# F(3, 10) = 66 exponent prefixes for the oracle walk; 3 generators for the lattice
+ORACLE = ["eval", *_ideal(XYZ, "x^2*y, z^3"), "--method", "oracle", "--max-degree", "10"]
+LATTICE = ["eval", *_ideal(XYZ, "x^2*y, z^3, x*y*z"), "--method", "lcm"]
+
+CASES = [
+    _case("sr-at-vertex-cap", _sr(24), 0),
+    _case("sr-past-vertex-cap", _sr(25), 3),
+    _case("oracle-at-enum-cap", [*ORACLE, "--enum-cap", "66"], 0),
+    _case("oracle-past-enum-cap", [*ORACLE, "--enum-cap", "65"], 3),
+    _case("lcm-at-lattice-cap", [*LATTICE, "--lattice-cap", "3"], 0),
+    _case("lcm-past-lattice-cap", [*LATTICE, "--lattice-cap", "2"], 3),
+    _case("eval-past-max-degree", ["eval", *_ideal(XYZ, "x^2"), "--max-degree", "100001"], 2),
+    _case("series-past-max-degree", ["series", *_ideal(XYZ, "x^2"), "--expand-to", "100001"], 2),
+    _case("table-past-max-row", ["table", *_ideal(XYZ, "x^2"), "--max-row", "1001"], 2),
+    _case("wide-ring", ["eval", *_ideal(WIDE, "x0^2, x1*x2999, x1500^3"), "--max-degree", "3"], 0),
+    _case(
+        "wide-ring-oracle-past-enum-cap",
+        ["eval", *_ideal(WIDE, "x0^2"), "--method", "oracle", "--max-degree", "3"],
+        3,
+    ),
+    _case(
+        "table-rows-times-degree",
+        ["table", *_ideal(["x"], "x^2"), "--max-row", "1000", "--max-degree", "100000"],
+        3,
+        xfail="each of --max-row and --max-degree is within its bound, but nothing bounds"
+        " their product: row 1000's values have thousands of digits, and the run ends in"
+        " a MemoryError traceback or is killed by its CPU limit",
+    ),
+    _case(
+        "series-path-300",
+        ["series", *_ideal(PATH, ", ".join(f"x{i}*x{i + 1}" for i in range(299)))],
+        0,
+        xfail="the recursion opens only n - 4 nodes on a path ideal, but each forms O(n)"
+        " colon ideals of O(n) quotients tested pairwise: about n^4 work, 49 s at 300"
+        " variables, and no cap bounds it",
+    ),
+    _case(
+        "eval-edge-ideal-60-171",
+        ["eval", *_edge_ideal(60, 171, seed=60171), "--max-degree", "6"],
+        0,
+        xfail="the recursion's node count grows fast on sparse squarefree ideals: more"
+        " than 60 s on a 60-vertex, 171-edge edge ideal, and no cap bounds it",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code", CASES)
+def test_ends_in_documented_exit_code(argv, code):
+    path = [SRC, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [SRC]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "hilbertfn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_child,
+        timeout=2 * WALL_SECONDS,
+    )
+    wall = time.perf_counter() - start
+    assert "Traceback" not in child.stderr, child.stderr[-2000:]
+    assert child.returncode == code, (child.returncode, child.stderr[-500:])
+    assert wall < WALL_SECONDS, wall

@@ -455,12 +455,12 @@ class TestSyzygy:
         # Each target is 1, so every earlier generator is its own quotient
         memo: dict = {}
         J = ideal(3, (2, 0, 0), (0, 3, 0))
-        other = AnnihilatorDecomposition(3, 0, 0, ((2, 0, 0), (0, 3, 0), (0, 0, 0)), (1,))
+        other = AnnihilatorDecomposition(3, ((2, 0, 0), (0, 3, 0), (0, 0, 0)), (1,))
         assert other.terms == ((((0, 3, 0), (2, 0, 0)), 1),)
         assert annihilator_hf(other, 5, memo) == [0] + hf(J, 4, method="oracle")
         known = len(memo)
         units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        dec = AnnihilatorDecomposition(3, 0, 0, (*units, (0, 0, 0)), (2,))
+        dec = AnnihilatorDecomposition(3, (*units, (0, 0, 0)), (2,))
         assert dec.terms == (((units[2], units[1], units[0]), 2),)
         assert annihilator_hf(dec, 5, memo) == [0, 0, 1, 0, 0, 0]
         assert len(memo) == known + 2
@@ -616,16 +616,17 @@ class TestAnnihilatorDecomposition:
         order = VariableOrder.identity(3)
         return reindex_for_table(I, order), order
 
-    def test_stage_one_delta(self):
+    def test_stage_one_zero_ideal_target(self):
+        # y^6 has no generator before it: a target whose colon ideal is the
+        # zero ideal, so its term is k shifted by 5
         J, order = self._staged_three_var_ideal()
         dec = annihilator_decomposition(J, order, 1)
-        assert dec.delta == 1 and dec.delta_shift == 5
-        assert dec.terms == ()
+        assert (dec.generators, dec.shifts) == (((),), (5,))
+        assert dec.terms == (((), 5),)
 
     def test_stage_two_single_term(self):
         J, order = self._staged_three_var_ideal()
         dec = annihilator_decomposition(J, order, 2)
-        assert dec.delta == 0
         ((sub, shift),) = dec.terms
         assert shift == 7
         assert list(sub) == [(1,)]
@@ -633,7 +634,6 @@ class TestAnnihilatorDecomposition:
     def test_stage_three_terms(self):
         J, order = self._staged_three_var_ideal()
         dec = annihilator_decomposition(J, order, 3)
-        assert dec.delta == 0
         shifts = [shift for _, shift in dec.terms]
         assert shifts == [3, 5, 5]
         gens = [sorted(sub) for sub, _ in dec.terms]
@@ -647,19 +647,19 @@ class TestAnnihilatorDecomposition:
         I = ideal(3, (2, 0, 0))
         order = VariableOrder.identity(3)
         dec = annihilator_decomposition(I, order, 2)
-        assert dec.delta == 0 and dec.terms == ()
+        assert (dec.generators, dec.shifts, dec.terms) == ((), (), ())
 
     def test_constructor_checks_generators_and_shifts(self):
         # a generator of another length than free_arity used to be cut short
         # by zip: (0, 0, 1) read as the unit, and the annihilator as zero
         with pytest.raises(ValueError, match="does not have free_arity 2"):
-            AnnihilatorDecomposition(2, 0, 0, ((1, 0), (0, 0, 1)), (1,))
+            AnnihilatorDecomposition(2, ((1, 0), (0, 0, 1)), (1,))
         with pytest.raises(ValueError, match="does not have free_arity 2"):
-            AnnihilatorDecomposition(2, 0, 0, ((1,), (0, 1)), (1,))
+            AnnihilatorDecomposition(2, ((1,), (0, 1)), (1,))
         with pytest.raises(ValueError, match="3 shifts for 2 generators"):
-            AnnihilatorDecomposition(2, 0, 0, ((1, 0), (0, 1)), (1, 2, 3))
+            AnnihilatorDecomposition(2, ((1, 0), (0, 1)), (1, 2, 3))
         # every generator a target: the first one's colon is the zero ideal
-        dec = AnnihilatorDecomposition(2, 0, 0, ((1, 0), (0, 1)), (1, 2))
+        dec = AnnihilatorDecomposition(2, ((1, 0), (0, 1)), (1, 2))
         assert dec.terms == (((), 1), (((1, 0),), 2))
         # t * HF(k[x, y]) + t^2 * HF(k[x, y] / (x))
         assert annihilator_hf(dec, 4) == [0, 1, 3, 4, 5] == _per_term_sum(dec, 4)
@@ -698,7 +698,7 @@ class TestAnnihilatorDecomposition:
             cases.append((I, order))
         for I, _ in _packing_ideals(4142):
             cases.append((I, VariableOrder(tuple(rng.sample(range(I.arity), I.arity)))))
-        checked = unit_terms = empty_terms = 0
+        checked = unit_terms = empty_terms = zero_terms = 0
         for I, order in cases:
             arity = I.arity
             J = reindex_for_table(I, order)
@@ -709,11 +709,8 @@ class TestAnnihilatorDecomposition:
                 staged = [j for j, g in enumerate(gens) if stage_of(g, order) == a]
                 first_here = bool(staged) and staged[0] == 0
                 assert dec.free_arity == a - 1
-                assert (dec.delta, dec.delta_shift) == (
-                    (1, gens[0].degree - 1) if first_here else (0, 0)
-                ), (J, order, a)
                 expected = []
-                for j in staged[1:] if first_here else staged:
+                for j in staged:
                     colon = minimalize(
                         MonomialIdeal(arity, [syzygy_quotient(p, gens[j]) for p in gens[:j]])
                     )
@@ -723,10 +720,14 @@ class TestAnnihilatorDecomposition:
                     expected.append((sorted(projected), gens[j].degree - 1))
                 terms = [(sorted(sub), shift) for sub, shift in dec.terms]
                 assert terms == expected, (J, order, a)
+                if first_here:
+                    # no generator comes before the first: its S is the zero ideal
+                    assert dec.terms[0] == ((), gens[0].degree - 1), (J, order, a)
+                    zero_terms += 1
                 checked += len(expected)
                 unit_terms += sum(sub == ((0,) * (a - 1),) for sub, _ in dec.terms)
                 empty_terms += sum(sub == ((),) for sub, _ in dec.terms)
-        assert checked > 500 and unit_terms > 300 and empty_terms > 150
+        assert checked > 500 and unit_terms > 300 and empty_terms > 150 and zero_terms > 100
 
     def test_generators_in_any_order(self):
         # <y, x>: y is stage 2 but comes first; M_2 = k[x,y]/(x, y) = k, all
@@ -890,6 +891,39 @@ class TestTable:
             assert kind == shape_kind, (I, order, b_max)
             row_one_kinds[kind] += 1
         assert len(row_one_kinds) == 3, row_one_kinds
+
+    def test_row_one_closed_form_is_the_uniform_rule(self):
+        # hf_table reads row 1 off the least power of x; the uniform rule it
+        # runs for later stages, applied to stage 1 from row 0 (k, or 0 with
+        # the unit), must give the same row
+        rng = random.Random(1010)
+        shapes = Counter()
+        for k in range(300):
+            arity = rng.randint(1, 5)
+            order = VariableOrder(tuple(rng.sample(range(arity), arity)))
+            b_max = rng.randint(0, 12)
+            I = random_ideal(rng, arity, rng.randint(1, 8), max_exp=rng.choice((2, 4, 8)))
+            x = order.perm[0]
+            others = [g for g in I.generators if any(g.exponents[v] for v in order.perm[1:])]
+            powers = [
+                Monomial(tuple(e if v == x else 0 for v in range(arity)))
+                for e in rng.sample(range(1, b_max + 4), rng.randint(2, 3))
+            ]
+            unit = Monomial((0,) * arity)
+            gens = (others, others + powers, others + powers + [unit], [*others, unit])[k % 4]
+            rng.shuffle(gens)
+            I = MonomialIdeal(arity, tuple(gens))
+            live = upto_degree(I, b_max + 1)
+            dec = annihilator_decomposition(live, order, 1)
+            ann = annihilator_hf(dec, b_max)
+            row = [0 if unit in gens else 1]
+            for b in range(1, b_max + 1):
+                row.append(row[b - 1] - ann[b - 1])
+            assert tuple(row) == hf_table(I, order=order, b_max=b_max).rows[0], (I, order)
+            shapes[k % 4, len(dec.shifts) > 1] += 1
+        # no power of x, repeated powers of x, and the unit with and without them
+        assert shapes[0, False] == shapes[3, False] == 75
+        assert shapes[1, True] > 40 and shapes[2, True] > 40, shapes
 
 
 class TestDispatcher:
@@ -1155,11 +1189,6 @@ def _per_term_sum(dec, b_max: int) -> list[int]:
     values = []
     for b in range(b_max + 1):
         v = 0
-        if dec.delta:
-            if dec.free_arity:
-                v += pascal_F(dec.free_arity, b - dec.delta_shift)
-            else:
-                v += int(b == dec.delta_shift)
         for sub, shift in dec.terms:
             if shift > b:
                 continue
@@ -1193,7 +1222,7 @@ class TestAnnihilatorNumerator:
                 assert annihilator_hf(dec, b) == expected, (I, order, a, b)
                 assert annihilator_hf(dec, b, memo=memo) == expected, (I, order, a, b)
                 stages += 1
-                termless += not dec.delta and not dec.terms
+                termless += not dec.terms
         assert stages > 150 and termless > 10
 
     def test_terms_read_reachable_generators_over_one_memo(self, monkeypatch):
@@ -1215,7 +1244,7 @@ class TestAnnihilatorNumerator:
             del resolved[:]
             coeffs = real_stage(exponents, shifts, b_max, memo)
             arity = len(exponents[0]) if exponents else 0
-            dec = AnnihilatorDecomposition(arity, 0, 0, exponents, shifts)
+            dec = AnnihilatorDecomposition(arity, exponents, shifts)
             assert len(resolved) == len(shifts)
             for (variables, rest, layout, sub_memo), (full, shift) in zip(resolved, dec.terms):
                 assert sub_memo is memo

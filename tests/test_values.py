@@ -48,12 +48,9 @@ CASES = [
     ),
     (
         AnnihilatorDecomposition,
-        {"free_arity": 1, "delta": 0, "delta_shift": 0, "generators": ((1,), (0,)),
-         "shifts": (1,)},
-        "AnnihilatorDecomposition(free_arity=1, delta=0, delta_shift=0, generators=((1,), (0,)),"
-        " shifts=(1,))",
-        {"free_arity": 1, "delta": 1, "delta_shift": 0, "generators": ((1,), (0,)),
-         "shifts": (1,)},
+        {"free_arity": 1, "generators": ((1,), (0,)), "shifts": (1,)},
+        "AnnihilatorDecomposition(free_arity=1, generators=((1,), (0,)), shifts=(1,))",
+        {"free_arity": 1, "generators": ((1,), (0,)), "shifts": (0, 1)},
     ),
     (
         HilbertTable,
