@@ -13,17 +13,20 @@
   quotients, each monomial packed into one int and each sub-ideal memoized
   on its packed generators (:func:`series.series_numerator`, the recursion's
   one entry for a :class:`MonomialIdeal`);
-* table: row-by-row short-exact-sequence build with annihilator terms.
+* table: row-by-row short-exact-sequence build, one rule for every row:
+  the prefix sum of the row before less the shifted annihilator, which is
+  zero at a stage no generator enters and past the arity.
 
 HF(R/I, b) depends only on the generators of degree <= b, which
 :func:`upto_degree` keeps.  ``auto`` drops the rest and takes the syzygy
 recursion on the survivors, whatever their number.  The table reads row 1,
-k[x]/(x^m), off the least power of its first variable, builds its
-annihilator decompositions from the generators that can reach them (degree
-<= b_max + 1), in any order, and evaluates each stage's annihilator as one
-numerator.  :func:`annihilator_decomposition` keeps only the table's logic:
-it picks the stage's generators, orders them as the paper's re-indexing
-does, projects them onto the first a - 1 table variables and makes each
+k[x]/(x^m), off the least power of its first variable, decomposes only the
+stages some generator enters, builds those decompositions from the
+generators that can reach them (degree <= b_max + 1), in any order, and
+evaluates each stage's annihilator as one numerator.
+:func:`annihilator_decomposition` keeps only the table's logic: it picks
+the stage's generators, orders them as the paper's re-indexing does,
+projects them onto the first a - 1 table variables and makes each
 of its own generators a target, with its shift.  :func:`annihilator_hf`
 hands those to :func:`series.colon_coefficients`, the recursion's stage
 entry, which packs them once, takes each target's colon ideal from the
@@ -45,6 +48,7 @@ cross-checks them against each other on randomized ideals.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from operator import itemgetter, sub
 from typing import Literal, Optional
 
@@ -59,6 +63,7 @@ from .monomial import (
     _Value,
     minimal_exponents,
     minimalize,
+    stage,
 )
 from .pascal import pascal_F
 from .series import (
@@ -307,19 +312,15 @@ class HilbertTable(_Value):
     """Rows a = 1..a_max of HF values for the chain of stage quotients.
 
     ``rows[a - 1][b]`` is HF(k[first a variables]/I_a, b), where I_a is
-    generated by the generators supported on those variables.
-    ``annihilator_hfs`` holds the annihilator HF sequence consumed while
-    producing each row (zeros for row 1, for stages that introduce no
-    generator and for rows past the arity).
+    generated by the generators supported on those variables.  The
+    annihilator HF that produced a row is :func:`annihilator_hf` of that
+    stage's :func:`annihilator_decomposition`.
     """
 
-    __slots__ = ("rows", "annihilator_hfs")
+    __slots__ = ("rows",)
 
-    def __init__(
-        self, rows: tuple[tuple[int, ...], ...], annihilator_hfs: tuple[tuple[int, ...], ...]
-    ) -> None:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
         _set(self, "rows", rows)
-        _set(self, "annihilator_hfs", annihilator_hfs)
 
 
 def hf_table(
@@ -332,19 +333,21 @@ def hf_table(
 
     Row 1 is k[x]/(x^m), x the first table variable: 1 below degree m, then
     0.  m is the least exponent of the powers of x among the generators of
-    degree <= b_max + 1 (0 with the unit), and b_max + 1 with none.  Each
-    later row a uses the short exact sequence for multiplication by the
-    stage variable:
+    degree <= b_max + 1 (0 with the unit), and b_max + 1 with none.  Every
+    later row a follows one rule, the short exact sequence for
+    multiplication by the stage variable:
 
-        HF(M_a, b) = HF(M_{a-1}, b) + HF(M_a, b-1) - HF((0 : x_a), b-1).
+        HF(M_a, b) = HF(M_{a-1}, b) + HF(M_a, b-1) - HF((0 : x_a), b-1),
 
-    Rows beyond the ring arity add free variables, so their annihilator
-    vanishes and the recurrence reduces to the Pascal-table rule.
+    i.e. row a is the prefix sum of row a - 1 less the annihilator shifted
+    by one degree.  A stage that no generator enters, and every row past
+    the arity, adds a nonzerodivisor: its annihilator is zero, and the row
+    is the prefix sum of the one before.  So only the stages some generator
+    enters (:func:`monomial.stage`) are decomposed.
 
     The annihilator in degree b depends only on the generators of degree
     <= b + 1, so the decompositions are built from those of degree
-    <= b_max + 1 alone (the last entry of each ``annihilator_hfs`` sequence
-    needs the b_max + 1 ones), and all stages share one syzygy memo.  The
+    <= b_max + 1 alone, and all stages share one syzygy memo.  The
     generators may come in any order: :func:`annihilator_decomposition`
     orders each stage's itself.  An ``order`` of another arity than ``I``
     raises :class:`ArityMismatchError`.
@@ -359,27 +362,23 @@ def hf_table(
         raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
 
     live = upto_degree(I, b_max + 1)
+    entered = {stage(g, order) for g in live.generators}
     memo: dict = {}
-    zeros = (0,) * (b_max + 1)
 
     x = order.perm[0]
     powers = [g.exponents[x] for g in live.generators if g.degree == g.exponents[x]]
     m = min(powers, default=b_max + 1)
-    rows = [(1,) * m + (0,) * (b_max + 1 - m)]
-    ann_hfs = [zeros]
+    rows = [[1] * m + [0] * (b_max + 1 - m)]
     for a in range(2, a_max + 1):
-        if a <= I.arity:
-            dec = annihilator_decomposition(live, order, a)
-            ann = tuple(annihilator_hf(dec, b_max, memo=memo))
-        else:
-            ann = zeros
-        ann_hfs.append(ann)
-        prev = rows[-1]
-        row = [prev[0]]
-        for b in range(1, b_max + 1):
-            row.append(prev[b] + row[b - 1] - ann[b - 1])
-        rows.append(tuple(row))
-    return HilbertTable(tuple(rows), tuple(ann_hfs))
+        row = rows[-1].copy()
+        if a in entered:
+            ann = annihilator_hf(annihilator_decomposition(live, order, a), b_max, memo=memo)
+            row[1:] = map(sub, row[1:], ann)
+        rows.append(list(accumulate(row)))
+    # tuples are made from lists: tuple() of an iterator builds a tuple of a
+    # guessed length and resizes it, and the freed rows then pile up on
+    # CPython's tuple free lists instead of being reused
+    return HilbertTable(tuple([tuple(row) for row in rows]))
 
 
 def hf(

@@ -65,6 +65,7 @@ def _sr(n_vertices: int) -> list[str]:
 
 XYZ = ["x", "y", "z"]
 WIDE = _names("x", 3000)
+WIDE_IDEAL = _ideal(WIDE, "x0^2, x1*x2999, x1500^3")
 PATH = _names("x", 300)
 # F(3, 10) = 66 exponent prefixes for the oracle walk; 3 generators for the lattice
 ORACLE = ["eval", *_ideal(XYZ, "x^2*y, z^3"), "--method", "oracle", "--max-degree", "10"]
@@ -82,6 +83,16 @@ CASES = [
     _case("table-past-max-row", ["table", *_ideal(XYZ, "x^2"), "--max-row", "1001"], 2),
     _case("wide-ring", ["eval", *_ideal(WIDE, "x0^2, x1*x2999, x1500^3"), "--max-degree", "3"], 0),
     _case(
+        "wide-ring-table",
+        ["eval", *WIDE_IDEAL, "--method", "table", "--max-degree", "3"],
+        0,
+    ),
+    _case(
+        "wide-ring-table-rows",
+        ["table", *WIDE_IDEAL, "--max-row", "1000", "--max-degree", "3"],
+        0,
+    ),
+    _case(
         "wide-ring-oracle-past-enum-cap",
         ["eval", *_ideal(WIDE, "x0^2"), "--method", "oracle", "--max-degree", "3"],
         3,
@@ -93,6 +104,14 @@ CASES = [
         xfail="each of --max-row and --max-degree is within its bound, but nothing bounds"
         " their product: row 1000's values have thousands of digits, and the run ends in"
         " a MemoryError traceback or is killed by its CPU limit",
+    ),
+    _case(
+        "oracle-within-default-enum-cap",
+        ["eval", *_ideal(PATH, "x299^2"), "--method", "oracle", "--max-degree", "3"],
+        3,
+        xfail="the default --enum-cap of 10^8 prefixes does not bound the oracle's time:"
+        " F(300, 3) = 4 545 100 prefixes, 4.5 % of the cap, take about 6 minutes, and"
+        " the time per prefix grows with the arity",
     ),
     _case(
         "series-path-300",

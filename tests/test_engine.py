@@ -829,14 +829,47 @@ class TestTable:
             row, prev = table.rows[a - 1], table.rows[a - 2]
             for b in range(1, 9):
                 assert row[b] == prev[b] + row[b - 1]
-        # up to the command line's row bound: prefix sums, zero annihilators
+        # up to the command line's row bound: prefix sums
         I = parse_ideal("x^2*y, y*z^3, x*z", XYZ)
         table = hf_table(I, a_max=MAX_ROW, b_max=10)
-        assert len(table.rows) == len(table.annihilator_hfs) == MAX_ROW
+        assert len(table.rows) == MAX_ROW
         assert table.rows[2] == tuple(hf(I, 10, method="oracle"))
         for a in range(4, MAX_ROW + 1):
             assert table.rows[a - 1] == tuple(accumulate(table.rows[a - 2])), a
-            assert table.annihilator_hfs[a - 1] == (0,) * 11, a
+
+    def test_only_entered_stages_are_decomposed(self, monkeypatch):
+        # on a 3 000-variable ring the generators enter stages 1, 1 501 and
+        # 3 000: the other stages add a nonzerodivisor and are never
+        # decomposed
+        real = engine.annihilator_decomposition
+        stages = []
+
+        def spy(I, order, a):
+            stages.append(a)
+            return real(I, order, a)
+
+        monkeypatch.setattr(engine, "annihilator_decomposition", spy)
+        ring = [f"x{i}" for i in range(3000)]
+        I = parse_ideal("x0^2, x1*x2999, x1500^3", ring)
+        table = hf_table(I, b_max=3)
+        assert stages == [1501, 3000]
+        assert list(table.rows[-1]) == hf(I, 3)
+
+    def test_sparse_ideal_leaves_interior_stages_empty(self):
+        # a permuted order over 12 variables in which most interior stages
+        # enter no generator: every row is the stage quotient's, and rows
+        # past the arity are prefix sums
+        ring = [f"x{i}" for i in range(12)]
+        I = parse_ideal("x4^2*x9, x9^3, x2*x7*x11^2, x7^2*x0, x5*x6", ring)
+        order = VariableOrder((9, 3, 4, 10, 1, 7, 8, 2, 0, 11, 6, 5))
+        entered = {monomial.stage(g, order) for g in I.generators}
+        assert entered == {1, 3, 9, 10, 12}
+        table = hf_table(I, order=order, a_max=14, b_max=6)
+        for a in range(1, 13):
+            expected = hf(restrict(I, order, a), 6, method="oracle")
+            assert list(table.rows[a - 1]) == expected, a
+        for a in (13, 14):
+            assert table.rows[a - 1] == tuple(accumulate(table.rows[a - 2])), a
 
     def test_rows_never_reenter_the_dispatcher(self, monkeypatch):
         # row 1 is read off the least power of the first variable; every row
@@ -1264,14 +1297,19 @@ class TestAnnihilatorNumerator:
         for I, b in _boundary_ideals(15) + _many_generator_ideals(16):
             del memos[:]
             hf_table(I, b_max=b)
-            assert len(memos) == I.arity - 1
+            # one stage entry per stage >= 2 that a generator of degree
+            # <= b + 1 enters
+            identity = VariableOrder.identity(I.arity)
+            entered = {monomial.stage(g, identity) for g in upto_degree(I, b + 1).generators}
+            assert len(memos) == len(entered - {0, 1})
             assert all(m is memos[0] and isinstance(m, dict) for m in memos)
         assert dropped["generators"] > 100 and dropped["variables"] > 10
 
     def test_table_matches_pinned_values(self):
-        # rows and annihilator HFs of the table method as computed by
-        # per-term evaluation over every generator, for a_max below, at and
-        # above the arity; each ideal has generators of degree b_max + 1
+        # rows of the table method and annihilator HFs of its stages as
+        # computed by per-term evaluation over every generator, for a_max
+        # below, at and above the arity; each ideal has generators of
+        # degree b_max + 1
         three = parse_ideal("y^6, x^3*y^5, x^2*y^2*z^2, x^3*z, x^2*y*z^3", ["y", "x", "z"])
         rows3 = (
             (1, 1, 1, 1, 1, 1, 1, 1),
@@ -1300,5 +1338,6 @@ class TestAnnihilatorNumerator:
             for a_max in (I.arity - 1, I.arity, I.arity + 2):
                 table = hf_table(I, order=VariableOrder(order), a_max=a_max, b_max=b)
                 assert table.rows == rows[:a_max]
-                # rows past the arity have a zero annihilator
-                assert table.annihilator_hfs == (ann + ((0,) * (b + 1),) * 2)[:a_max]
+            for a in range(1, I.arity + 1):
+                dec = annihilator_decomposition(I, VariableOrder(order), a)
+                assert tuple(annihilator_hf(dec, b)) == ann[a - 1], a

@@ -54,9 +54,9 @@ CASES = [
     ),
     (
         HilbertTable,
-        {"rows": ((1, 0), (1, 1)), "annihilator_hfs": ((0, 0), (0, 1))},
-        "HilbertTable(rows=((1, 0), (1, 1)), annihilator_hfs=((0, 0), (0, 1)))",
-        {"rows": ((1, 0), (1, 1)), "annihilator_hfs": ((0, 0), (0, 0))},
+        {"rows": ((1, 0), (1, 1))},
+        "HilbertTable(rows=((1, 0), (1, 1)))",
+        {"rows": ((1, 0), (1, 2))},
     ),
     (SourceSpan, {"start": 0, "end": 1}, "SourceSpan(start=0, end=1)", {"start": 0, "end": 2}),
     (
