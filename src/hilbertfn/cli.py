@@ -5,8 +5,10 @@ Subcommands: eval, table, series, compare, bench, sr.  Exit codes:
 3 resource cap exceeded.  Every integer flag but ``--seed`` declares its
 range: ``--max-degree`` and ``--expand-to`` 0..``MAX_DEGREE``,
 ``--max-row`` 1..``MAX_ROW``, ``--enum-cap`` and ``--lattice-cap`` >= 0,
-``--repetitions`` >= 1.  argparse refuses a value outside it, like any other
-bad flag value, with exit code 2 before any work.
+``--repetitions`` 1..``MAX_REPETITIONS``.  argparse refuses a value outside
+it, like any other bad flag value, with exit code 2 before any work.  A
+``table`` of more than ``MAX_TABLE_VALUES`` values, ``--max-row`` times
+``--max-degree`` + 1, is refused with exit code 3 before it is built.
 
 argparse is the only grammar.  A subcommand followed only by its own flags
 is read by that subcommand's parser in one pass; any other argv goes through
@@ -44,6 +46,12 @@ MAX_DEGREE = 10**5
 # Largest table row count (--max-row) the command line accepts: it bounds the
 # rows printed, each of --max-degree + 1 values that grow with the row.
 MAX_ROW = 1000
+# Largest table the command line builds, in values: --max-row rows of
+# --max-degree + 1 values each.  It bounds the work and the output, which
+# the two flags' ranges do not bound together.
+MAX_TABLE_VALUES = 10**5
+# Largest bench --repetitions: each repetition reruns every case.
+MAX_REPETITIONS = 100
 
 
 def _write(fmt: str, out, *, json, csv, plain) -> None:
@@ -116,7 +124,7 @@ def cmd_eval(args, out) -> int:
 
 
 def _variable_order(args, ring: list[str]) -> VariableOrder:
-    if not args.order:
+    if args.order is None:
         return VariableOrder.identity(len(ring))
     names = parser.parse_ring(args.order)
     if sorted(names) != sorted(ring):
@@ -132,6 +140,9 @@ def _variable_order(args, ring: list[str]) -> VariableOrder:
 def cmd_table(args, out) -> int:
     ring, I = _parse_ring_and_ideal(args)
     order = _variable_order(args, ring)
+    size = args.max_row * (args.max_degree + 1)
+    if size > MAX_TABLE_VALUES:
+        raise ResourceCapError(f"a table of {size} values exceeds cap {MAX_TABLE_VALUES}")
     table = engine.hf_table(I, order=order, a_max=args.max_row, b_max=args.max_degree)
     # read once, by the one builder that runs
     rows = enumerate(table.rows, start=1)
@@ -379,7 +390,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bench", help="benchmark the methods on generated ideals", parents=[fmt])
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--repetitions", type=_bounded(1), default=1)
+    s.add_argument("--repetitions", type=_bounded(1, MAX_REPETITIONS), default=1)
     s.add_argument("--max-degree", type=_bounded(0, MAX_DEGREE), default=10)
     s.add_argument("--lattice-cap", type=_bounded(0), default=engine.LATTICE_CAP_DEFAULT)
     s.set_defaults(func=cmd_bench)

@@ -2,10 +2,11 @@
 
 * oracle: brute-force count of the monomials outside the ideal (ground
   truth), one pure-Python walk in :mod:`kernels` for every degree up to
-  b_max.  It opens frames for the exponent prefixes of the first a - 2
-  variables and closes the last two per prefix by runs of the penultimate
-  exponent; the cap still counts its F(a, b_max) prefixes of a - 1
-  variables.  The cap check and the walk are both in :func:`hf`;
+  b_max.  It opens at most one frame per exponent prefix of 0 .. a - 3
+  variables, C(a - 2 + b_max, b_max + 1) in all, and closes the last two
+  variables per prefix by runs of the penultimate exponent, F(a, b_max)
+  prefixes of a - 1 variables; the cap bounds both counts.  The cap check
+  and the walk are both in :func:`hf`;
   :func:`hf_oracle` reads one degree of it;
 * lcm: inclusion-exclusion over the lcm lattice of the minimal generators,
   weighted by its Mobius function (:func:`series.lattice_numerator`);
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate
+from math import comb
 from operator import itemgetter, sub
 from typing import Literal, Optional
 
@@ -185,19 +187,14 @@ def hf_syzygy(
     b_max: int,
     stats: Optional[dict] = None,
 ) -> list[int]:
-    """HF(R/I, b) for b = 0..b_max: :func:`series_numerator`, expanded once.
+    """HF(R/I, b) for b = 0..b_max: :func:`series_numerator`, the
+    recursion's entry for an ideal, expanded once.
 
     The recursion reads every generator, also those above ``b_max`` (``auto``
-    drops them first), and does not depend on ``b_max``.  ``stats`` receives
-    the keys ``hits``, ``misses``, ``memo_size`` and ``nodes``, which count
-    sub-ideals, not (sub-ideal, degree) pairs: ``nodes`` is the number of
-    recursion nodes the call opens, the sub-ideals whose K(t) is a sum over
-    their own colon ideals; ``misses`` the memo entries it adds, which may
-    exceed ``nodes`` (each principal sub-ideal is an entry with no node, and
-    an ideal S whose variables are split off, I or a colon ideal, adds both
-    S and S without them, and opens a node only for the latter); ``hits``
-    the lookups answered by the memo; and ``memo_size`` the sub-ideals
-    stored.
+    drops them first), and does not depend on ``b_max``.  ``stats`` is passed
+    to :func:`series_numerator`, which describes its keys ``hits``,
+    ``misses``, ``memo_size`` and ``nodes``: they count sub-ideals, not
+    (sub-ideal, degree) pairs, and ``misses`` may exceed ``nodes``.
     """
     return expand_series(series_numerator(I, stats), b_max)
 
@@ -395,8 +392,10 @@ def hf(
     the unit ideal gives zeros and, with none left, the free ring.
     ``syzygy``, ``lcm`` and ``oracle`` read every generator.
     ``lattice_cap`` applies to ``method="lcm"`` only; ``enum_cap`` to the
-    oracle only, which refuses when its one walk would visit more than
-    ``enum_cap`` prefixes, i.e. when F(arity, b_max) > ``enum_cap``.
+    oracle only, which refuses when its one walk would close more than
+    ``enum_cap`` prefixes, F(arity, b_max), or could open more than
+    ``enum_cap`` frames, C(arity - 2 + b_max, b_max + 1), and names the
+    larger count.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
@@ -405,10 +404,14 @@ def hf(
     if method == "syzygy":
         return hf_syzygy(I, b_max)
     if method == "oracle":
-        # the walk visits the F(arity, b_max) exponent prefixes of a - 1 variables
-        work = pascal_F(I.arity, b_max)
-        if work > enum_cap:
-            raise ResourceCapError(f"enumeration of {work} monomials exceeds cap {enum_cap}")
+        # the walk closes the F(arity, b_max) exponent prefixes of a - 1
+        # variables and opens at most one frame per prefix of 0 .. a - 3
+        # variables, all of them when a generator divides every prefix
+        prefixes = pascal_F(I.arity, b_max)
+        frames = comb(I.arity - 2 + b_max, b_max + 1) if I.arity > 2 else 0
+        if max(prefixes, frames) > enum_cap:
+            work, unit = (prefixes, "monomials") if prefixes >= frames else (frames, "frames")
+            raise ResourceCapError(f"enumeration of {work} {unit} exceeds cap {enum_cap}")
         gens = [g.exponents for g in I.generators]
         return kernels.count_outside_upto(I.arity, b_max, gens)
     if method == "table":

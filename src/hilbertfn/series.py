@@ -6,21 +6,21 @@ F(a, b) recovers the Hilbert function values.  Two independent routes compute
 K(t):
 
 * the Bayer-Stillman recursion over syzygy sub-ideals, one loop,
-  :func:`_resolve`, with two entries.  :func:`syzygy_coefficients` is the
-  tuple entry: it takes exponent tuples of one arity, minimal or not, and
-  :func:`series_numerator` hands it a :class:`MonomialIdeal`'s exponent
-  tuples; the syzygy method, ``auto`` and ``series`` take it.
-  :func:`colon_coefficients` is the stage entry, the table's: it resolves
-  each target's colon ideal straight from the colon step, over one memo per
-  table.  The recursion packs each monomial into one int, a field of W bits
-  per variable whose top bit is a guard that stays 0, so quotients,
-  divisibility and degrees are a few int operations.  Each entry packs its
-  tuples once; the tuple entry minimalizes them, packed, and the loop then
-  resolves that ideal as it resolves every colon ideal: a principal one is
-  closed where it is found, with no node opened for it, and the variables
-  among the minimal generators are split off, K(S) = (1 - t)^k K(S'),
-  (1 - t)^k a cached binomial row.  The memo keys are opaque: they carry W
-  and do not depend on the ring's arity;
+  :func:`_resolve`, with two entries.  :func:`series_numerator` is the
+  entry for an ideal: it packs a :class:`MonomialIdeal`'s generators,
+  minimal or not, minimalizes them, packed, and resolves them over a fresh
+  memo; the syzygy method, ``auto`` and ``series`` take it.
+  :func:`colon_coefficients` is the stage entry, the table's, and the only
+  one that takes a memo: it resolves each target's colon ideal straight
+  from the colon step, over one memo per table.  The recursion packs each
+  monomial into one int, a field of W bits per variable whose top bit is a
+  guard that stays 0, so quotients, divisibility and degrees are a few int
+  operations.  Each entry packs its tuples once, and the loop resolves the
+  ideal as it resolves every colon ideal: a principal one is closed where
+  it is found, with no node opened for it, and the variables among the
+  minimal generators are split off, K(S) = (1 - t)^k K(S'), (1 - t)^k a
+  cached binomial row.  The memo keys are opaque: they carry W and do not
+  depend on the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
@@ -30,8 +30,8 @@ This module alone knows the packed layout.  Its one minimal pass,
 as ``(variables, rest)``: the variables ORed into one mask, and the other
 minimal generators, none a multiple of a variable, ascending.  Its one
 colon step, :func:`_colon`, gives those of (g_1, ..., g_{j-1}) : g_j from
-packed ints through it.  The recursion runs the pass on the tuple entry's
-ideal and the colon step for every S_j; the stage entry runs the colon step
+packed ints through it.  The recursion runs the pass on the ideal that
+:func:`series_numerator` packs and the colon step for every S_j; the stage entry runs the colon step
 on the stage's generators for each target, keeps the generators that can
 reach the table's last degree on their packed degrees, and hands the
 survivors to the loop, so no colon ideal is unpacked.
@@ -213,24 +213,21 @@ def _times_row(coeffs: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, 
     return _terms(product)
 
 
-def syzygy_coefficients(
-    exponents: Sequence[tuple[int, ...]],
-    stats: Optional[dict] = None,
-    memo: Optional[dict] = None,
-) -> tuple[tuple[int, int], ...]:
-    """The ``(degree, coefficient)`` pairs of K(t) for the monomial ideal
-    generated by the exponent tuples ``exponents``.
+def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
+    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy
+    recursion: the recursion's entry for an ideal.
 
-    The tuples must share one arity, which may be 0 (``[()]`` is the unit
-    ideal in no variables), and may come in any order, with repeats and
-    generators that others divide.  With the minimal generators sorted as
-    g_1 < ... < g_n,
+    It reads all of I's generators, in any order, with repeats and
+    generators that others divide, whatever degree the caller expands to, so
+    any generating set of the ideal gives the same numerator.  With the
+    minimal generators sorted as g_1 < ... < g_n,
 
         K(I) = 1 - t^deg(g_1) - sum over j >= 2 of t^deg(g_j) K(S_j),
 
     where S_j is the ideal of the syzygy quotients lcm(g_i, g_j) / g_j for
     i < j (the colon ideal (g_1, ..., g_{j-1}) : g_j).  The zero ideal gives
-    1, the unit ideal 0 and a principal ideal 1 - t^d.
+    1, the unit ideal 0 and a principal ideal 1 - t^d.  No lattice is built,
+    so no generator cap applies.
 
     Each generator is packed once into one int: variable i gets a field of
     W bits, the earlier variables in the higher fields, where W is one more
@@ -240,20 +237,17 @@ def syzygy_coefficients(
     generators.  Ascending ints are then the generators in lexicographic
     order of their exponent tuples.  :func:`_minimal` gives the variables
     and the rest of the minimal generators in one ascending pass, and
-    :func:`_resolve` runs the recursion on them.
+    :func:`_resolve` runs the recursion on them over a fresh memo.
 
-    ``memo``, when given, maps the recursion's keys to coefficient tuples
-    and is read and filled in place, so calls that pass the same dict share
-    their sub-ideals; an ideal already in it opens no node.  ``stats``, when
-    given, receives ``misses`` (the entries this call adds to the memo: the
-    ideal, the principal sub-ideals, and both S and S' of a split),
-    ``hits`` (sub-ideals found in the memo), ``memo_size`` and ``nodes``
-    (the nodes opened: sub-ideals whose K(t) is summed over their own S_j;
-    a split S opens at most one, for S').
+    ``stats``, when given, receives ``misses`` (the entries the call adds to
+    the memo: the ideal, the principal sub-ideals, and both S and S' of a
+    split), ``hits`` (sub-ideals found in the memo), ``memo_size`` and
+    ``nodes`` (the nodes opened: sub-ideals whose K(t) is summed over their
+    own S_j; a split S opens at most one, for S').
     """
-    packed, layout = _pack(exponents)
+    packed, layout = _pack([g.exponents for g in I.generators])
     variables, rest = _minimal(sorted(packed), layout[1], layout[0] - 1)
-    return _resolve(variables, rest, layout, {} if memo is None else memo, stats)
+    return SeriesNumerator(I.arity, _resolve(variables, rest, layout, {}, stats))
 
 
 def colon_coefficients(
@@ -266,11 +260,13 @@ def colon_coefficients(
     share one arity, may be 0, and S_j is the colon ideal
     (e_0, ..., e_{j-1}) : e_j, e_i = exponents[i]: the zero ideal, with
     K = 1, for j = 0.  The tuples are packed once, at the width for their
-    largest degree, and each S_j comes from the colon step :func:`_colon` as ``(variables, rest)``.  Only its
-    generators of degree <= b_max - shift_j can reach degree b_max once
-    shifted, so the others are dropped on their packed degrees (the
-    variables when that reach is below 1), and :func:`_resolve` runs the
-    recursion on the survivors over ``memo``, read and filled in place.
+    largest degree, and each S_j comes from the colon step :func:`_colon` as
+    ``(variables, rest)``.  Only its generators of degree <= b_max - shift_j
+    can reach degree b_max once shifted, so the others are dropped on their
+    packed degrees (the variables when that reach is below 1), and
+    :func:`_resolve` runs the recursion on the survivors over ``memo``, read
+    and filled in place: this is the one entry whose calls share a memo, so
+    a sub-ideal already in it opens no node.
     """
     coeffs: Counter = Counter()
     packed, layout = _pack(exponents)
@@ -289,8 +285,8 @@ def _resolve(
 ) -> tuple[tuple[int, int], ...]:
     """The ``(degree, coefficient)`` pairs of K(t) for the ideal with minimal
     generators ``(variables, rest)``, packed in ``layout``: the one
-    recursion loop, for :func:`syzygy_coefficients` and
-    :func:`colon_coefficients` alike.
+    recursion loop, for its two entries, :func:`series_numerator` for an
+    ideal and :func:`colon_coefficients` for a table stage.
 
     The fields of trailing variables that no generator uses are dropped
     first, so an ideal's key does not depend on how many such variables its
@@ -319,7 +315,7 @@ def _resolve(
     trailing variables no generator uses, so the key does not depend on the
     ring's arity.  It carries W because ideals packed at different widths
     can give equal ints.  Keys are opaque.  ``stats`` is filled as
-    :func:`syzygy_coefficients` describes.
+    :func:`series_numerator` describes.
     """
     known_before = len(memo)
     width, guards, ones, top, mask = layout
@@ -378,19 +374,6 @@ def _resolve(
             key, gens, j, coeffs, shift, sub_key, split = stack.pop()
         shift = (gens[j] * ones >> top) & mask
         variables, rest = _colon(gens, j, guards, width - 1)
-
-
-def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNumerator:
-    """Numerator K(t) of HS(R/I, t) over (1 - t)^arity by the syzygy recursion.
-
-    The :class:`MonomialIdeal` entry of :func:`syzygy_coefficients`, on the
-    exponent tuples of all of I's generators, whatever degree the caller
-    expands to, so any generating set of the ideal gives the same
-    numerator.  No lattice is built, so no generator cap applies.
-    ``stats`` is passed through.
-    """
-    exponents = [g.exponents for g in I.generators]
-    return SeriesNumerator(I.arity, syzygy_coefficients(exponents, stats))
 
 
 def expand_series(num: SeriesNumerator, b_max: int) -> list[int]:

@@ -97,21 +97,27 @@ CASES = [
         ["eval", *_ideal(WIDE, "x0^2"), "--method", "oracle", "--max-degree", "3"],
         3,
     ),
+    # each of --max-row and --max-degree is within its range, but their
+    # product is past the table's cap of 10^5 values
     _case(
         "table-rows-times-degree",
         ["table", *_ideal(["x"], "x^2"), "--max-row", "1000", "--max-degree", "100000"],
         3,
-        xfail="each of --max-row and --max-degree is within its bound, but nothing bounds"
-        " their product: row 1000's values have thousands of digits, and the run ends in"
-        " a MemoryError traceback or is killed by its CPU limit",
     ),
+    # 1000 rows of 100 values: at the cap, in the slowest format
+    _case(
+        "table-at-values-cap",
+        ["table", *_ideal(["x"], "x^2"), "--max-row", "1000", "--max-degree", "99",
+         "--format", "csv"],
+        0,
+    ),
+    _case("bench-past-max-repetitions", ["bench", "--repetitions", "101"], 2),
+    # F(300, 3) = 4 545 100 prefixes are within the default cap of 10^8, but
+    # the walk would open C(301, 4) = 335 246 275 frames
     _case(
         "oracle-within-default-enum-cap",
         ["eval", *_ideal(PATH, "x299^2"), "--method", "oracle", "--max-degree", "3"],
         3,
-        xfail="the default --enum-cap of 10^8 prefixes does not bound the oracle's time:"
-        " F(300, 3) = 4 545 100 prefixes, 4.5 % of the cap, take about 6 minutes, and"
-        " the time per prefix grows with the arity",
     ),
     _case(
         "series-path-300",

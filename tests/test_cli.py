@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertfn import cli, engine, parser, simplicial
-from hilbertfn.cli import MAX_DEGREE, MAX_ROW
+from hilbertfn.cli import MAX_DEGREE, MAX_REPETITIONS, MAX_ROW, MAX_TABLE_VALUES
 from hilbertfn.monomial import VariableOrder, ideal
 from hilbertfn.pascal import pascal_F
 
@@ -127,6 +127,7 @@ class TestEval:
             ("--max-row", ["table", *ideal, "--max-row", "0"]),
             ("--max-row", ["table", *ideal, "--max-row", str(MAX_ROW + 1)]),
             ("--repetitions", ["bench", "--repetitions", "0"]),
+            ("--repetitions", ["bench", "--repetitions", str(MAX_REPETITIONS + 1)]),
         ):
             assert run(*rejected) == (cli.EXIT_INPUT, ""), rejected
             assert f"argument {flag}" in capsys.readouterr().err, rejected
@@ -224,12 +225,17 @@ class TestTable:
         assert time.perf_counter() - t0 < 2.0
         assert order == VariableOrder(tuple(range(len(ring) - 1, -1, -1)))
 
-    def test_order_must_be_permutation(self):
+    def test_order_must_be_permutation(self, capsys):
         code, _ = run(
             "table", "--ring", "x,y", "--ideal", "x*y",
             "--max-row", "2", "--order", "x,z",
         )
         assert code == cli.EXIT_INPUT
+        # an empty order is read like an empty ring, not as the ring order
+        capsys.readouterr()
+        argv = ["table", "--ring", "x,y", "--ideal", "x*y", "--max-row", "2", "--order", ""]
+        assert run(*argv) == (cli.EXIT_INPUT, "")
+        assert "input error: empty variable name (at 0..0)" in capsys.readouterr().err
 
     def test_json(self):
         code, text = run(
@@ -247,6 +253,28 @@ class TestTable:
         assert code == 0
         # k[x_1..x_1000]/(x_1^2): every linear form, every quadric but x_1^2
         assert text.splitlines()[-1].split() == [str(MAX_ROW), "1", "1000", "500499"]
+
+    def test_values_bound(self, capsys, monkeypatch):
+        # --max-row x (--max-degree + 1) values: a table at the cap is built,
+        # one past it is refused with exit 3 and no output
+        base = ["table", "--ring", "x", "--ideal", "x^2"]
+        for rows in (MAX_ROW, 100):
+            degree = MAX_TABLE_VALUES // rows - 1
+            code, text = run(*base, "--max-row", str(rows), "--max-degree", str(degree))
+            assert code == 0
+            lines = text.splitlines()
+            assert (len(lines), len(lines[-1].split())) == (rows + 1, degree + 2)
+            argv = [*base, "--max-row", str(rows), "--max-degree", str(degree + 1)]
+            assert run(*argv) == (cli.EXIT_CAP, "")
+        # the refusal comes before any table is built
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "hf_table", None)
+        argv = [*base, "--max-row", "1000", "--max-degree", str(MAX_DEGREE)]
+        assert run(*argv) == (cli.EXIT_CAP, "")
+        values = 1000 * (MAX_DEGREE + 1)
+        assert capsys.readouterr().err == (
+            f"resource cap: a table of {values} values exceeds cap {MAX_TABLE_VALUES}\n"
+        )
 
 
 class TestSeries:

@@ -42,13 +42,38 @@ from hilbertfn.parser import parse_ideal
 from hilbertfn.pascal import hf_principal, hf_two_generators, pascal_F
 from hilbertfn.series import (
     SeriesNumerator,
+    colon_coefficients,
     expand_series,
     lattice_numerator,
     series_numerator,
-    syzygy_coefficients,
 )
 
 XYZ = ["x", "y", "z"]
+
+
+def stage_coefficients(arity, gens, memo):
+    """K of the ideal of the exponent tuples ``gens`` through the stage
+    entry, the one entry whose calls share ``memo``: a unit target's colon
+    ideal is the ideal itself, read up to its largest degree."""
+    b = max(map(sum, gens), default=0)
+    coeffs = colon_coefficients([*gens, (0,) * arity], (0,), b, memo)
+    return SeriesNumerator.from_degrees(arity, coeffs).coefficients
+
+
+class CountingMemo(dict):
+    """A memo that counts the recursion's lookups and the entries it adds."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = self.stores = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
 
 
 class TestOracle:
@@ -70,17 +95,27 @@ class TestOracle:
         I = MonomialIdeal(4)
         assert hf_oracle(I, 6) == pascal_F(4, 6)
 
+    @staticmethod
+    def work(arity, b_max):
+        # one walk closes F(a, b_max) prefixes and opens at most
+        # C(a - 2 + b_max, b_max + 1) frames, one per prefix of 0 .. a - 3
+        # variables; the cap bounds the larger count
+        frames = comb(arity - 2 + b_max, b_max + 1) if arity > 2 else 0
+        return max(pascal_F(arity, b_max), frames)
+
     def test_enumeration_cap(self):
         I = parse_ideal("x^2", XYZ)
         with pytest.raises(ResourceCapError):
             hf_oracle(I, 8, enum_cap=10)
-        # one walk visits F(a, b_max) prefixes, and that is what the cap bounds
+        # the frames outnumber the prefixes only for a = 4 at b = 0, and
+        # a = 5 or 6 at b <= 1
+        assert [self.work(4, b) for b in range(3)] == [2, 4, 10]
         rng = random.Random(4)
         for _ in range(20):
             arity = rng.randint(1, 4)
             I = random_ideal(rng, arity, rng.randint(1, 4), max_exp=4)
             b_max = rng.randint(0, 8)
-            work = pascal_F(arity, b_max)
+            work = self.work(arity, b_max)
             with pytest.raises(ResourceCapError):
                 hf(I, b_max, method="oracle", enum_cap=work - 1)
             expected = hf(I, b_max, method="syzygy")
@@ -89,10 +124,21 @@ class TestOracle:
             # hf_oracle is one degree of that walk, under the same cap at b
             assert hf_oracle(I, -1, enum_cap=0) == 0
             for b in range(b_max + 1):
-                work_b = pascal_F(arity, b)
+                work_b = self.work(arity, b)
                 with pytest.raises(ResourceCapError):
                     hf_oracle(I, b, enum_cap=work_b - 1)
                 assert hf_oracle(I, b, enum_cap=work_b) == values[b], (I, b)
+
+    def test_enumeration_cap_counts_frames_on_a_wide_ring(self):
+        # (x39^2) in 40 variables divides every prefix, so at b = 3 the walk
+        # opens C(41, 4) = 101 270 frames for F(40, 3) = 11 480 prefixes:
+        # a cap of the frame count runs, one less refuses and names it
+        I = ideal(40, (0,) * 39 + (2,))
+        assert (pascal_F(40, 3), self.work(40, 3)) == (11_480, 101_270)
+        values = hf(I, 3, method="oracle", enum_cap=101_270)
+        assert values == hf(I, 3, method="syzygy")
+        with pytest.raises(ResourceCapError, match="^enumeration of 101270 frames exceeds cap"):
+            hf(I, 3, method="oracle", enum_cap=101_269)
 
 
 class TestLcmLattice:
@@ -280,29 +326,32 @@ class TestSyzygy:
         assert low == high
 
     def test_shared_memo(self):
-        # the memo is an argument of the tuple entry alone
-        def shared_coefficients(J, stats=None, memo=None):
-            exponents = minimal_exponents(g.exponents for g in J.generators)
-            return syzygy_coefficients(exponents, stats, memo)
+        # only the stage entry takes a memo, and calls that pass the same one
+        # share their sub-ideals; a unit target resolves the ideal itself,
+        # as the ideal entry does on a fresh memo
+        def shared_coefficients(J, memo):
+            exponents = [g.exponents for g in J.generators]
+            return stage_coefficients(J.arity, exponents, memo)
 
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
-        memo: dict = {}
+        memo = CountingMemo()
         first: dict = {}
-        again: dict = {}
-        expected = series_numerator(I).coefficients
-        assert shared_coefficients(I, first, memo) == expected
+        expected = series_numerator(I, first).coefficients
+        assert shared_coefficients(I, memo) == expected
         size = len(memo)
-        assert first["misses"] == size > 1
-        # the root is in the memo: no node opens and nothing is added
-        assert shared_coefficients(I, again, memo) == expected
-        assert again == {"hits": 1, "misses": 0, "memo_size": size, "nodes": 0}
+        assert first["misses"] == memo.stores == size > 1
+        # the root is in the memo: one lookup answers it, so no node opens
+        # and nothing is added
+        memo.lookups = memo.stores = 0
+        assert shared_coefficients(I, memo) == expected
+        assert (memo.lookups, memo.stores, len(memo)) == (1, 0, size)
         # a sub-ideal already in the memo is not computed again
         sub = parse_ideal("x*z^3, x^2*z^2, y^5", XYZ)
         fresh: dict = {}
-        shared: dict = {}
+        memo.stores = 0
         series_numerator(sub, fresh)
-        assert shared_coefficients(sub, shared, memo) == series_numerator(sub).coefficients
-        assert shared["misses"] < fresh["misses"]
+        assert shared_coefficients(sub, memo) == series_numerator(sub).coefficients
+        assert memo.stores < fresh["misses"]
         # ideals of different largest degrees pack at different widths, and
         # their packed generators can be equal ints: x*y packs to 8 + 1 at
         # width 3 and y^9 to 9 at width 5; x, w packs to 1, 64 at width 2
@@ -313,7 +362,7 @@ class TestSyzygy:
             for text in texts:
                 J = parse_ideal(text, ring)
                 expected = series_numerator(J).coefficients
-                assert shared_coefficients(J, memo=memo) == expected, text
+                assert shared_coefficients(J, memo) == expected, text
 
     def test_recursion_work_is_pinned(self):
         # the sub-ideals stored and the memo hits the recursion takes on a
@@ -370,8 +419,11 @@ class TestSyzygy:
         # its minimal generators; checked against the lattice and the oracle
         # where a variable's packed bit could be confused with another one
         def check(arity, gens, memo=None, b_max=6):
-            coeffs = syzygy_coefficients(gens, memo=memo)
             I = ideal(arity, *gens)
+            if memo is None:
+                coeffs = series_numerator(I).coefficients
+            else:
+                coeffs = stage_coefficients(arity, gens, memo)
             assert coeffs == lattice_numerator(minimalize(I)).coefficients, gens
             values = expand_series(SeriesNumerator(arity, coeffs), b_max)
             assert values == hf(I, b_max, method="oracle"), gens
@@ -395,7 +447,7 @@ class TestSyzygy:
         for k in range(1, 7):
             gens = [tuple(int(v == u) for v in range(k)) for u in range(k)]
             expected = tuple((i, (-1) ** i * comb(k, i)) for i in range(k + 1))
-            assert syzygy_coefficients(gens) == expected
+            assert series_numerator(ideal(k, *gens)).coefficients == expected
             check(k, gens)
         # a principal rest (w^3) beside the variable z, and beside z, y
         check(4, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3)])
@@ -439,8 +491,9 @@ class TestSyzygy:
         # that no node opens for a root whose rest is closed
         def check(arity, gens, hits, misses, nodes):
             stats: dict = {}
-            coeffs = syzygy_coefficients(gens, stats)
-            assert coeffs == lattice_numerator(minimalize(ideal(arity, *gens))).coefficients
+            I = ideal(arity, *gens)
+            coeffs = series_numerator(I, stats).coefficients
+            assert coeffs == lattice_numerator(minimalize(I)).coefficients
             expected = {"hits": hits, "misses": misses, "memo_size": misses, "nodes": nodes}
             assert stats == expected, gens
 
@@ -539,7 +592,8 @@ class TestSyzygy:
         uvw = [variable(5, i) for i in range(3)]
         K = lattice_numerator(ideal(5, *rest)).coefficients
         expected = lattice_numerator(ideal(5, *rest, *uvw)).coefficients
-        assert series._times_row(K, 3) == expected == syzygy_coefficients([*rest, *uvw])
+        full = series_numerator(ideal(5, *rest, *uvw)).coefficients
+        assert series._times_row(K, 3) == expected == full
 
     def test_recursion_owns_its_minimalization(self, monkeypatch):
         # the recursion minimalizes packed ints; only the lcm route still
@@ -564,9 +618,10 @@ class TestSyzygy:
         with pytest.raises(Refused):
             hf(I, 8, method="lcm")
 
-    def test_tuple_entry_takes_minimal_tuples(self):
-        # the numerator is the tuple entry on the minimal exponent tuples,
-        # with the same stats; rings of no variables hold the unit ideal
+    def test_ideal_entry_minimalizes_its_generators(self):
+        # the numerator of an ideal is that of its minimal generators, with
+        # the same stats; rings of no variables, which only the stage entry
+        # reaches, hold the unit ideal
         rng = random.Random(31)
         for _ in range(40):
             I = random_ideal(rng, rng.randint(1, 6), rng.randint(0, 12), max_exp=4)
@@ -574,12 +629,13 @@ class TestSyzygy:
             fresh: dict = {}
             tuples: dict = {}
             num = series_numerator(I, fresh)
-            assert syzygy_coefficients(exponents, tuples) == num.coefficients
+            assert series_numerator(ideal(I.arity, *exponents), tuples) == num
             assert tuples == fresh
-        assert syzygy_coefficients([()]) == ()
-        assert syzygy_coefficients([]) == ((0, 1),)
+        assert stage_coefficients(0, [()], {}) == ()
+        assert stage_coefficients(0, [], {}) == ((0, 1),)
         # raw tuples give the K of their minimal ones, the unit among them
-        # included: the recursion minimalizes them itself
+        # included: the recursion minimalizes them itself, on a fresh memo
+        # through the ideal entry and on a shared one through the stage entry
         shared: dict = {}
         for _ in range(400):
             arity = rng.randint(0, 7)
@@ -594,11 +650,14 @@ class TestSyzygy:
             if rng.random() < 0.1:
                 raw.append((0,) * arity)  # the unit
             rng.shuffle(raw)
-            expected = syzygy_coefficients(minimal_exponents(raw))
-            assert syzygy_coefficients(raw) == expected, raw
-            assert syzygy_coefficients(raw, memo=shared) == expected, raw
-        assert syzygy_coefficients([(), ()]) == ()
-        assert syzygy_coefficients([(2, 1), (2, 1), (3, 1), (0, 0)]) == ()
+            expected = stage_coefficients(arity, minimal_exponents(raw), {})
+            if arity:
+                assert series_numerator(ideal(arity, *raw)).coefficients == expected, raw
+                minimal = ideal(arity, *minimal_exponents(raw))
+                assert series_numerator(minimal).coefficients == expected, raw
+            assert stage_coefficients(arity, raw, shared) == expected, raw
+        assert stage_coefficients(0, [(), ()], {}) == ()
+        assert series_numerator(ideal(2, (2, 1), (2, 1), (3, 1), (0, 0))).coefficients == ()
 
     def test_power_of_maximal_ideal(self):
         # m^20 in 3 variables: every monomial of degree >= 20 lies in it
