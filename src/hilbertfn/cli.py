@@ -6,9 +6,14 @@ Subcommands: eval, table, series, compare, bench, sr.  Exit codes:
 range: ``--max-degree`` and ``--expand-to`` 0..``MAX_DEGREE``,
 ``--max-row`` 1..``MAX_ROW``, ``--enum-cap`` and ``--lattice-cap`` >= 0,
 ``--repetitions`` 1..``MAX_REPETITIONS``.  argparse refuses a value outside
-it, like any other bad flag value, with exit code 2 before any work.  A
-``table`` of more than ``MAX_TABLE_VALUES`` values, ``--max-row`` times
-``--max-degree`` + 1, is refused with exit code 3 before it is built.
+it, like any other bad flag value, with exit code 2 before any work.  Three
+products of two flags are refused with exit code 3 after the input is read
+and before any work: a ``table`` of more than ``MAX_TABLE_VALUES`` values,
+``--max-row`` times ``--max-degree`` + 1; an expansion in ``eval``,
+``series`` or ``compare`` of more than ``MAX_EXPANSION`` terms, the ring's
+arity times ``--max-degree`` (or ``--expand-to``) + 1; and a ``bench`` of
+more than ``MAX_BENCH_VALUES`` values, ``--repetitions`` times
+``--max-degree`` + 1.
 
 argparse is the only grammar.  A subcommand followed only by its own flags
 is read by that subcommand's parser in one pass; any other argv goes through
@@ -50,8 +55,15 @@ MAX_ROW = 1000
 # --max-degree + 1 values each.  It bounds the work and the output, which
 # the two flags' ranges do not bound together.
 MAX_TABLE_VALUES = 10**5
+# Largest series expansion eval, series and compare compute: the ring's
+# arity times --max-degree (or --expand-to) + 1, the big-int additions of one
+# expansion, which the two ranges do not bound together.
+MAX_EXPANSION = 10**6
 # Largest bench --repetitions: each repetition reruns every case.
 MAX_REPETITIONS = 100
+# Largest bench run, in values per case and method: --repetitions times
+# --max-degree + 1.  bench keeps every value of every repetition.
+MAX_BENCH_VALUES = 5_000
 
 
 def _write(fmt: str, out, *, json, csv, plain) -> None:
@@ -110,8 +122,17 @@ def _parse_ring_and_ideal(args) -> tuple[list[str], MonomialIdeal]:
     return ring, I
 
 
+def _check_expansion(ring: list[str], degree: int) -> None:
+    """Refuse an expansion of ``ring``'s series up to ``degree`` past
+    ``MAX_EXPANSION`` terms."""
+    size = len(ring) * (degree + 1)
+    if size > MAX_EXPANSION:
+        raise ResourceCapError(f"an expansion of {size} terms exceeds cap {MAX_EXPANSION}")
+
+
 def cmd_eval(args, out) -> int:
     ring, I = _parse_ring_and_ideal(args)
+    _check_expansion(ring, args.max_degree)
     values = engine.hf(
         I,
         args.max_degree,
@@ -164,6 +185,8 @@ def cmd_table(args, out) -> int:
 
 def cmd_series(args, out) -> int:
     ring, I = _parse_ring_and_ideal(args)
+    if args.expand_to is not None:
+        _check_expansion(ring, args.expand_to)
     num = series.series_numerator(I)
     values = None if args.expand_to is None else series.expand_series(num, args.expand_to)
     _write(
@@ -190,6 +213,7 @@ def cmd_series(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     ring, I = _parse_ring_and_ideal(args)
+    _check_expansion(ring, args.max_degree)
     results = {}
     for method in ("oracle", "lcm", "syzygy", "table"):
         results[method] = engine.hf(
@@ -244,6 +268,11 @@ def _bench_line(entry: dict, method: str, info: dict) -> str:
 
 def cmd_bench(args, out) -> int:
     b_max = args.max_degree
+    size = args.repetitions * (b_max + 1)
+    if size > MAX_BENCH_VALUES:
+        raise ResourceCapError(
+            f"a bench of {size} values per case and method exceeds cap {MAX_BENCH_VALUES}"
+        )
     records = []
     for rep in range(args.repetitions):
         for case_id, I in enumerate(_bench_cases(args.seed)):

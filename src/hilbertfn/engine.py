@@ -2,11 +2,11 @@
 
 * oracle: brute-force count of the monomials outside the ideal (ground
   truth), one pure-Python walk in :mod:`kernels` for every degree up to
-  b_max.  It opens at most one frame per exponent prefix of 0 .. a - 3
-  variables, C(a - 2 + b_max, b_max + 1) in all, and closes the last two
-  variables per prefix by runs of the penultimate exponent, F(a, b_max)
-  prefixes of a - 1 variables; the cap bounds both counts.  The cap check
-  and the walk are both in :func:`hf`;
+  b_max, by one span rule at every variable.  It opens at most one frame
+  per exponent prefix of 0 .. a - 1 variables of total <= b_max,
+  C(a + b_max, b_max + 1) in all.  The cap bounds the larger of F(a, b_max)
+  prefixes and C(a - 2 + b_max, b_max + 1) frames, which is at least a
+  third of that.  The cap check and the walk are both in :func:`hf`;
   :func:`hf_oracle` reads one degree of it;
 * lcm: inclusion-exclusion over the lcm lattice of the minimal generators,
   weighted by its Mobius function (:func:`series.lattice_numerator`);
@@ -392,10 +392,11 @@ def hf(
     the unit ideal gives zeros and, with none left, the free ring.
     ``syzygy``, ``lcm`` and ``oracle`` read every generator.
     ``lattice_cap`` applies to ``method="lcm"`` only; ``enum_cap`` to the
-    oracle only, which refuses when its one walk would close more than
-    ``enum_cap`` prefixes, F(arity, b_max), or could open more than
-    ``enum_cap`` frames, C(arity - 2 + b_max, b_max + 1), and names the
-    larger count.
+    oracle only, which refuses when F(arity, b_max) prefixes or
+    C(arity - 2 + b_max, b_max + 1) frames exceed ``enum_cap``, and names
+    the larger count.  Its one walk opens at most C(arity + b_max,
+    b_max + 1) frames, one per prefix of total <= b_max, at most three times
+    the larger count, so the cap bounds the walk.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")
@@ -404,9 +405,8 @@ def hf(
     if method == "syzygy":
         return hf_syzygy(I, b_max)
     if method == "oracle":
-        # the walk closes the F(arity, b_max) exponent prefixes of a - 1
-        # variables and opens at most one frame per prefix of 0 .. a - 3
-        # variables, all of them when a generator divides every prefix
+        # C(a + b, b + 1) <= C(a - 2 + b, b + 1) + 2 F(a, b) frames: the
+        # walk's count is at most three times the larger of these two
         prefixes = pascal_F(I.arity, b_max)
         frames = comb(I.arity - 2 + b_max, b_max + 1) if I.arity > 2 else 0
         if max(prefixes, frames) > enum_cap:

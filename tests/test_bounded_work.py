@@ -112,8 +112,27 @@ CASES = [
         0,
     ),
     _case("bench-past-max-repetitions", ["bench", "--repetitions", "101"], 2),
+    # each flag is within its range, but 1 x 5 001 values per case and
+    # method are past bench's cap of 5 000
+    _case("bench-past-values-cap", ["bench", "--repetitions", "1", "--max-degree", "5000"], 3),
+    # 3 000 x 100 001 expansion terms, past the cap of 10^6: unrefused, the
+    # expansion alone runs past 30 s of CPU
+    _case(
+        "eval-wide-ring-past-expansion-cap",
+        ["eval", *_ideal(WIDE, "x0^2"), "--max-degree", "100000"],
+        3,
+    ),
+    # the default cap admits C(111, 4) = 5 989 005 frames here, but (x109^2)
+    # leaves one span at each of the first 109 variables, so the walk opens
+    # one frame per variable
+    _case(
+        "oracle-wide-ring-within-default-enum-cap",
+        ["eval", *_ideal(_names("x", 110), "x109^2"), "--method", "oracle",
+         "--max-degree", "3"],
+        0,
+    ),
     # F(300, 3) = 4 545 100 prefixes are within the default cap of 10^8, but
-    # the walk would open C(301, 4) = 335 246 275 frames
+    # the cap also counts C(301, 4) = 335 246 275 frames
     _case(
         "oracle-within-default-enum-cap",
         ["eval", *_ideal(PATH, "x299^2"), "--method", "oracle", "--max-degree", "3"],

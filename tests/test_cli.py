@@ -18,8 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilbertfn import cli, engine, parser, simplicial
-from hilbertfn.cli import MAX_DEGREE, MAX_REPETITIONS, MAX_ROW, MAX_TABLE_VALUES
+from hilbertfn import cli, engine, parser, series, simplicial
+from hilbertfn.cli import (
+    MAX_BENCH_VALUES,
+    MAX_DEGREE,
+    MAX_EXPANSION,
+    MAX_REPETITIONS,
+    MAX_ROW,
+    MAX_TABLE_VALUES,
+)
 from hilbertfn.monomial import VariableOrder, ideal
 from hilbertfn.pascal import pascal_F
 
@@ -179,6 +186,34 @@ class TestEval:
         ):
             assert run(*argv) == (cli.EXIT_INPUT, ""), argv
             assert f"argument {flag}: must be >= 0" in capsys.readouterr().err, argv
+
+    def test_expansion_bound(self, capsys, monkeypatch):
+        # arity x (degree + 1) terms: an expansion at the cap runs, one degree
+        # more is refused with exit 3 and no output, for eval, series and
+        # compare alike
+        arity = 1000
+        degree = MAX_EXPANSION // arity - 1
+        ring = ["--ring", ",".join(f"x{i}" for i in range(arity)), "--ideal", "x0^2"]
+        code, text = run("eval", *ring, "--max-degree", str(degree))
+        assert code == 0
+        assert text.splitlines()[1].split()[:3] == ["HF", "1", str(arity)]
+        code, text = run("series", *ring, "--expand-to", str(degree))
+        assert code == 0
+        assert text.splitlines()[1].split()[:2] == ["1", str(arity)]
+        capsys.readouterr()
+        # the refusal comes before any method or expansion runs
+        monkeypatch.setattr(engine, "hf", None)
+        monkeypatch.setattr(series, "series_numerator", None)
+        size = arity * (degree + 2)
+        for argv in (
+            ["eval", *ring, "--max-degree", str(degree + 1)],
+            ["series", *ring, "--expand-to", str(degree + 1)],
+            ["compare", *ring, "--max-degree", str(degree + 1)],
+        ):
+            assert run(*argv) == (cli.EXIT_CAP, ""), argv
+            assert capsys.readouterr().err == (
+                f"resource cap: an expansion of {size} terms exceeds cap {MAX_EXPANSION}\n"
+            ), argv
 
     def test_zero_caps_are_caps(self):
         base = ["eval", "--ring", "x,y", "--ideal", "x^2,y^2", "--max-degree", "3"]
@@ -485,6 +520,26 @@ class TestBench:
             else:
                 assert re.fullmatch(r"\d+\.\d{4}s", rest), line
         assert capped == 16
+
+    def test_values_bound(self, capsys, monkeypatch):
+        # --repetitions x (--max-degree + 1) values per case and method: a
+        # bench at the cap runs, one past it is refused with exit 3 and no
+        # output, before any case is drawn
+        degree = MAX_BENCH_VALUES - 1
+        code, text = run("bench", "--max-degree", str(degree), "--format", "csv")
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 20 * 3
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_bench_cases", None)
+        past = ((1, MAX_BENCH_VALUES), (MAX_REPETITIONS, MAX_BENCH_VALUES // MAX_REPETITIONS))
+        for reps, degree in past:
+            argv = ["bench", "--repetitions", str(reps), "--max-degree", str(degree)]
+            assert run(*argv) == (cli.EXIT_CAP, ""), argv
+            size = reps * (degree + 1)
+            assert capsys.readouterr().err == (
+                f"resource cap: a bench of {size} values per case and method exceeds cap"
+                f" {MAX_BENCH_VALUES}\n"
+            ), argv
 
     def test_repetitions_must_be_positive(self, capsys):
         for reps in ("0", "-1"):

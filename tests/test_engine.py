@@ -97,9 +97,9 @@ class TestOracle:
 
     @staticmethod
     def work(arity, b_max):
-        # one walk closes F(a, b_max) prefixes and opens at most
-        # C(a - 2 + b_max, b_max + 1) frames, one per prefix of 0 .. a - 3
-        # variables; the cap bounds the larger count
+        # the cap counts F(a, b_max) prefixes and C(a - 2 + b_max, b_max + 1)
+        # frames and bounds the larger count; the walk opens at most
+        # C(a + b_max, b_max + 1) frames, at most three times that
         frames = comb(arity - 2 + b_max, b_max + 1) if arity > 2 else 0
         return max(pascal_F(arity, b_max), frames)
 
@@ -130,9 +130,10 @@ class TestOracle:
                 assert hf_oracle(I, b, enum_cap=work_b) == values[b], (I, b)
 
     def test_enumeration_cap_counts_frames_on_a_wide_ring(self):
-        # (x39^2) in 40 variables divides every prefix, so at b = 3 the walk
-        # opens C(41, 4) = 101 270 frames for F(40, 3) = 11 480 prefixes:
-        # a cap of the frame count runs, one less refuses and names it
+        # at b = 3 in 40 variables the cap counts C(41, 4) = 101 270 frames
+        # for F(40, 3) = 11 480 prefixes, though the walk opens one frame per
+        # variable on (x39^2): a cap of the frame count runs, one less
+        # refuses and names it
         I = ideal(40, (0,) * 39 + (2,))
         assert (pascal_F(40, 3), self.work(40, 3)) == (11_480, 101_270)
         values = hf(I, 3, method="oracle", enum_cap=101_270)
