@@ -20,11 +20,12 @@
 
 HF(R/I, b) depends only on the generators of degree <= b, which
 :func:`upto_degree` keeps.  ``auto`` drops the rest and takes the syzygy
-recursion on the survivors, whatever their number.  The table reads row 1,
-k[x]/(x^m), off the least power of its first variable, decomposes only the
-stages some generator enters, builds those decompositions from the
-generators that can reach them (degree <= b_max + 1), in any order, and
-evaluates each stage's annihilator as one numerator.
+recursion on the survivors, whatever their number.  The table keeps the
+same generators, reads each one's stage once, takes row 1, k[x]/(x^m), off
+the least degree among the unit and the powers of its first variable,
+decomposes only the stages some generator enters, in any order, and
+evaluates each stage's annihilator as one numerator up to degree
+b_max - 1, the last degree a row subtracts.
 :func:`annihilator_decomposition` keeps only the table's logic: it picks
 the stage's generators, orders them as the paper's re-indexing does,
 projects them onto the first a - 1 table variables and makes each
@@ -329,8 +330,8 @@ def hf_table(
     """Build the Hilbert function table row by row.
 
     Row 1 is k[x]/(x^m), x the first table variable: 1 below degree m, then
-    0.  m is the least exponent of the powers of x among the generators of
-    degree <= b_max + 1 (0 with the unit), and b_max + 1 with none.  Every
+    0.  m is the least degree among the generators of stage <= 1, the unit
+    and the powers of x, and b_max + 1 with none of degree <= b_max.  Every
     later row a follows one rule, the short exact sequence for
     multiplication by the stage variable:
 
@@ -342,9 +343,11 @@ def hf_table(
     is the prefix sum of the one before.  So only the stages some generator
     enters (:func:`monomial.stage`) are decomposed.
 
-    The annihilator in degree b depends only on the generators of degree
-    <= b + 1, so the decompositions are built from those of degree
-    <= b_max + 1 alone, and all stages share one syzygy memo.  The
+    Row a subtracts the annihilator up to degree b_max - 1 alone, and the
+    annihilator in degree b depends only on the generators of degree
+    <= b + 1.  So the table keeps the generators of degree <= b_max, as
+    ``auto`` does, reads each one's stage once, evaluates each annihilator
+    up to degree b_max - 1, and all stages share one syzygy memo.  The
     generators may come in any order: :func:`annihilator_decomposition`
     orders each stage's itself.  An ``order`` of another arity than ``I``
     raises :class:`ArityMismatchError`.
@@ -358,18 +361,17 @@ def hf_table(
     if order.arity != I.arity:
         raise ArityMismatchError(f"order arity {order.arity} != ideal arity {I.arity}")
 
-    live = upto_degree(I, b_max + 1)
-    entered = {stage(g, order) for g in live.generators}
+    live = upto_degree(I, b_max)
+    staged = [(stage(g, order), g.degree) for g in live.generators]
+    entered = {s for s, _ in staged}
     memo: dict = {}
 
-    x = order.perm[0]
-    powers = [g.exponents[x] for g in live.generators if g.degree == g.exponents[x]]
-    m = min(powers, default=b_max + 1)
+    m = min([d for s, d in staged if s <= 1], default=b_max + 1)
     rows = [[1] * m + [0] * (b_max + 1 - m)]
     for a in range(2, a_max + 1):
         row = rows[-1].copy()
         if a in entered:
-            ann = annihilator_hf(annihilator_decomposition(live, order, a), b_max, memo=memo)
+            ann = annihilator_hf(annihilator_decomposition(live, order, a), b_max - 1, memo=memo)
             row[1:] = map(sub, row[1:], ann)
         rows.append(list(accumulate(row)))
     # tuples are made from lists: tuple() of an iterator builds a tuple of a
@@ -396,7 +398,10 @@ def hf(
     C(arity - 2 + b_max, b_max + 1) frames exceed ``enum_cap``, and names
     the larger count.  Its one walk opens at most C(arity + b_max,
     b_max + 1) frames, one per prefix of total <= b_max, at most three times
-    the larger count, so the cap bounds the walk.
+    the larger count, so the cap bounds its frames and prefixes, but not
+    the generators each frame sorts, which include those no monomial of
+    degree <= b_max reaches (the strict xfail
+    ``oracle-unreachable-generators`` in ``tests/test_bounded_work.py``).
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")

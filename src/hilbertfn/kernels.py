@@ -18,7 +18,12 @@ turn it into the values.
 
 The lower ends of the spans that led to a frame are a prefix of total at
 most b_max, a different one for each frame, so the walk opens at most
-C(arity + b_max, b_max + 1) frames.  The oracle shares no code with the
+C(arity + b_max, b_max + 1) frames, a count that the cap in
+:func:`engine.hf` bounds.  It does not bound the generators each frame
+sorts: a frame keeps every generator dividing its prefixes, also one that
+no monomial of degree <= b_max reaches, and such generators still split
+spans (the strict xfail ``oracle-unreachable-generators`` in
+``tests/test_bounded_work.py``).  The oracle shares no code with the
 other three methods: it sums its own numerator and never calls
 :mod:`series`.
 """

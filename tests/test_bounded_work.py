@@ -70,6 +70,8 @@ PATH = _names("x", 300)
 # F(3, 10) = 66 exponent prefixes for the oracle walk; 3 generators for the lattice
 ORACLE = ["eval", *_ideal(XYZ, "x^2*y, z^3"), "--method", "oracle", "--max-degree", "10"]
 LATTICE = ["eval", *_ideal(XYZ, "x^2*y, z^3, x*y*z"), "--method", "lcm"]
+# 237 generators x_i^e * x79^4 of degree >= 5, over 80 variables
+UNREACHABLE = ", ".join(f"x{i}^{e}*x79^4" for i in range(79) for e in (1, 2, 3))
 
 CASES = [
     _case("sr-at-vertex-cap", _sr(24), 0),
@@ -137,6 +139,15 @@ CASES = [
         "oracle-within-default-enum-cap",
         ["eval", *_ideal(PATH, "x299^2"), "--method", "oracle", "--max-degree", "3"],
         3,
+    ),
+    _case(
+        "oracle-unreachable-generators",
+        ["eval", *_ideal(_names("x", 80), UNREACHABLE), "--method", "oracle",
+         "--max-degree", "3"],
+        0,
+        xfail="the 237 generators have degree >= 5, so none divides a monomial of degree"
+        " <= 3, yet the walk keeps them and they split its spans: 1 837 619 frames, past"
+        " the cap's count C(81, 4) = 1 663 740, and more than 6 s of CPU",
     ),
     _case(
         "series-path-300",

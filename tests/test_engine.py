@@ -915,6 +915,45 @@ class TestTable:
         assert stages == [1501, 3000]
         assert list(table.rows[-1]) == hf(I, 3)
 
+    def test_generator_past_max_degree_enters_no_stage(self, monkeypatch):
+        # y^4 has degree b_max + 1: row 2 subtracts the annihilator only up
+        # to degree b_max - 1, which y^4 cannot reach, so stage 2 is never
+        # decomposed
+        real = engine.annihilator_decomposition
+        stages = []
+
+        def spy(I, order, a):
+            stages.append(a)
+            return real(I, order, a)
+
+        monkeypatch.setattr(engine, "annihilator_decomposition", spy)
+        table = hf_table(parse_ideal("x^2, y^4", ["x", "y"]), b_max=3)
+        assert stages == []
+        assert table.rows == ((1, 1, 0, 0), (1, 2, 2, 2))
+
+    def test_annihilator_read_up_to_max_degree_less_one(self, monkeypatch):
+        # row a at degree b subtracts the annihilator at degree b - 1, so
+        # every stage is evaluated for the b_max values row[1:] reads
+        real = engine.annihilator_hf
+        asked = []
+
+        def spy(dec, b_max, memo=None):
+            asked.append(b_max)
+            return real(dec, b_max, memo=memo)
+
+        monkeypatch.setattr(engine, "annihilator_hf", spy)
+        rng = random.Random(36)
+        calls = 0
+        for _ in range(100):
+            arity, b = rng.randint(2, 5), rng.randint(0, 12)
+            I = random_ideal(rng, arity, rng.randint(1, 8), max_exp=rng.choice((1, 2, 3)))
+            del asked[:]
+            table = hf_table(I, order=_random_order(rng, arity), b_max=b)
+            assert asked == [b - 1] * len(asked), (I, b)
+            assert list(table.rows[-1]) == hf(I, b), (I, b)
+            calls += len(asked)
+        assert calls > 100
+
     def test_sparse_ideal_leaves_interior_stages_empty(self):
         # a permuted order over 12 variables in which most interior stages
         # enter no generator: every row is the stage quotient's, and rows
@@ -1358,9 +1397,9 @@ class TestAnnihilatorNumerator:
             del memos[:]
             hf_table(I, b_max=b)
             # one stage entry per stage >= 2 that a generator of degree
-            # <= b + 1 enters
+            # <= b enters
             identity = VariableOrder.identity(I.arity)
-            entered = {monomial.stage(g, identity) for g in upto_degree(I, b + 1).generators}
+            entered = {monomial.stage(g, identity) for g in upto_degree(I, b).generators}
             assert len(memos) == len(entered - {0, 1})
             assert all(m is memos[0] and isinstance(m, dict) for m in memos)
         assert dropped["generators"] > 100 and dropped["variables"] > 10
@@ -1369,7 +1408,8 @@ class TestAnnihilatorNumerator:
         # rows of the table method and annihilator HFs of its stages as
         # computed by per-term evaluation over every generator, for a_max
         # below, at and above the arity; each ideal has generators of
-        # degree b_max + 1
+        # degree b_max + 1, which the table drops and the annihilator HFs,
+        # taken here over every generator up to degree b_max, still read
         three = parse_ideal("y^6, x^3*y^5, x^2*y^2*z^2, x^3*z, x^2*y*z^3", ["y", "x", "z"])
         rows3 = (
             (1, 1, 1, 1, 1, 1, 1, 1),
