@@ -38,13 +38,14 @@ the packing and builds no tuple, Monomial or MonomialIdeal per term.  Only
 :attr:`AnnihilatorDecomposition.terms`, for the API and the tests, builds
 the colon ideals as exponent tuples, from the syzygy quotients and
 :func:`monomial.minimal_exponents`, apart from the packing.  The
-``syzygy``, ``oracle`` and ``lcm`` methods and
-:func:`series.series_numerator` read every generator, so cross-checks pit
-the degree-bounded routes against full ones.  The recursion is the default
-route to K(t); only ``method="lcm"`` takes the lcm lattice, and only
-``cancel=True`` and :func:`build_lcm_lattice` build its 2^n subsets.  All
-methods return identical values for identical inputs; the test suite
-cross-checks them against each other on randomized ideals.
+``syzygy`` and ``lcm`` methods and :func:`series.series_numerator` read
+every generator, and the oracle walk the generators of degree <= b_max, so
+cross-checks pit two full routes against two bounded by degree.  The
+recursion is the default route to K(t); only ``method="lcm"`` takes the
+lcm lattice, and only ``cancel=True`` and :func:`build_lcm_lattice` build
+its 2^n subsets.  All methods return identical values for identical
+inputs; the test suite cross-checks them against each other on randomized
+ideals.
 """
 
 from __future__ import annotations
@@ -392,7 +393,8 @@ def hf(
     ``auto`` keeps the generators of degree <= b_max (:func:`upto_degree`)
     and takes the syzygy recursion on them, which minimalizes them itself:
     the unit ideal gives zeros and, with none left, the free ring.
-    ``syzygy``, ``lcm`` and ``oracle`` read every generator.
+    ``syzygy`` and ``lcm`` read every generator, and the oracle walk those
+    of degree <= b_max.
     ``lattice_cap`` applies to ``method="lcm"`` only; ``enum_cap`` to the
     oracle only, which refuses when F(arity, b_max) prefixes or
     C(arity - 2 + b_max, b_max + 1) frames exceed ``enum_cap``, and names
@@ -400,8 +402,9 @@ def hf(
     b_max + 1) frames, one per prefix of total <= b_max, at most three times
     the larger count, so the cap bounds its frames and prefixes, but not
     the generators each frame sorts, which include those no monomial of
-    degree <= b_max reaches (the strict xfail
-    ``oracle-unreachable-generators`` in ``tests/test_bounded_work.py``).
+    degree <= b_max over the frame's prefixes reaches (the strict xfail
+    ``oracle-generators-unreachable-below-the-root`` in
+    ``tests/test_bounded_work.py``).
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")

@@ -19,11 +19,13 @@ turn it into the values.
 The lower ends of the spans that led to a frame are a prefix of total at
 most b_max, a different one for each frame, so the walk opens at most
 C(arity + b_max, b_max + 1) frames, a count that the cap in
-:func:`engine.hf` bounds.  It does not bound the generators each frame
-sorts: a frame keeps every generator dividing its prefixes, also one that
-no monomial of degree <= b_max reaches, and such generators still split
-spans (the strict xfail ``oracle-unreachable-generators`` in
-``tests/test_bounded_work.py``).  The oracle shares no code with the
+:func:`engine.hf` bounds.  Only the generators of degree <= b_max enter
+the walk, since no other divides a monomial of degree <= b_max.  The cap
+does not bound the generators each frame sorts: a frame keeps every
+generator dividing its prefixes, also one that no monomial of degree
+<= b_max over those prefixes reaches, and such generators still split
+spans (the strict xfail ``oracle-generators-unreachable-below-the-root``
+in ``tests/test_bounded_work.py``).  The oracle shares no code with the
 other three methods: it sums its own numerator and never calls
 :mod:`series`.
 """
@@ -51,7 +53,7 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
     # ``top``, its lowest degree first.  Frames only add into the numerator,
     # so the order they are taken in does not matter, and a stack keeps a
     # ring of any arity within Python's recursion limit.
-    stack = [(0, [tuple(g) for g in gens], [(0, 1)])]
+    stack = [(0, [tuple(g) for g in gens if sum(g) <= b_max], [(0, 1)])]
     while stack:
         pos, active, poly = stack.pop()
         active.sort(key=itemgetter(pos))

@@ -11,7 +11,7 @@ generators themselves.
 
 from __future__ import annotations
 
-from operator import itemgetter, le
+from operator import le
 from typing import Iterable, Sequence
 
 
@@ -78,7 +78,7 @@ class Monomial(_Value):
     def __init__(self, exponents: Iterable[int]) -> None:
         exponents = tuple(exponents)
         for e in exponents:
-            if (e.__class__ is not int and not _is_int(e)) or e < 0:
+            if not _is_int(e) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
             if e > MAX_EXPONENT:
                 raise OverflowError(f"exponent {e} exceeds supported bound {MAX_EXPONENT}")
@@ -186,31 +186,18 @@ def minimal_exponents(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
     """The exponent vectors that no other given vector divides.
 
     Survivors keep the given order; exact duplicates collapse to the earliest
-    occurrence.  A vector can be divided only by one of smaller degree, or by
-    an equal one, so after dropping duplicates each vector is tested against
-    the survivors of strictly smaller degree alone: an equal-degree antichain
-    costs no divisibility test at all.
+    occurrence.  A proper divisor has a smaller degree, so one pass over the
+    distinct vectors in ascending degree tests each against the survivors
+    found before it, and the survivors are then read off in the given order.
     """
     unique = list(dict.fromkeys(vectors))
-    if len(unique) < 2:
-        return unique
-    kept: list[tuple[int, ...]] = []  # survivors of degree below `level`
-    level: list[tuple[int, ...]] = []  # survivors of the current degree
-    level_degree = -1
-    for d, v in sorted(zip(map(sum, unique), unique), key=itemgetter(0)):
-        if d != level_degree:
-            kept += level
-            level = []
-            level_degree = d
-        for h in kept:
+    survivors: set[tuple[int, ...]] = set()
+    for v in sorted(unique, key=sum):
+        for h in survivors:
             if all(map(le, h, v)):
                 break
         else:
-            level.append(v)
-    if len(kept) + len(level) == len(unique):
-        return unique
-    survivors = set(kept)
-    survivors.update(level)
+            survivors.add(v)
     return [v for v in unique if v in survivors]
 
 

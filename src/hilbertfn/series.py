@@ -315,9 +315,9 @@ def _resolve(
     trailing variables no generator uses, so the key does not depend on the
     ring's arity.  It carries W because ideals packed at different widths
     can give equal ints.  Keys are opaque.  ``stats`` is filled as
-    :func:`series_numerator` describes.
+    :func:`series_numerator` describes, which passes it only with a fresh
+    memo, so every entry in the memo is a miss.
     """
-    known_before = len(memo)
     width, guards, ones, top, mask = layout
     used = reduce(or_, rest, variables)
     if (unused := ((used & -used).bit_length() - 1) // width * width) > 0:
@@ -361,8 +361,7 @@ def _resolve(
                 sub = memo[sub_key] = _times_row(sub, split)
             if coeffs is None:
                 if stats is not None:
-                    misses = len(memo) - known_before
-                    stats.update(hits=hits, misses=misses, memo_size=len(memo), nodes=nodes)
+                    stats.update(hits=hits, misses=len(memo), memo_size=len(memo), nodes=nodes)
                 return sub
             # coeffs -= t^shift * K(S_j)
             for d, c in sub:

@@ -72,6 +72,8 @@ ORACLE = ["eval", *_ideal(XYZ, "x^2*y, z^3"), "--method", "oracle", "--max-degre
 LATTICE = ["eval", *_ideal(XYZ, "x^2*y, z^3, x*y*z"), "--method", "lcm"]
 # 237 generators x_i^e * x79^4 of degree >= 5, over 80 variables
 UNREACHABLE = ", ".join(f"x{i}^{e}*x79^4" for i in range(79) for e in (1, 2, 3))
+# 66 generators x_i * x33^4 and x_i^2 * x33^3 of degree 5, over 34 variables
+BELOW_ROOT = ", ".join(f"x{i}*x33^4, x{i}^2*x33^3" for i in range(33))
 
 CASES = [
     _case("sr-at-vertex-cap", _sr(24), 0),
@@ -140,14 +142,24 @@ CASES = [
         ["eval", *_ideal(PATH, "x299^2"), "--method", "oracle", "--max-degree", "3"],
         3,
     ),
+    # the 237 generators have degree >= 5, past --max-degree 3, so none enters
+    # the walk, which opens one frame
     _case(
         "oracle-unreachable-generators",
         ["eval", *_ideal(_names("x", 80), UNREACHABLE), "--method", "oracle",
          "--max-degree", "3"],
         0,
-        xfail="the 237 generators have degree >= 5, so none divides a monomial of degree"
-        " <= 3, yet the walk keeps them and they split its spans: 1 837 619 frames, past"
-        " the cap's count C(81, 4) = 1 663 740, and more than 6 s of CPU",
+    ),
+    _case(
+        "oracle-generators-unreachable-below-the-root",
+        ["eval", *_ideal(_names("x", 34), BELOW_ROOT), "--method", "oracle",
+         "--max-degree", "5"],
+        0,
+        xfail="each generator has degree 5, so the only monomial of degree <= 5 it"
+        " reaches is itself, yet every frame whose prefixes it divides keeps it and it"
+        " splits that frame's spans: 3 085 907 frames, past the cap's count"
+        " C(37, 6) = 2 324 784, and about 8 s of CPU; dropping from each child frame"
+        " the generators whose remaining degree puts them past b_max bounds it",
     ),
     _case(
         "series-path-300",

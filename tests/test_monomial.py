@@ -142,7 +142,11 @@ def test_minimalize_preserves_membership(gens, m):
     assert contains_monomial(I, m) == contains_monomial(minimalize(I), m)
 
 
-@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=12))
+@given(
+    st.integers(0, 5).flatmap(
+        lambda arity: st.lists(st.tuples(*[st.integers(0, 4)] * arity), max_size=16)
+    )
+)
 def test_minimal_exponents_is_the_first_copy_of_each_undivided_vector(vectors):
     def divides_strictly(u, v):
         return u != v and all(x <= y for x, y in zip(u, v))

@@ -14,6 +14,10 @@ process, which imports that checkout's ``src/`` and hands each argv to
 * each of those that is not ``compare`` again with ``--format json`` and
   ``--format csv``, and each ``table`` query again with its variables in
   reverse ``--order``;
+* each ``eval`` and ``compare`` query again as ``eval --method lcm``, and
+  each ``compare`` query as ``eval --method oracle``, since ``compare``
+  prints only whether the methods agree; ``lcm`` refuses past its lattice
+  cap, so the battery holds refusals too;
 * ``bench --seed 3`` in all three formats, timings masked;
 * the commands of README's "Command line" block.
 
@@ -55,6 +59,10 @@ for argv in json.load(sys.stdin):
 json.dump(answers, sys.stdout)
 """
 
+# the methods each query kind is asked again as `eval --method`: compare
+# prints only AGREE, which hides each method's values
+METHODS = {"eval": ("lcm",), "compare": ("lcm", "oracle")}
+
 # every float that bench prints is a timing; its values are integers
 TIMING = re.compile(r"\d+\.\d+(?:e[-+]?\d+)?")
 
@@ -90,6 +98,7 @@ def battery(seeds: list[int]) -> list[list[str]]:
                 if q.kind == "table":
                     ring = argv[argv.index("--ring") + 1]
                     argvs.append(argv + ["--order", ",".join(reversed(ring.split(",")))])
+                argvs += [["eval", *argv[1:], "--method", m] for m in METHODS.get(q.kind, ())]
     argvs += [["bench", "--seed", "3", "--format", fmt] for fmt in ("plain", "json", "csv")]
     return argvs + _readme_commands()
 
