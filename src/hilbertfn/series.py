@@ -13,25 +13,30 @@ K(t):
   :func:`colon_coefficients` is the stage entry, the table's, and the only
   one that takes a memo: it resolves each target's colon ideal straight
   from the colon step, over one memo per table.  The recursion packs each
-  monomial into one int, a field of W bits per variable whose top bit is a
-  guard that stays 0, so quotients, divisibility and degrees are a few int
-  operations.  Each entry packs its tuples once, and the loop resolves the
-  ideal as it resolves every colon ideal: a principal one is closed where
-  it is found, with no node opened for it, and the variables among the
-  minimal generators are split off, K(S) = (1 - t)^k K(S'), (1 - t)^k a
-  cached binomial row.  The memo keys are opaque: they carry W and do not
-  depend on the ring's arity;
+  monomial into one int, in one of two layouts that :func:`_pack` picks
+  from the input: one bit per variable when every exponent is 0 or 1, as
+  in a Stanley-Reisner ideal, and otherwise a field of W bits per variable
+  whose top bit is a guard that stays 0.  Either way quotients,
+  divisibility and degrees are a few int operations.  Each entry packs its
+  tuples once, and the loop resolves the ideal as it resolves every colon
+  ideal: a principal one is closed where it is found, with no node opened
+  for it, and the variables among the minimal generators are split off,
+  K(S) = (1 - t)^k K(S'), (1 - t)^k a cached binomial row.  The memo keys are opaque: they carry W, 1 for the
+  bit layout and at least 3 for fields, so one memo can hold both, and do
+  not depend on the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
 
-This module alone knows the packed layout.  Its one minimal pass,
-:func:`_minimal`, gives the minimal generators of an ideal of packed ints
-as ``(variables, rest)``: the variables ORed into one mask, and the other
-minimal generators, none a multiple of a variable, ascending.  Its one
-colon step, :func:`_colon`, gives those of (g_1, ..., g_{j-1}) : g_j from
-packed ints through it.  The recursion runs the pass on the ideal that
-:func:`series_numerator` packs and the colon step for every S_j; the stage entry runs the colon step
+This module alone knows the packed layouts.  Each has one minimal pass,
+:func:`_minimal` in fields and :func:`_bit_minimal` on bits, which gives
+the minimal generators of an ideal of packed ints as ``(variables, rest)``:
+the variables ORed into one mask, and the other minimal generators, none a
+multiple of a variable, ascending.  Each has one colon step,
+:func:`_colon` and :func:`_bit_colon`, which gives those of
+(g_1, ..., g_{j-1}) : g_j from packed ints through its pass.  The recursion
+runs the pass on the ideal that :func:`series_numerator` packs and the
+colon step for every S_j; the stage entry runs the colon step
 on the stage's generators for each target, keeps the generators that can
 reach the table's last degree on their packed degrees, and hands the
 survivors to the loop, so no colon ideal is unpacked.
@@ -109,28 +114,42 @@ def lattice_numerator(I: MonomialIdeal) -> SeriesNumerator:
     return SeriesNumerator.from_degrees(I.arity, coeffs)
 
 
-def _pack(exponents: Sequence[tuple[int, ...]]) -> tuple[list[int], tuple[int, ...]]:
+def _pack(exponents: Sequence[tuple[int, ...]]) -> tuple[list[int], tuple]:
     """The exponent tuples, all of one arity a, packed into ints, and their
-    layout ``(width, guards, ones, top, mask)``.
+    layout ``(width, guards, degree, minimal, colon)``.
 
-    Each variable gets a field of W = ``width`` bits, one more than the bit
-    length of the largest degree, and variable i sits at bit offset
-    (a - 1 - i) * W, so comparing two packed ints compares their exponent
-    tuples lexicographically.  ``guards`` holds the top bit of every field,
-    ``ones`` a 1 at the bottom of every field, ``top`` the offset of the
-    top field, where ``v * ones`` collects the sum of v's fields, and
-    ``mask`` the W low bits.
+    This is the one place that picks a layout, from the tuples alone.  If
+    every exponent is 0 or 1, the ideal is squarefree and takes the bit
+    layout: W = ``width`` = 1, one bit per variable, no guard bits
+    (``guards`` is 0), the degree ``int.bit_count``, and
+    :func:`_bit_minimal` and :func:`_bit_colon`.  Any other ideal takes
+    the field layout: a field of W bits per variable, W one more than the
+    bit length of the largest degree, so W >= 3; ``guards`` holds the top
+    bit of every field; the degree of v is v mod (2^W - 1), which sums the
+    fields since 2^W = 1 modulo 2^W - 1 and no degree reaches 2^W - 1; and
+    :func:`_minimal` and :func:`_colon`.  In both, variable i sits at bit
+    offset (a - 1 - i) * W, so comparing two packed ints compares their
+    exponent tuples lexicographically.  Both minimal passes take
+    ``(ascending, guards, borrow)`` and both colon steps
+    ``(gens, j, guards, borrow)``, ``borrow`` = W - 1, so the loop calls
+    either layout's alike.
     """
     width = max(map(sum, exponents), default=0).bit_length() + 1
-    offsets = range(((len(exponents[0]) if exponents else 0) - 1) * width, -1, -width)
-    ones = sum(1 << s for s in offsets)
-    layout = (width, ones << (width - 1), ones, offsets[0] if offsets else 0, (1 << width) - 1)
-    return [sum(map(lshift, e, offsets)) for e in exponents], layout
+    arity = len(exponents[0]) if exponents else 0
+    offsets = range((arity - 1) * width, -1, -width)
+    packed = [sum(map(lshift, e, offsets)) for e in exponents]
+    ones = ((1 << width * arity) - 1) // ((1 << width) - 1)
+    # every exponent is 0 or 1 exactly when no packed bit lies outside `ones`
+    if not reduce(or_, packed, 0) & ~ones:
+        offsets = range(arity - 1, -1, -1)
+        return [sum(map(lshift, e, offsets)) for e in exponents], _BITS
+    mask = (1 << width) - 1
+    return packed, (width, ones << (width - 1), lambda v: v % mask, _minimal, _colon)
 
 
 def _minimal(ascending: Sequence[int], guards: int, borrow: int) -> tuple[int, tuple[int, ...]]:
     """The minimal generators of the ideal of the packed ints ``ascending``,
-    as ``(variables, rest)``.
+    as ``(variables, rest)``: the field layout's minimal pass.
 
     The ints are packed with guard bits ``guards`` and fields of
     ``borrow + 1`` bits, and sorted ascending.  ``variables`` ORs those of
@@ -142,7 +161,8 @@ def _minimal(ascending: Sequence[int], guards: int, borrow: int) -> tuple[int, t
     in ``rest`` before it.  A proper divisor packs to a smaller int, and h
     divides v exactly when no field of ``(v | guards) - h`` borrows its
     guard bit; a repeat divides itself.  A 0 makes the ideal the unit
-    ideal, ``(0, (0,))``.
+    ideal, ``(0, (0,))``.  :func:`_bit_minimal` is the same pass in the
+    bit layout.
     """
     if ascending and not ascending[0]:
         return 0, (0,)
@@ -168,14 +188,15 @@ def _minimal(ascending: Sequence[int], guards: int, borrow: int) -> tuple[int, t
 
 def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> tuple[int, tuple[int, ...]]:
     """The minimal generators of (gens[0], ..., gens[j-1]) : gens[j], as
-    ``(variables, rest)``.
+    ``(variables, rest)``: the field layout's colon step.
 
     ``gens`` are packed as for :func:`_minimal`.  With g = gens[j], the
     colon is generated by the syzygy quotients lcm(h, g) / g, and
     ``d = (h | guards) - g`` keeps its guard bit in exactly the fields
     where h >= g, so ``d`` masked to the low ``borrow`` bits of those
     fields is the quotient.  :func:`_minimal` sets the variables among the
-    quotients aside and keeps the minimal others.
+    quotients aside and keeps the minimal others.  :func:`_bit_colon` is
+    the same step in the bit layout.
     """
     g = gens[j]
     return _minimal(sorted({
@@ -184,12 +205,50 @@ def _colon(gens: Sequence[int], j: int, guards: int, borrow: int) -> tuple[int, 
     }), guards, borrow)
 
 
-def _closed(gens: Sequence[int], ones: int, top: int, mask: int) -> tuple[tuple[int, int], ...]:
-    """K of at most one packed generator: 1 for none, 0 for the unit ideal
-    and 1 - t^d for a principal ideal of degree d."""
-    if not gens:
-        return ((0, 1),)
-    d = (gens[0] * ones >> top) & mask
+def _bit_minimal(
+    ascending: Sequence[int], guards: int = 0, borrow: int = 0
+) -> tuple[int, tuple[int, ...]]:
+    """:func:`_minimal` in the bit layout, which has neither guard bits nor
+    borrows, so ``guards`` and ``borrow`` go unread.
+
+    Every single bit is a variable, a multiple of a variable has its bit
+    set, and h divides v exactly when ``h & ~v`` is 0.
+    """
+    if ascending and not ascending[0]:
+        return 0, (0,)
+    variables = 0
+    rest: list[int] = []
+    for v in ascending:
+        if v & variables:
+            continue
+        if not v & (v - 1):
+            variables |= v
+            continue
+        outside = ~v
+        for h in rest:
+            if not h & outside:
+                break
+        else:
+            rest.append(v)
+    return variables, tuple(rest)
+
+
+def _bit_colon(
+    gens: Sequence[int], j: int, guards: int = 0, borrow: int = 0
+) -> tuple[int, tuple[int, ...]]:
+    """:func:`_colon` in the bit layout, ``guards`` and ``borrow`` unread:
+    the quotient lcm(h, g) / g is ``h & ~g``."""
+    outside = ~gens[j]
+    return _bit_minimal(sorted({h & outside for h in gens[:j]}))
+
+
+# the bit layout's (width, guards, degree, minimal, colon), for every arity
+_BITS = (1, 0, int.bit_count, _bit_minimal, _bit_colon)
+
+
+def _closed(d: int) -> tuple[tuple[int, int], ...]:
+    """K of a principal ideal whose generator has degree d: 0 for the unit
+    ideal and 1 - t^d otherwise."""
     return ((0, 1), (d, -1)) if d else ()
 
 
@@ -229,15 +288,19 @@ def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNu
     1, the unit ideal 0 and a principal ideal 1 - t^d.  No lattice is built,
     so no generator cap applies.
 
-    Each generator is packed once into one int: variable i gets a field of
-    W bits, the earlier variables in the higher fields, where W is one more
-    than the bit length of the largest generator degree.  The top bit of
-    every field is a guard and stays 0 in a packed value, since no exponent
-    or degree needs more than W - 1 bits and quotients never exceed their
-    generators.  Ascending ints are then the generators in lexicographic
-    order of their exponent tuples.  :func:`_minimal` gives the variables
-    and the rest of the minimal generators in one ascending pass, and
-    :func:`_resolve` runs the recursion on them over a fresh memo.
+    Each generator is packed once into one int by :func:`_pack`, which
+    picks the layout from the generators.  If I is squarefree, every
+    exponent 0 or 1, variable i gets one bit, the earlier variables the
+    higher bits.  Otherwise variable i gets a field of W bits, the earlier
+    variables in the higher fields, where W is one more than the bit length
+    of the largest generator degree; the top bit of every field is a guard
+    and stays 0 in a packed value, since no exponent or degree needs more
+    than W - 1 bits and quotients never exceed their generators.  Ascending
+    ints are then the generators in lexicographic order of their exponent
+    tuples.  The layout's minimal pass, :func:`_bit_minimal` or
+    :func:`_minimal`, gives the variables and the rest of the minimal
+    generators in one ascending pass, and :func:`_resolve` runs the
+    recursion on them over a fresh memo.
 
     ``stats``, when given, receives ``misses`` (the entries the call adds to
     the memo: the ideal, the principal sub-ideals, and both S and S' of a
@@ -246,7 +309,8 @@ def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNu
     own S_j; a split S opens at most one, for S').
     """
     packed, layout = _pack([g.exponents for g in I.generators])
-    variables, rest = _minimal(sorted(packed), layout[1], layout[0] - 1)
+    width, guards, _, minimal, _ = layout
+    variables, rest = minimal(sorted(packed), guards, width - 1)
     return SeriesNumerator(I.arity, _resolve(variables, rest, layout, {}, stats))
 
 
@@ -259,8 +323,11 @@ def colon_coefficients(
     The targets are the last ``len(shifts)`` of the exponent tuples, which
     share one arity, may be 0, and S_j is the colon ideal
     (e_0, ..., e_{j-1}) : e_j, e_i = exponents[i]: the zero ideal, with
-    K = 1, for j = 0.  The tuples are packed once, at the width for their
-    largest degree, and each S_j comes from the colon step :func:`_colon` as
+    K = 1, for j = 0.  The tuples are packed once by :func:`_pack`: one
+    bit per variable if every exponent is 0 or 1, and otherwise at the
+    field width for their largest degree.  So a table packs each stage on
+    its own, and its memo can hold keys of both widths.  Each S_j comes
+    from the layout's colon step, :func:`_bit_colon` or :func:`_colon`, as
     ``(variables, rest)``.  Only its generators of degree <= b_max - shift_j
     can reach degree b_max once shifted, so the others are dropped on their
     packed degrees (the variables when that reach is below 1), and
@@ -270,11 +337,11 @@ def colon_coefficients(
     """
     coeffs: Counter = Counter()
     packed, layout = _pack(exponents)
-    width, guards, ones, top, mask = layout
+    width, guards, degree, _, colon = layout
     for j, shift in enumerate(shifts, len(packed) - len(shifts)):
         reach = b_max - shift
-        variables, rest = _colon(packed, j, guards, width - 1)
-        rest = tuple([v for v in rest if (v * ones >> top) & mask <= reach])
+        variables, rest = colon(packed, j, guards, width - 1)
+        rest = tuple([v for v in rest if degree(v) <= reach])
         for d, c in _resolve(variables if reach > 0 else 0, rest, layout, memo):
             coeffs[d + shift] += c
     return coeffs
@@ -288,42 +355,46 @@ def _resolve(
     recursion loop, for its two entries, :func:`series_numerator` for an
     ideal and :func:`colon_coefficients` for a table stage.
 
-    The fields of trailing variables that no generator uses are dropped
-    first, so an ideal's key does not depend on how many such variables its
-    ring has.  The ideal and every S_j, each given by its minimal
-    generators as ``(variables, rest)``, are then resolved alike: from the
-    memo; by the closed form when principal (every S_2 is), with no node
-    opened; and otherwise, with k > 0 variables among the generators, by
+    It binds the layout's degree and colon step to local names once, so no
+    S_j tests the layout: on bits they are ``int.bit_count`` and
+    :func:`_bit_colon`, in fields v mod (2^W - 1) and :func:`_colon`, and
+    the loop is the same for both.  The trailing variables that no
+    generator uses, a field or a bit each, are dropped first, so an ideal's
+    key does not depend on how many such variables its ring has.  The
+    ideal and every S_j, each given by its minimal generators as
+    ``(variables, rest)``, are then resolved alike: from the memo; by the
+    closed form when principal (every S_2 is), with no node opened; and
+    otherwise, with k > 0 variables among the generators, by
     K(S) = (1 - t)^k K(S'), S' the rest: a variable divides no other
     minimal generator, so it is a nonzerodivisor on the quotient by the
     others.  K(S') comes from the memo, the closed forms or a node of its
     own, and both K(S') and K(S) are stored.  (1 - t)^k is a cached row of
     binomial coefficients, bounded as k is by the arity, and is K(S) itself
     when S' is the zero ideal, as it is when S holds only variables.  A
-    variable packs to one bit at the bottom of a field; 0, the unit ideal,
-    and x^2, one bit higher up, are not variables, and the unit ideal has no
-    variables.  A node runs on through its S_j, from the colon step
-    :func:`_colon`, until one must open a child; an explicit stack of
-    suspended nodes replaces Python recursion.  The variables' count is the
-    mask's bit count, and ``v * ones`` sums all fields of v into the top
-    one, its degree.
+    variable packs to one bit, at the bottom of a field in the field
+    layout; 0, the unit ideal, and x^2, one bit higher up, are not
+    variables, and the unit ideal has no variables.  A node runs on through
+    its S_j, from the colon step, until one must open a child; an explicit
+    stack of suspended nodes replaces Python recursion.  The variables'
+    count is the mask's bit count in both layouts.
 
     K depends on the ideal alone, so every sub-ideal is computed once,
     memoized on W, its variables' mask and the rest (S' under a mask of 0).
     Equal keys mean equal K(t): a key fixes the exponents field by field,
     and K(t) is the same under a renaming of the variables and whatever
     trailing variables no generator uses, so the key does not depend on the
-    ring's arity.  It carries W because ideals packed at different widths
-    can give equal ints.  Keys are opaque.  ``stats`` is filled as
-    :func:`series_numerator` describes, which passes it only with a fresh
-    memo, so every entry in the memo is a miss.
+    ring's arity.  It carries W because ideals packed at different widths,
+    bits among them, can give equal ints.  Keys are opaque.  ``stats`` is
+    filled as :func:`series_numerator` describes, which passes it only with
+    a fresh memo, so every entry in the memo is a miss.
     """
-    width, guards, ones, top, mask = layout
+    width, guards, degree, _, colon = layout
+    borrow = width - 1
     used = reduce(or_, rest, variables)
     if (unused := ((used & -used).bit_length() - 1) // width * width) > 0:
         variables >>= unused
         rest = tuple([v >> unused for v in rest])
-        guards, ones, top = guards >> unused, ones >> unused, top - unused
+        guards >>= unused
 
     hits = nodes = 0
     # the ideal's parent is a virtual node with no coefficients of its own
@@ -339,7 +410,7 @@ def _resolve(
             hits += 1
         elif (k := variables.bit_count()) + len(rest) < 2:
             # at most one generator; a lone variable's K is the row 1 - t
-            sub = memo[sub_key] = _closed(rest, ones, top, mask) if rest else _row(k)
+            sub = memo[sub_key] = _closed(degree(rest[0])) if rest else _row(k)
         else:
             # K(S) = (1 - t)^split K(S'), S' the rest
             split = k
@@ -348,13 +419,13 @@ def _resolve(
             if sub is not None:
                 hits += 1
             elif len(rest) < 2:
-                sub = memo[rest_key] = _closed(rest, ones, top, mask)
+                sub = memo[rest_key] = _closed(degree(rest[0])) if rest else ((0, 1),)
             else:
                 stack.append((key, gens, j, coeffs, shift, sub_key, split))
                 nodes += 1
                 key, gens, j = rest_key, rest, 1
                 coeffs = Counter({0: 1})
-                coeffs[(gens[0] * ones >> top) & mask] -= 1
+                coeffs[degree(gens[0])] -= 1
         # hand each finished sub-ideal to its node until one has an S_j left
         while sub is not None:
             if split:
@@ -371,8 +442,8 @@ def _resolve(
                 break
             sub = memo[key] = _terms(coeffs)
             key, gens, j, coeffs, shift, sub_key, split = stack.pop()
-        shift = (gens[j] * ones >> top) & mask
-        variables, rest = _colon(gens, j, guards, width - 1)
+        shift = degree(gens[j])
+        variables, rest = colon(gens, j, guards, borrow)
 
 
 def expand_series(num: SeriesNumerator, b_max: int) -> list[int]:

@@ -533,15 +533,20 @@ class TestSyzygy:
             return tuple(map(sum, zip(*vectors)))
 
         def check(arity, earlier, g):
-            packed, (width, guards, ones, _, mask) = series._pack([*earlier, g])
-            assert width == max(map(sum, [*earlier, g])).bit_length() + 1
+            packed, (width, guards, _, minimal, colon) = series._pack([*earlier, g])
+            if max(chain(g, *earlier), default=0) < 2:
+                assert (width, guards, colon) == (1, 0, series._bit_colon)
+            else:
+                assert width == max(map(sum, [*earlier, g])).bit_length() + 1
+                assert colon is series._colon
             offsets = range((arity - 1) * width, -1, -width)
+            ones, mask = sum(1 << s for s in offsets), (1 << width) - 1
 
             def unpack(v):
                 return tuple((v >> s) & mask for s in offsets)
 
             assert list(map(unpack, packed)) == [*earlier, g]
-            variables, rest = series._colon(packed, len(earlier), guards, width - 1)
+            variables, rest = colon(packed, len(earlier), guards, width - 1)
             quotients = [tuple(max(a, b) - b for a, b in zip(h, g)) for h in earlier]
             expected = sorted(minimal_exponents(quotients))
             split = [variable(arity, i) for i, s in enumerate(offsets) if variables >> s & 1]
@@ -553,11 +558,13 @@ class TestSyzygy:
                 assert (variables, rest) == (0, (0,)), (earlier, g)
             else:
                 for v in rest:
-                    assert sum(unpack(v)) > 1 and not v & (variables * (mask >> 1)), (earlier, g)
+                    assert sum(unpack(v)) > 1 and not v & (variables * mask), (earlier, g)
             # with g = 1 the colon is the ideal itself, as the root's pass gives it
             if g == (0,) * arity:
-                assert series._minimal(sorted(packed[:-1]), guards, width - 1) == (variables, rest)
+                assert minimal(sorted(packed[:-1]), guards, width - 1) == (variables, rest)
+            return width
 
+        widths = Counter()
         for _ in range(600):
             arity = rng.randint(0, 7)
             g = tuple(rng.randint(0, 3) if rng.random() < 0.8 else 0 for _ in range(arity))
@@ -578,7 +585,9 @@ class TestSyzygy:
                 else:  # a repeated quotient
                     earlier.append(rng.choice(earlier))
             rng.shuffle(earlier)
-            check(arity, earlier, g)
+            widths[check(arity, earlier, g) == 1] += 1
+        # both layouts are drawn: squarefree inputs take the bit layout
+        assert widths[True] > 50 and widths[False] > 400
         # the unit wins over variables beside it
         check(3, [(1, 0, 0), (0, 0, 0), (0, 1, 0)], (0, 0, 0))
         check(3, [(2, 1, 0), (1, 2, 0), (1, 0, 0)], (1, 0, 0))
@@ -595,6 +604,44 @@ class TestSyzygy:
         expected = lattice_numerator(ideal(5, *rest, *uvw)).coefficients
         full = series_numerator(ideal(5, *rest, *uvw)).coefficients
         assert series._times_row(K, 3) == expected == full
+
+    def test_bit_colon_step_matches_field_colon_step(self):
+        # squarefree tuples take the bit layout; packed by hand in the field
+        # layout instead, at the width of their largest degree (2 for zeros
+        # alone, as a width of 1 leaves no room for a guard), they must
+        # give the same minimal quotients and the same root pass, compared
+        # as exponent tuples
+        rng = random.Random(38)
+
+        def unpacked(arity, width, variables, rest):
+            offsets = range((arity - 1) * width, -1, -width)
+            mask = (1 << width) - 1
+            split = [tuple(int(s == u) for s in offsets) for u in offsets if variables >> u & 1]
+            return split, [tuple((v >> s) & mask for s in offsets) for v in rest]
+
+        cases = Counter()
+        for _ in range(400):
+            arity = rng.randint(1, 12)
+            density = rng.random()
+            tuples = [
+                tuple(int(rng.random() < density) for _ in range(arity))
+                for _ in range(rng.randint(1, 16))
+            ]
+            bits, (width, guards, _, minimal, colon) = series._pack(tuples)
+            assert (width, guards, minimal, colon) == (1, 0, series._bit_minimal, series._bit_colon)
+            W = max(2, max(map(sum, tuples)).bit_length() + 1)
+            offsets = range((arity - 1) * W, -1, -W)
+            fields = [sum(e << s for e, s in zip(t, offsets)) for t in tuples]
+            field_guards = sum(1 << s for s in offsets) << (W - 1)
+            for j in range(1, len(tuples)):
+                got = unpacked(arity, 1, *series._bit_colon(bits, j))
+                expected = unpacked(arity, W, *series._colon(fields, j, field_guards, W - 1))
+                assert got == expected, (tuples, j)
+                cases["unit" if got[1] == [(0,) * arity] else "split" if got[0] else "rest"] += 1
+            got = unpacked(arity, 1, *series._bit_minimal(sorted(bits)))
+            expected = unpacked(arity, W, *series._minimal(sorted(fields), field_guards, W - 1))
+            assert got == expected, tuples
+        assert min(cases.values()) > 100, cases
 
     def test_recursion_owns_its_minimalization(self, monkeypatch):
         # the recursion minimalizes packed ints; only the lcm route still
@@ -859,11 +906,29 @@ class TestAnnihilatorDecomposition:
 
 
 class TestTable:
-    def test_stanley_reisner_example(self):
+    def test_stanley_reisner_example(self, monkeypatch):
         I = parse_ideal("x*xh, y*z*w", ["x", "xh", "y", "z", "w"])
         table = hf_table(I, b_max=7, a_max=5)
         assert table.rows[3] == (1, 4, 9, 16, 25, 36, 49, 64)
         assert table.rows[4] == (1, 5, 14, 29, 50, 77, 110, 149)
+        # stages 2 and 3 of (x*y, x*z, y^2*w) are squarefree and pack one
+        # bit per variable; stage 4 holds y^2 and packs in fields of 3 bits.
+        # All three share the table's memo, whose keys lead with the width
+        memos = []
+        real = engine.colon_coefficients
+
+        def spy(exponents, shifts, b_max, memo):
+            memos.append(memo)
+            return real(exponents, shifts, b_max, memo)
+
+        monkeypatch.setattr(engine, "colon_coefficients", spy)
+        J = parse_ideal("x*y, x*z, y^2*w", ["x", "y", "z", "w"])
+        table = hf_table(J, b_max=8)
+        identity = VariableOrder.identity(4)
+        for a in range(1, 5):
+            assert list(table.rows[a - 1]) == hf(restrict(J, identity, a), 8, method="oracle")
+        assert len(memos) == 3 and all(m is memos[0] for m in memos)
+        assert {key[0] for key in memos[0]} == {1, 3}
 
     def test_zero_ideal_gives_pascal_rows(self):
         table = hf_table(MonomialIdeal(5), b_max=6, a_max=5)
@@ -1380,7 +1445,8 @@ class TestAnnihilatorNumerator:
             assert len(resolved) == len(shifts)
             for (variables, rest, layout, sub_memo), (full, shift) in zip(resolved, dec.terms):
                 assert sub_memo is memo
-                width, mask = layout[0], layout[4]
+                width = layout[0]
+                mask = (1 << width) - 1
                 offsets = range((arity - 1) * width, -1, -width)
                 got = [tuple([(v >> s) & mask for s in offsets]) for v in rest]
                 split = [u for u in offsets if variables >> u & 1]

@@ -12,7 +12,8 @@
   lcm lattice, and the table's last row does not depend on its order.
 * Polarization leaves K(t) unchanged: P(I) is squarefree, in more variables,
   and the extra variables form a regular sequence of linear forms modulo it
-  (Herzog-Hibi, Monomial Ideals).
+  (Herzog-Hibi, Monomial Ideals).  So the squarefree P(I), which the
+  recursion packs one bit per variable, checks the packing in fields of I.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from hilbertfn.engine import hf, hf_table
 from hilbertfn.monomial import Monomial, MonomialIdeal, VariableOrder
-from hilbertfn.series import SeriesNumerator, lattice_numerator, series_numerator
+from hilbertfn.series import SeriesNumerator, expand_series, lattice_numerator, series_numerator
 
 
 def _borel(g: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -166,3 +167,8 @@ def test_polarization_leaves_k_unchanged(I):
     K = series_numerator(I).coefficients
     assert series_numerator(P).coefficients == K
     assert lattice_numerator(P).coefficients == K
+    # the table resolves P's stages in the bit layout, and I's K comes from
+    # the field layout whenever I is not squarefree
+    b_max = 7
+    expected = expand_series(SeriesNumerator(P.arity, K), b_max)
+    assert list(hf_table(P, b_max=b_max).rows[-1]) == expected

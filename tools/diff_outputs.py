@@ -18,6 +18,11 @@ process, which imports that checkout's ``src/`` and hands each argv to
   each ``compare`` query as ``eval --method oracle``, since ``compare``
   prints only whether the methods agree; ``lcm`` refuses past its lattice
   cap, so the battery holds refusals too;
+* squarefree ideals at each seed, larger than any the workloads but
+  ``sr`` send to the recursion: edge ideals of seeded graphs on 8 to 20
+  vertices and path ideals on 10 to 40 variables, each as ``eval`` by
+  ``auto``, ``syzygy`` and ``table``, ``series --expand-to``, ``table``
+  and ``compare``, all at degrees 3 to 6;
 * ``bench --seed 3`` in all three formats, timings masked;
 * the commands of README's "Command line" block.
 
@@ -31,10 +36,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import shlex
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +92,32 @@ def _readme_commands() -> list[list[str]]:
     return commands
 
 
+def _squarefree(seed: int) -> list[list[str]]:
+    """Seeded edge ideals on 8, 10, ..., 20 vertices, with n - 2 to 3n
+    edges listed in a random order, and the path ideals x0*x1, x1*x2, ...
+    on 10, 17, 25, 32 and 40 variables, each at one degree b in 3..6:
+    ``eval`` by three methods, ``series``, ``table`` and, at degree 3,
+    ``compare``."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(8, 21, 2):
+        pairs = list(combinations(range(n), 2))
+        graphs.append((n, rng.sample(pairs, rng.randint(n - 2, min(len(pairs), 3 * n)))))
+    graphs += [(n, [(i, i + 1) for i in range(n - 1)]) for n in (10, 17, 25, 32, 40)]
+    argvs = []
+    for n, edges in graphs:
+        ideal = ", ".join(f"x{i}*x{j}" for i, j in edges)
+        given = ["--ring", ",".join(f"x{i}" for i in range(n)), "--ideal", ideal]
+        b = str(rng.randint(3, 6))
+        argvs += [
+            *(["eval", *given, "--max-degree", b, "--method", m] for m in ("auto", "syzygy", "table")),
+            ["series", *given, "--expand-to", b],
+            ["table", *given, "--max-degree", b, "--max-row", str(n)],
+            ["compare", *given, "--max-degree", "3"],
+        ]
+    return argvs
+
+
 def battery(seeds: list[int]) -> list[list[str]]:
     argvs = []
     makers = _workloads().values()
@@ -99,6 +132,7 @@ def battery(seeds: list[int]) -> list[list[str]]:
                     ring = argv[argv.index("--ring") + 1]
                     argvs.append(argv + ["--order", ",".join(reversed(ring.split(",")))])
                 argvs += [["eval", *argv[1:], "--method", m] for m in METHODS.get(q.kind, ())]
+        argvs += _squarefree(seed)
     argvs += [["bench", "--seed", "3", "--format", fmt] for fmt in ("plain", "json", "csv")]
     return argvs + _readme_commands()
 
