@@ -11,9 +11,10 @@
 * lcm: inclusion-exclusion over the lcm lattice of the minimal generators,
   weighted by its Mobius function (:func:`series.lattice_numerator`);
 * syzygy: recursion on the Hilbert-series numerator over pairwise syzygy
-  quotients, each monomial packed into one int and each sub-ideal memoized
-  on its packed generators (:func:`series.series_numerator`, the recursion's
-  one entry for a :class:`MonomialIdeal`);
+  quotients, each monomial packed into one int and each sub-ideal that
+  opens a node memoized on its packed generators, a principal one closed
+  where it is found (:func:`series.series_numerator`, the recursion's one
+  entry for a :class:`MonomialIdeal`);
 * table: row-by-row short-exact-sequence build, one rule for every row:
   the prefix sum of the row before less the shifted annihilator, which is
   zero at a stage no generator enters and past the arity.
@@ -196,7 +197,11 @@ def hf_syzygy(
     drops them first), and does not depend on ``b_max``.  ``stats`` is passed
     to :func:`series_numerator`, which describes its keys ``hits``,
     ``misses``, ``memo_size`` and ``nodes``: they count sub-ideals, not
-    (sub-ideal, degree) pairs, and ``misses`` may exceed ``nodes``.
+    (sub-ideal, degree) pairs.  ``misses`` counts the memo entries, one per
+    node and one per split product stored over a node or a hit, so it
+    exceeds ``nodes`` by the split products; sub-ideals of at most one
+    generator besides their variables are closed where they are found and
+    count in neither.
     """
     return expand_series(series_numerator(I, stats), b_max)
 
@@ -400,11 +405,9 @@ def hf(
     C(arity - 2 + b_max, b_max + 1) frames exceed ``enum_cap``, and names
     the larger count.  Its one walk opens at most C(arity + b_max,
     b_max + 1) frames, one per prefix of total <= b_max, at most three times
-    the larger count, so the cap bounds its frames and prefixes, but not
-    the generators each frame sorts, which include those no monomial of
-    degree <= b_max over the frame's prefixes reaches (the strict xfail
-    ``oracle-generators-unreachable-below-the-root`` in
-    ``tests/test_bounded_work.py``).
+    the larger count, so the cap bounds its frames and prefixes.  Each frame
+    sorts only the generators that a monomial of degree <= b_max over it
+    can reach (:mod:`kernels`), so the others split no span.
     """
     if b_max < 0:
         raise ValueError("b_max must be >= 0")

@@ -19,15 +19,17 @@ turn it into the values.
 The lower ends of the spans that led to a frame are a prefix of total at
 most b_max, a different one for each frame, so the walk opens at most
 C(arity + b_max, b_max + 1) frames, a count that the cap in
-:func:`engine.hf` bounds.  Only the generators of degree <= b_max enter
-the walk, since no other divides a monomial of degree <= b_max.  The cap
-does not bound the generators each frame sorts: a frame keeps every
-generator dividing its prefixes, also one that no monomial of degree
-<= b_max over those prefixes reaches, and such generators still split
-spans (the strict xfail ``oracle-generators-unreachable-below-the-root``
-in ``tests/test_bounded_work.py``).  The oracle shares no code with the
-other three methods: it sums its own numerator and never calls
-:mod:`series`.
+:func:`engine.hf` bounds.  Each frame before the last variable keeps only
+the generators that some monomial of degree <= b_max over it can reach:
+those whose exponents from ``pos`` on total at most b_max less the
+frame's lowest prefix total, the lowest degree of P.  At the root that
+total is 0, so only the generators of degree <= b_max enter the walk, and
+below it a generator that every monomial of degree <= b_max over the
+frame's prefixes misses leaves the walk and splits no span.  At the last
+variable there are no spans to split, and such a generator's exponent
+there puts its term past b_max, so the frame skips the filter.  The
+oracle shares no code with the other three methods: it sums its own
+numerator and never calls :mod:`series`.
 """
 
 from __future__ import annotations
@@ -53,9 +55,16 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
     # ``top``, its lowest degree first.  Frames only add into the numerator,
     # so the order they are taken in does not matter, and a stack keeps a
     # ring of any arity within Python's recursion limit.
-    stack = [(0, [tuple(g) for g in gens if sum(g) <= b_max], [(0, 1)])]
+    # each generator carries, after its exponents, its totals from each
+    # variable on, the last variable's first: g[~pos] is its total from pos on
+    stack = [(0, [(*g, *accumulate(reversed(g))) for g in gens], [(0, 1)])]
     while stack:
         pos, active, poly = stack.pop()
+        # a monomial over the frame that g divides has degree at least the
+        # lowest prefix total plus g's total from ``pos`` on
+        room = top - poly[0][0]
+        if pos < last:
+            active = [g for g in active if g[~pos] < room]
         active.sort(key=itemgetter(pos))
         count = len(active)
         first = active[0][pos] if count else top
@@ -66,7 +75,6 @@ def count_outside_upto(arity: int, b_max: int, gens: Sequence[Sequence[int]]) ->
         if pos == last:
             continue
         # a span's P * t^lo lies past b_max once lo reaches ``room``
-        room = top - poly[0][0]
         n = 0
         lo = first
         while lo < room:

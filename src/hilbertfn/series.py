@@ -19,11 +19,13 @@ K(t):
   whose top bit is a guard that stays 0.  Either way quotients,
   divisibility and degrees are a few int operations.  Each entry packs its
   tuples once, and the loop resolves the ideal as it resolves every colon
-  ideal: a principal one is closed where it is found, with no node opened
-  for it, and the variables among the minimal generators are split off,
-  K(S) = (1 - t)^k K(S'), (1 - t)^k a cached binomial row.  The memo keys are opaque: they carry W, 1 for the
-  bit layout and at least 3 for fields, so one memo can hold both, and do
-  not depend on the ring's arity;
+  ideal: the variables among the minimal generators are split off,
+  K(S) = (1 - t)^k K(S'), (1 - t)^k a cached binomial row, and an S' of at
+  most one generator is closed where it is found, with no node opened and
+  nothing stored.  The memo holds only what costs a node: each node's
+  K(S') and the split products K(S) over them.  Its keys are opaque: they
+  carry W, 1 for the bit layout and at least 3 for fields, so one memo can
+  hold both, and do not depend on the ring's arity;
 * :func:`lattice_numerator`, the sum of mu(m) t^(deg m) over the lcm
   lattice of the generators, mu its Mobius function; only the lcm lattice
   method takes it, so it stays the independent check on the recursion.
@@ -302,11 +304,13 @@ def series_numerator(I: MonomialIdeal, stats: Optional[dict] = None) -> SeriesNu
     generators in one ascending pass, and :func:`_resolve` runs the
     recursion on them over a fresh memo.
 
-    ``stats``, when given, receives ``misses`` (the entries the call adds to
-    the memo: the ideal, the principal sub-ideals, and both S and S' of a
-    split), ``hits`` (sub-ideals found in the memo), ``memo_size`` and
-    ``nodes`` (the nodes opened: sub-ideals whose K(t) is summed over their
-    own S_j; a split S opens at most one, for S').
+    ``stats``, when given, receives ``nodes`` (the nodes opened: sub-ideals
+    whose K(t) is summed over their own S_j; a split S opens at most one,
+    for S'), ``misses`` (the entries the call adds to the memo: one per
+    node, and one per split product K(S) whose S' is a node or was found in
+    the memo, so never fewer than ``nodes``), ``hits`` (sub-ideals or their
+    S' found in the memo) and ``memo_size``.  A sub-ideal closed where it
+    is found counts in none of them.
     """
     packed, layout = _pack([g.exponents for g in I.generators])
     width, guards, _, minimal, _ = layout
@@ -362,31 +366,35 @@ def _resolve(
     generator uses, a field or a bit each, are dropped first, so an ideal's
     key does not depend on how many such variables its ring has.  The
     ideal and every S_j, each given by its minimal generators as
-    ``(variables, rest)``, are then resolved alike: from the memo; by the
-    closed form when principal (every S_2 is), with no node opened; and
-    otherwise, with k > 0 variables among the generators, by
-    K(S) = (1 - t)^k K(S'), S' the rest: a variable divides no other
-    minimal generator, so it is a nonzerodivisor on the quotient by the
-    others.  K(S') comes from the memo, the closed forms or a node of its
-    own, and both K(S') and K(S) are stored.  (1 - t)^k is a cached row of
-    binomial coefficients, bounded as k is by the arity, and is K(S) itself
-    when S' is the zero ideal, as it is when S holds only variables.  A
-    variable packs to one bit, at the bottom of a field in the field
-    layout; 0, the unit ideal, and x^2, one bit higher up, are not
-    variables, and the unit ideal has no variables.  A node runs on through
-    its S_j, from the colon step, until one must open a child; an explicit
-    stack of suspended nodes replaces Python recursion.  The variables'
-    count is the mask's bit count in both layouts.
+    ``(variables, rest)``, are then resolved alike, with k variables among
+    the generators and S' the ideal of the rest, by
+    K(S) = (1 - t)^k K(S'): a variable divides no other minimal generator,
+    so it is a nonzerodivisor on the quotient by the others.  K(S') is the
+    closed form when S' has at most one generator (1 for the zero ideal, 0
+    for the unit ideal, 1 - t^d for a principal one; every S_2 is
+    principal), and is then neither looked up nor stored.  Otherwise K(S)
+    comes from the memo, or K(S') does, or S' opens a node of its own.
+    (1 - t)^k is a cached row of binomial coefficients, bounded as k is by
+    the arity, and is K(S) itself when S' is the zero ideal, as it is when
+    S holds only variables.  A variable packs to one bit, at the bottom of
+    a field in the field layout; 0, the unit ideal, and x^2, one bit higher
+    up, are not variables, and the unit ideal has no variables.  A node
+    runs on through its S_j, from the colon step, until one must open a
+    child; an explicit stack of suspended nodes replaces Python recursion.
+    The variables' count is the mask's bit count in both layouts.
 
-    K depends on the ideal alone, so every sub-ideal is computed once,
-    memoized on W, its variables' mask and the rest (S' under a mask of 0).
-    Equal keys mean equal K(t): a key fixes the exponents field by field,
-    and K(t) is the same under a renaming of the variables and whatever
-    trailing variables no generator uses, so the key does not depend on the
-    ring's arity.  It carries W because ideals packed at different widths,
-    bits among them, can give equal ints.  Keys are opaque.  ``stats`` is
-    filled as :func:`series_numerator` describes, which passes it only with
-    a fresh memo, so every entry in the memo is a miss.
+    K depends on the ideal alone, so what costs a node is computed once.
+    The memo holds two kinds of entry: a node's K(S') under W, a mask of 0
+    and the rest, and, for k > 0, the split product K(S) under W, the
+    variables' mask and the rest, stored once S' has been resolved by a
+    node or found in the memo.  Equal keys mean equal K(t): a key fixes the
+    exponents field by field, and K(t) is the same under a renaming of the
+    variables and whatever trailing variables no generator uses, so the key
+    does not depend on the ring's arity.  It carries W because ideals
+    packed at different widths, bits among them, can give equal ints.  Keys
+    are opaque.  ``stats`` is filled as :func:`series_numerator` describes,
+    which passes it only with a fresh memo, so every entry in the memo is a
+    miss.
     """
     width, guards, degree, _, colon = layout
     borrow = width - 1
@@ -402,34 +410,32 @@ def _resolve(
     j = shift = 0
     stack = []  # suspended nodes: (key, gens, j, coeffs, shift, sub_key, split)
     while True:
-        # resolve the sub-ideal S with minimal generators `variables` and `rest`
-        sub_key = (width, variables, rest)
-        sub = memo.get(sub_key)
-        split = 0
-        if sub is not None:
+        # resolve the sub-ideal S with minimal generators `variables` and `rest`:
+        # K(S) = (1 - t)^split K(S'), S' the rest
+        split = variables.bit_count()
+        sub_key = None
+        if len(rest) < 2:
+            # S' is the zero, the unit or a principal ideal: closed, not stored
+            sub = _closed(degree(rest[0])) if rest else ((0, 1),)
+        elif (sub := memo.get(sub_key := (width, variables, rest))) is not None:
+            # K(S) itself: a node's, or a split product
             hits += 1
-        elif (k := variables.bit_count()) + len(rest) < 2:
-            # at most one generator; a lone variable's K is the row 1 - t
-            sub = memo[sub_key] = _closed(degree(rest[0])) if rest else _row(k)
+            split = 0
+        elif split and (sub := memo.get((width, 0, rest))) is not None:
+            # K(S') of a node, times the row below and stored as K(S)
+            hits += 1
         else:
-            # K(S) = (1 - t)^split K(S'), S' the rest
-            split = k
-            rest_key = (width, 0, rest)
-            sub = memo.get(rest_key) if split else None
-            if sub is not None:
-                hits += 1
-            elif len(rest) < 2:
-                sub = memo[rest_key] = _closed(degree(rest[0])) if rest else ((0, 1),)
-            else:
-                stack.append((key, gens, j, coeffs, shift, sub_key, split))
-                nodes += 1
-                key, gens, j = rest_key, rest, 1
-                coeffs = Counter({0: 1})
-                coeffs[degree(gens[0])] -= 1
+            stack.append((key, gens, j, coeffs, shift, sub_key, split))
+            nodes += 1
+            key, gens, j = (width, 0, rest), rest, 1
+            coeffs = Counter({0: 1})
+            coeffs[degree(gens[0])] -= 1
         # hand each finished sub-ideal to its node until one has an S_j left
         while sub is not None:
             if split:
-                sub = memo[sub_key] = _times_row(sub, split)
+                sub = _times_row(sub, split)
+                if sub_key:
+                    memo[sub_key] = sub
             if coeffs is None:
                 if stats is not None:
                     stats.update(hits=hits, misses=len(memo), memo_size=len(memo), nodes=nodes)

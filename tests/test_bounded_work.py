@@ -150,16 +150,17 @@ CASES = [
          "--max-degree", "3"],
         0,
     ),
+    # each generator has degree 5, so the only monomial of degree <= 5 it
+    # reaches is itself; a frame keeps only the generators whose exponents
+    # from its variable on fit in b_max less its lowest prefix total, so
+    # these leave the walk below the root and split no span there (kept,
+    # they made it open 3 085 907 frames, past the cap's count
+    # C(37, 6) = 2 324 784)
     _case(
         "oracle-generators-unreachable-below-the-root",
         ["eval", *_ideal(_names("x", 34), BELOW_ROOT), "--method", "oracle",
          "--max-degree", "5"],
         0,
-        xfail="each generator has degree 5, so the only monomial of degree <= 5 it"
-        " reaches is itself, yet every frame whose prefixes it divides keeps it and it"
-        " splits that frame's spans: 3 085 907 frames, past the cap's count"
-        " C(37, 6) = 2 324 784, and about 8 s of CPU; dropping from each child frame"
-        " the generators whose remaining degree puts them past b_max bounds it",
     ),
     _case(
         "series-path-300",

@@ -253,13 +253,14 @@ class TestSyzygy:
         assert hf_syzygy(I, 6)[6] == 25
 
     def test_memo_reuse(self):
-        # the staircase x^6, x^5*y, ..., y^6: every S_j is (y), found in the
-        # memo after its first computation
+        # (y^2, z^2, x*u, x*v, x*w): the S_j of x*w is (y^2, z^2), a node;
+        # x*v's is (y^2, z^2, w) and x*u's (y^2, z^2, v, w), so each splits
+        # its variables off, finds the node in the memo and stores its own
+        # product.  S_2 = (z^2) is principal and closed, and stores nothing
         stats = {}
-        I = ideal(2, *[(6 - i, i) for i in range(7)])
+        I = parse_ideal("y^2, z^2, x*u, x*v, x*w", ["x", "y", "z", "u", "v", "w"])
         hf_syzygy(I, 10, stats=stats)
-        assert stats["hits"] > 0
-        assert stats["memo_size"] > 0
+        assert stats == {"hits": 2, "misses": 4, "memo_size": 4, "nodes": 2}
 
     def test_duplicate_generators(self):
         I = parse_ideal("x^2, x^2, y^3", XYZ)
@@ -346,33 +347,35 @@ class TestSyzygy:
         memo.lookups = memo.stores = 0
         assert shared_coefficients(I, memo) == expected
         assert (memo.lookups, memo.stores, len(memo)) == (1, 0, size)
-        # a sub-ideal already in the memo is not computed again
-        sub = parse_ideal("x*z^3, x^2*z^2, y^5", XYZ)
+        # a node already in the memo is not opened again: (z^2, y^2*z, y^4)
+        # is the S_j of x^2*z^2 in I, packed at I's width 4
+        sub = parse_ideal("z^2, y^2*z, y^4", XYZ)
         fresh: dict = {}
-        memo.stores = 0
         series_numerator(sub, fresh)
+        memo.lookups = memo.stores = 0
         assert shared_coefficients(sub, memo) == series_numerator(sub).coefficients
-        assert memo.stores < fresh["misses"]
-        # ideals of different largest degrees pack at different widths, and
-        # their packed generators can be equal ints: x*y packs to 8 + 1 at
-        # width 3 and y^9 to 9 at width 5; x, w packs to 1, 64 at width 2
-        # and x^4, y to 1, 64 at width 4.  One memo must keep them apart.
-        ring = ["x", "y", "z", "w"]
-        for texts in (("x*y", "y^9"), ("x, w", "x^4, y")):
+        assert (memo.lookups, memo.stores, fresh["nodes"]) == (1, 0, 1)
+        # ideals packed at different widths can give nodes of equal ints:
+        # y*w, x*u packs to 10, 17 on bits and x*y^2, x^2*y to 10, 17 at
+        # width 3; y^2*z, x*y^2 packs to 17, 80 at width 3 and x*y, x^5 to
+        # 17, 80 at width 4.  One memo must keep them apart.
+        ring = ["x", "y", "z", "w", "u"]
+        for texts in (("y*w, x*u", "x*y^2, x^2*y"), ("y^2*z, x*y^2", "x*y, x^5")):
             memo = {}
             for text in texts:
                 J = parse_ideal(text, ring)
                 expected = series_numerator(J).coefficients
                 assert shared_coefficients(J, memo) == expected, text
+            assert len(memo) == 2 and len({rest for _, _, rest in memo}) == 1, texts
 
     def test_recursion_work_is_pinned(self):
-        # the sub-ideals stored and the memo hits the recursion takes on a
-        # fresh memo; the generator order (lexicographic on exponent vectors)
-        # decides them
+        # the nodes opened, the nodes and split products stored and the memo
+        # hits the recursion takes on a fresh memo; the generator order
+        # (lexicographic on exponent vectors) decides them
         I = parse_ideal("x^2*y^3*z, x*z^3, x*y^4*z, x^2*z^2, y^5, x^3*y", XYZ)
         stats: dict = {}
         hf_syzygy(I, 10, stats=stats)
-        assert stats == {"hits": 1, "misses": 10, "memo_size": 10, "nodes": 2}
+        assert stats == {"hits": 0, "misses": 2, "memo_size": 2, "nodes": 2}
         # a squarefree ideal shaped like a Stanley-Reisner ideal: 24 minimal
         # generators of degree 3 and 4 on 15 variables
         rng = random.Random(15)
@@ -385,12 +388,13 @@ class TestSyzygy:
         J = ideal(15, *gens)
         assert len(minimalize(J).generators) == 24
         hf_syzygy(J, 6, stats=stats)
-        assert stats == {"hits": 323, "misses": 275, "memo_size": 275, "nodes": 98}
+        assert stats == {"hits": 31, "misses": 166, "memo_size": 166, "nodes": 98}
         # the staircase x^12, x^11*y, ..., y^12: every S_j is (y), a
-        # principal sub-ideal computed once and then found in the memo
+        # principal sub-ideal closed each time it is found, so only the
+        # root is stored
         S = ideal(2, *[(12 - i, i) for i in range(13)])
         hf_syzygy(S, 20, stats=stats)
-        assert stats == {"hits": 11, "misses": 2, "memo_size": 2, "nodes": 1}
+        assert stats == {"hits": 0, "misses": 1, "memo_size": 1, "nodes": 1}
         # an equal-degree antichain drawn as the many-generators workload
         # draws them (degree 5 in 4 variables), with 16 generators
         rng = random.Random(24)
@@ -402,7 +406,7 @@ class TestSyzygy:
             pool.add(tuple(e))
         A = ideal(4, *sorted(pool))
         hf_syzygy(A, 12, stats=stats)
-        assert stats == {"hits": 11, "misses": 19, "memo_size": 19, "nodes": 6}
+        assert stats == {"hits": 1, "misses": 9, "memo_size": 9, "nodes": 6}
         for K in (S, A):
             assert series_numerator(K) == lattice_numerator(K)
         # the edge ideal of a seeded graph on 24 vertices with 51 edges: its
@@ -413,7 +417,7 @@ class TestSyzygy:
             edges.add(tuple(sorted(rng.sample(range(24), 2))))
         E = ideal(24, *[tuple(int(v in e) for v in range(24)) for e in sorted(edges)])
         assert hf_syzygy(E, 4, stats=stats) == hf(E, 4, method="oracle")
-        assert (stats["misses"], stats["nodes"]) == (749, 218)
+        assert (stats["hits"], stats["misses"], stats["nodes"]) == (319, 546, 218)
 
     def test_variables_split_off_colon_ideals(self):
         # K(S) = (1 - t)^k K(S') for a colon ideal S with k variables among
@@ -487,9 +491,9 @@ class TestSyzygy:
             check(arity, raw, memo=shared)
 
     def test_root_is_resolved_like_a_colon_ideal(self):
-        # the root is minimalized and then takes the memo, the closed form
-        # and the variable split as every colon ideal does: the stats pin
-        # that no node opens for a root whose rest is closed
+        # the root is minimalized and then takes the variable split, the
+        # closed form and the memo as every colon ideal does: the stats pin
+        # that a root whose rest is closed opens no node and stores nothing
         def check(arity, gens, hits, misses, nodes):
             stats: dict = {}
             I = ideal(arity, *gens)
@@ -499,25 +503,71 @@ class TestSyzygy:
             assert stats == expected, gens
 
         # six variables: the rest is the zero ideal, K = (1 - t)^6
-        check(6, [tuple(int(v == u) for v in range(6)) for u in range(6)], 0, 2, 0)
-        # (x, y, z^2*w, z*w^2): one node for the rest, whose S_2 is principal
-        check(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)], 0, 3, 1)
+        check(6, [tuple(int(v == u) for v in range(6)) for u in range(6)], 0, 0, 0)
+        # (x, y, z^2*w, z*w^2): one node for the rest, whose S_2 is principal,
+        # and the product (1 - t)^2 K(rest)
+        check(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)], 0, 2, 1)
         # (x, y^8, x*y^3): x*y^3 goes, then x splits off the principal (y^8)
-        check(2, [(1, 0), (0, 8), (1, 3)], 0, 2, 0)
-        # an annihilator term of variables alone adds its rest and itself to
-        # a shared memo; (x^2, y^3) packs at another width and shares neither.
-        # Each target is 1, so every earlier generator is its own quotient
-        memo: dict = {}
-        J = ideal(3, (2, 0, 0), (0, 3, 0))
-        other = AnnihilatorDecomposition(3, ((2, 0, 0), (0, 3, 0), (0, 0, 0)), (1,))
-        assert other.terms == ((((0, 3, 0), (2, 0, 0)), 1),)
-        assert annihilator_hf(other, 5, memo) == [0] + hf(J, 4, method="oracle")
-        known = len(memo)
+        check(2, [(1, 0), (0, 8), (1, 3)], 0, 0, 0)
+        # annihilator terms over one shared memo.  Each target is 1, so every
+        # earlier generator is its own quotient.  The node (y^2, z^3) is
+        # stored once; (x, y^2, z^3), at the same width 3, splits x off,
+        # finds the node and stores only its product, which a repeat then
+        # finds in one lookup; a term of variables alone is closed and
+        # stores nothing
+        memo = CountingMemo()
+        J = ideal(3, (0, 2, 0), (0, 0, 3))
+        node = AnnihilatorDecomposition(3, ((0, 2, 0), (0, 0, 3), (0, 0, 0)), (1,))
+        assert node.terms == ((((0, 0, 3), (0, 2, 0)), 1),)
+        assert annihilator_hf(node, 5, memo) == [0] + hf(J, 4, method="oracle")
+        assert len(memo) == 1
+        split = AnnihilatorDecomposition(3, ((1, 0, 0), (0, 2, 0), (0, 0, 3), (0, 0, 0)), (2,))
+        expected = [0, 0] + hf(ideal(3, (1, 0, 0), (0, 2, 0), (0, 0, 3)), 3, method="oracle")
+        for stores in (1, 0):
+            memo.lookups = memo.stores = 0
+            assert annihilator_hf(split, 5, memo) == expected
+            assert (memo.stores, len(memo)) == (stores, 2)
+        assert memo.lookups == 1
         units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         dec = AnnihilatorDecomposition(3, (*units, (0, 0, 0)), (2,))
         assert dec.terms == (((units[2], units[1], units[0]), 2),)
+        memo.lookups = 0
         assert annihilator_hf(dec, 5, memo) == [0, 0, 1, 0, 0, 0]
-        assert len(memo) == known + 2
+        assert (memo.lookups, len(memo)) == (0, 2)
+
+    def test_memo_holds_only_nodes_and_split_products(self):
+        # one memo shared by the table stages and the whole ideals of seeded
+        # random ideals, squarefree ones on bits among them: every key's rest
+        # has at least 2 generators, since a closed form is never stored;
+        # every split key's node is stored beside it; and every entry's K is
+        # the lcm lattice's over the key's generators, unpacked
+        def unpack(key):
+            width, variables, rest = key
+            arity = (max(variables, *rest).bit_length() - 1) // width + 1
+            offsets = range((arity - 1) * width, -1, -width)
+            gens = [tuple(int(s == u) for u in offsets) for s in offsets if variables >> s & 1]
+            gens += [tuple((v >> s) & ((1 << width) - 1) for s in offsets) for v in rest]
+            return ideal(arity, *gens)
+
+        rng = random.Random(39)
+        memo: dict = {}
+        for _ in range(300):
+            arity = rng.randint(3, 7)
+            I = random_ideal(rng, arity, rng.randint(3, 12), max_exp=rng.choice((1, 1, 2, 4)))
+            order = _random_order(rng, arity)
+            b = rng.randint(2, 10)
+            live = upto_degree(I, b)
+            for a in range(2, arity + 1):
+                annihilator_hf(annihilator_decomposition(live, order, a), b - 1, memo)
+            stage_coefficients(arity, [g.exponents for g in I.generators], memo)
+        kinds = Counter()
+        for key, coeffs in memo.items():
+            width, variables, rest = key
+            assert len(rest) >= 2, key
+            assert not variables or (width, 0, rest) in memo, key
+            assert coeffs == lattice_numerator(unpack(key)).coefficients, key
+            kinds[width == 1, variables > 0] += 1
+        assert len(kinds) == 4 and min(kinds.values()) > 20, kinds
 
     def test_colon_step_sets_variables_aside(self):
         # the colon step returns (variables, rest): the variables' bits ORed,
@@ -911,9 +961,11 @@ class TestTable:
         table = hf_table(I, b_max=7, a_max=5)
         assert table.rows[3] == (1, 4, 9, 16, 25, 36, 49, 64)
         assert table.rows[4] == (1, 5, 14, 29, 50, 77, 110, 149)
-        # stages 2 and 3 of (x*y, x*z, y^2*w) are squarefree and pack one
-        # bit per variable; stage 4 holds y^2 and packs in fields of 3 bits.
-        # All three share the table's memo, whose keys lead with the width
+        # stages 3 and 4 of (y*z, x*y*w, w^2, u) are squarefree and pack one
+        # bit per variable; stage 5 holds w^2 and packs in fields of 3 bits.
+        # All three share the table's memo, whose keys lead with the width:
+        # stage 4's target w^2 opens the node (y*z, x*y) on bits, and stage
+        # 5's target u the node (y*z, x*y*w, w^2) in fields
         memos = []
         real = engine.colon_coefficients
 
@@ -922,10 +974,10 @@ class TestTable:
             return real(exponents, shifts, b_max, memo)
 
         monkeypatch.setattr(engine, "colon_coefficients", spy)
-        J = parse_ideal("x*y, x*z, y^2*w", ["x", "y", "z", "w"])
+        J = parse_ideal("y*z, x*y*w, w^2, u", ["x", "y", "z", "w", "u"])
         table = hf_table(J, b_max=8)
-        identity = VariableOrder.identity(4)
-        for a in range(1, 5):
+        identity = VariableOrder.identity(5)
+        for a in range(1, 6):
             assert list(table.rows[a - 1]) == hf(restrict(J, identity, a), 8, method="oracle")
         assert len(memos) == 3 and all(m is memos[0] for m in memos)
         assert {key[0] for key in memos[0]} == {1, 3}

@@ -27,9 +27,12 @@ process, which imports that checkout's ``src/`` and hands each argv to
 * the commands of README's "Command line" block.
 
 stdout, stderr and the exit code must be equal.  The script prints the argv
-count and the first argv whose answers differ, and exits 0 when none does,
-1 on a difference.  It needs only the standard library and writes no
-bytecode into either checkout.
+count, then the number of argvs whose answers differ and each of them, with
+the part that differs: both exit codes, or how many lines of stdout or
+stderr differ and the first of them, old then new, quoted and cut to the
+text around its first differing character.  It exits 0 when no argv differs, 1
+otherwise.  It needs only the standard library and writes no bytecode into
+either checkout.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import re
 import shlex
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +75,9 @@ METHODS = {"eval": ("lcm",), "compare": ("lcm", "oracle")}
 
 # every float that bench prints is a timing; its values are integers
 TIMING = re.compile(r"\d+\.\d+(?:e[-+]?\d+)?")
+
+# characters of a differing line shown before and after its first difference
+CONTEXT = 60
 
 
 def _workloads():
@@ -152,6 +158,30 @@ def answers(checkout: Path, argvs: list[list[str]]) -> list[list]:
     return got
 
 
+def differences(old: list, new: list) -> list[str]:
+    """The lines that show each part of two ``[exit code, stdout, stderr]``
+    answers that differs: both exit codes, or the count of differing lines
+    of the text and the first of them, old then new, around its first
+    differing character.  Lines keep their ends, and are shown quoted, so
+    a difference in line ends alone shows too."""
+    lines = []
+    for name, x, y in zip(("exit code", "stdout", "stderr"), old, new):
+        if x == y:
+            continue
+        if name == "exit code":
+            lines.append(f"  exit code: {x} -> {y}")
+            continue
+        pairs = zip_longest(x.splitlines(True), y.splitlines(True), fillvalue="")
+        differ = [(n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1]]
+        n, (a, b) = differ[0]
+        k = next((i for i, (c, d) in enumerate(zip(a, b)) if c != d), min(len(a), len(b)))
+        start = max(k - CONTEXT, 0)
+        first = f"the first line {n}, column {k + 1}"
+        lines.append(f"  {name}: {len(differ)} differing lines, {first}:")
+        lines += [f"    {sign} {text[start:k + CONTEXT]!r}" for sign, text in (("-", a), ("+", b))]
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", type=Path, help="root of the checkout to compare against")
@@ -161,13 +191,15 @@ def main(argv=None) -> int:
     argvs = battery(args.seeds)
     old, new = answers(args.old, argvs), answers(args.new, argvs)
     print(f"{len(argvs)} argvs")
-    for argv, a, b in zip(argvs, old, new):
-        if a != b:
-            parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
-            print(f"first difference ({', '.join(parts)}): hilbertfn {shlex.join(argv)}")
-            return 1
-    print("no difference")
-    return 0
+    differ = [(argv, a, b) for argv, a, b in zip(argvs, old, new) if a != b]
+    if not differ:
+        print("no difference")
+        return 0
+    print(f"{len(differ)} differ")
+    for argv, a, b in differ:
+        print(f"hilbertfn {shlex.join(argv)}")
+        print("\n".join(differences(a, b)))
+    return 1
 
 
 if __name__ == "__main__":
