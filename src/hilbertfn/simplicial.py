@@ -78,6 +78,14 @@ def minimal_nonfaces(c: SimplicialComplex) -> list[tuple[str, ...]]:
     the work follows the facets and the transversals, never the 2^|V| vertex
     subsets.
 
+    At a facet complement E, the transversals that meet E stay, and each one
+    t that misses E grows to t + {v} for every v in E.  Grown sets are
+    distinct, pairwise incomparable and inside no stayer, so t + {v} is
+    minimal unless it contains a stayer h, and then h meets E in v alone:
+    h lies inside t + {v} and t misses E, so h meets E in v or nowhere, and
+    h meets E.  So t + {v} is tested only against the stayers whose meet
+    with E is {v}.
+
     The complex is validated first, so an invalid complex raises
     :class:`InvalidComplexError` whatever its size; a valid one with more
     than ``VERTEX_CAP`` vertices raises ResourceCapError.
@@ -90,23 +98,42 @@ def minimal_nonfaces(c: SimplicialComplex) -> list[tuple[str, ...]]:
             f"{len(c.vertices)} vertices exceed cap {VERTEX_CAP}"
         )
     n = len(c.vertices)
-    index = {v: i for i, v in enumerate(c.vertices)}
+    # Vertex i is bit n - 1 - i, so among sets of one size, lexicographic
+    # order of the vertex lists is descending int order.
+    bit = {v: 1 << (n - 1 - i) for i, v in enumerate(c.vertices)}
     everything = (1 << n) - 1
     # minimal transversals of the complements seen so far, as vertex bitmasks
     transversals = [0]
     for facet in c.facets:
-        complement = everything & ~sum(1 << index[v] for v in facet)
-        bits = [1 << i for i in range(n) if complement >> i & 1]
-        hit = [t for t in transversals if t & complement]
-        # A missed transversal grows by one complement vertex.  Grown sets are
-        # distinct and pairwise incomparable, and none lies inside a set that
-        # already hits; only a grown set containing one of those is not minimal.
-        grown = [t | bit for t in transversals if not t & complement for bit in bits]
-        transversals = hit + [g for g in grown if not any(h & g == h for h in hit)]
-    vertex_lists = sorted(
-        (bin(t).count("1"), [i for i in range(n) if t >> i & 1]) for t in transversals if t
-    )
-    return [tuple(c.vertices[i] for i in vs) for _, vs in vertex_lists]
+        complement = everything & ~sum(bit[v] for v in facet)
+        # the stayers, the missed, and for each v in E the stayers that meet
+        # E in v alone, each less v
+        kept, missed, blockers = [], [], {}
+        for t in transversals:
+            meet = t & complement
+            if not meet:
+                missed.append(t)
+                continue
+            kept.append(t)
+            if not meet & (meet - 1):
+                blockers.setdefault(meet, []).append(t ^ meet)
+        for v in bit.values():
+            if v & complement:
+                # t + {v} holds a blocker h exactly when t holds h less v
+                blocked = {t for r in blockers.get(v, ()) for t in missed if r & t == r}
+                kept += [t | v for t in missed if t not in blocked]
+        transversals = kept
+    transversals.sort(key=lambda t: (t.bit_count(), -t))
+    nonfaces = []
+    for t in transversals:
+        names = []
+        while t:
+            top = t.bit_length()
+            names.append(c.vertices[n - top])
+            t ^= 1 << (top - 1)
+        if names:
+            nonfaces.append(tuple(names))
+    return nonfaces
 
 
 def nonface_ideal(

@@ -63,6 +63,18 @@ def _sr(n_vertices: int) -> list[str]:
     return ["sr", "--ring", ",".join(names), "--facets", facets, "--max-degree", "3"]
 
 
+def _sr_random(n_vertices: int, n_facets: int, low: int, high: int, seed: int) -> list[str]:
+    # seeded facets of low..high vertices; the draw must nest no facet in
+    # another and cover every vertex, or sr exits 2
+    rng = random.Random(seed)
+    facets: set[frozenset[int]] = set()
+    while len(facets) < n_facets:
+        facets.add(frozenset(rng.sample(range(n_vertices), rng.randint(low, high))))
+    names = _names("v", n_vertices)
+    text = "; ".join(",".join(names[v] for v in sorted(f)) for f in sorted(facets, key=sorted))
+    return ["sr", "--ring", ",".join(names), "--facets", text, "--max-degree", "3"]
+
+
 XYZ = ["x", "y", "z"]
 WIDE = _names("x", 3000)
 WIDE_IDEAL = _ideal(WIDE, "x0^2, x1*x2999, x1500^3")
@@ -78,6 +90,11 @@ BELOW_ROOT = ", ".join(f"x{i}*x33^4, x{i}^2*x33^3" for i in range(33))
 CASES = [
     _case("sr-at-vertex-cap", _sr(24), 0),
     _case("sr-past-vertex-cap", _sr(25), 3),
+    # 60 facets of 8 to 12 of the 24 vertices have 3 752 minimal non-faces;
+    # the query took 2.2 s of CPU while Berge's step tested each grown set
+    # against every transversal kept, and about 0.13 s once it tested only
+    # those that meet the facet complement in the grown vertex alone
+    _case("sr-many-nonfaces-at-vertex-cap", _sr_random(24, 60, 8, 12, seed=1), 0),
     _case("oracle-at-enum-cap", [*ORACLE, "--enum-cap", "66"], 0),
     _case("oracle-past-enum-cap", [*ORACLE, "--enum-cap", "65"], 3),
     _case("lcm-at-lattice-cap", [*LATTICE, "--lattice-cap", "3"], 0),

@@ -121,9 +121,12 @@ def brute_force_nonfaces(c):
     return found
 
 
-def random_complex(rng, n):
+def random_complex(rng, n, draws, low, high):
+    """``draws`` seeded facets of ``low``..``high`` of the n vertices, the
+    maximal ones kept, a one-vertex facet for each vertex none covers, in a
+    seeded order."""
     vertices = tuple(f"v{i}" for i in range(n))
-    facets = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 6))}
+    facets = {frozenset(rng.sample(range(n), rng.randint(low, high))) for _ in range(draws)}
     facets = [f for f in facets if not any(f < g for g in facets)]
     covered = frozenset().union(*facets)
     facets += [frozenset({i}) for i in range(n) if i not in covered]
@@ -136,6 +139,58 @@ def random_complex(rng, n):
 def test_minimal_nonfaces_match_brute_force_scan():
     rng = random.Random(2402)
     for _ in range(300):
-        c = random_complex(rng, rng.randint(1, 10))
+        n = rng.randint(1, 10)
+        c = random_complex(rng, n, rng.randint(1, 6), 1, n)
         assert validate_complex(c) == []
         assert minimal_nonfaces(c) == brute_force_nonfaces(c), c
+
+
+def reference_berge(c):
+    """Berge's algorithm with the all-pairs minimality test: every grown set
+    is tested against every transversal that meets the complement.  Also
+    counts the grown sets that test rejects, each by a transversal meeting
+    the complement in one vertex, and the kept transversals that meet it in
+    several."""
+    n = len(c.vertices)
+    index = {v: i for i, v in enumerate(c.vertices)}
+    everything = (1 << n) - 1
+    transversals = [0]
+    rejected = several = 0
+    for facet in c.facets:
+        complement = everything & ~sum(1 << index[v] for v in facet)
+        bits = [1 << i for i in range(n) if complement >> i & 1]
+        hit = [t for t in transversals if t & complement]
+        several += sum(bin(t & complement).count("1") > 1 for t in hit)
+        grown = [t | bit for t in transversals if not t & complement for bit in bits]
+        minimal = [g for g in grown if not any(h & g == h for h in hit)]
+        rejected += len(grown) - len(minimal)
+        transversals = hit + minimal
+    vertex_lists = sorted(
+        (bin(t).count("1"), [i for i in range(n) if t >> i & 1]) for t in transversals if t
+    )
+    return [tuple(c.vertices[i] for i in vs) for _, vs in vertex_lists], rejected, several
+
+
+def test_minimal_nonfaces_match_reference_berge():
+    rng = random.Random(4011)
+    rejected = several = 0
+    for _ in range(200):
+        n = rng.randint(11, 20)
+        c = random_complex(rng, n, rng.randint(2, 14), n - 7, n - 1)
+        got = minimal_nonfaces(c)
+        want, r, s = reference_berge(c)
+        assert got == want, c
+        rejected, several = rejected + r, several + s
+        # the definition: not a face, so it meets every facet complement, and
+        # every one-smaller subset is a face
+        faces = [set(f) for f in c.facets]
+        for nf in got:
+            assert not any(set(nf) <= f for f in faces), nf
+            assert all(any(set(nf) - {v} <= f for f in faces) for v in nf), nf
+        # ascending size, then lexicographic in the vertex order
+        keys = [(len(nf), [c.vertices.index(v) for v in nf]) for nf in got]
+        assert all(vs == sorted(vs) for _, vs in keys)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    # the draws reject grown sets, and keep transversals that meet a
+    # complement in more than one vertex
+    assert rejected > 0 and several > 0, (rejected, several)

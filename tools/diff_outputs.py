@@ -23,6 +23,8 @@ process, which imports that checkout's ``src/`` and hands each argv to
   vertices and path ideals on 10 to 40 variables, each as ``eval`` by
   ``auto``, ``syzygy`` and ``table``, ``series --expand-to``, ``table``
   and ``compare``, all at degrees 3 to 6;
+* ``sr`` at each seed on seeded complexes of 17 to 22 vertices, past the
+  workload's 16, with at most 120 minimal non-faces, in all three formats;
 * ``bench --seed 3`` in all three formats, timings masked;
 * the commands of README's "Command line" block.
 
@@ -84,7 +86,7 @@ def _workloads():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    return workloads.WORKLOADS
+    return workloads
 
 
 def _readme_commands() -> list[list[str]]:
@@ -124,9 +126,39 @@ def _squarefree(seed: int) -> list[list[str]]:
     return argvs
 
 
+def _complexes(seed: int, nonfaces) -> list[list[str]]:
+    """Two seeded complexes on each of 17 to 22 vertices, each with 4 to 9
+    facets of n - 6 to n - 2 vertices that cover every vertex, drawn again
+    until it has at most 120 minimal non-faces (counted by ``nonfaces``), so
+    that the recursion on them stays in milliseconds: ``sr`` at one degree b
+    in 3..6, in each format."""
+    rng = random.Random(seed)
+    argvs = []
+    for n in (17, 17, 18, 18, 19, 19, 20, 20, 21, 21, 22, 22):
+        while True:
+            n_facets = rng.randint(4, 9)
+            facets: set[frozenset[int]] = set()
+            while len(facets) < n_facets:
+                facets.add(frozenset(rng.sample(range(n), rng.randint(n - 6, n - 2))))
+            if any(f < g for f in facets for g in facets):
+                continue
+            if frozenset().union(*facets) != frozenset(range(n)):
+                continue
+            if len(nonfaces(n, facets)) <= 120:
+                break
+        facet_list = sorted(tuple(sorted(f)) for f in facets)
+        rng.shuffle(facet_list)
+        text = "; ".join(",".join(f"v{i}" for i in f) for f in facet_list)
+        argv = ["sr", "--ring", ",".join(f"v{i}" for i in range(n)), "--facets", text,
+                "--max-degree", str(rng.randint(3, 6))]
+        argvs += [argv + ["--format", fmt] for fmt in ("plain", "json", "csv")]
+    return argvs
+
+
 def battery(seeds: list[int]) -> list[list[str]]:
     argvs = []
-    makers = _workloads().values()
+    workloads = _workloads()
+    makers = workloads.WORKLOADS.values()
     for seed in seeds:
         for make in makers:
             for q in make(seed):
@@ -138,7 +170,7 @@ def battery(seeds: list[int]) -> list[list[str]]:
                     ring = argv[argv.index("--ring") + 1]
                     argvs.append(argv + ["--order", ",".join(reversed(ring.split(",")))])
                 argvs += [["eval", *argv[1:], "--method", m] for m in METHODS.get(q.kind, ())]
-        argvs += _squarefree(seed)
+        argvs += _squarefree(seed) + _complexes(seed, workloads.minimal_nonfaces)
     argvs += [["bench", "--seed", "3", "--format", fmt] for fmt in ("plain", "json", "csv")]
     return argvs + _readme_commands()
 
